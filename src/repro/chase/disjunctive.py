@@ -32,14 +32,14 @@ tagged with the :class:`~repro.limits.Exhausted` diagnosis.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..deprecation import warn_deprecated_kwarg
 from ..errors import BudgetExhausted, ChaseNonTermination
 from ..homs.quotient import enumerate_quotients
 from ..homs.search import is_homomorphic
-from ..instance import Instance, InstanceBuilder
-from ..limits import Budget, Exhausted, Limits
+from ..instance import Fact, Instance, InstanceBuilder
+from ..limits import Budget, Exhausted, Limits, budget_scope, current_budget
 from ..logic.delta import TriggerIndex, binding_sort_key, match_atoms_delta
 from ..logic.dependencies import Dependency, DisjunctiveTgd, iter_disjunctive
 from ..logic.matching import match_atoms
@@ -106,6 +106,38 @@ def _trigger_satisfied(
     return False
 
 
+def _witness_plan(dtgd: DisjunctiveTgd) -> List[tuple]:
+    """Per disjunct, how the delta path checks it is already witnessed.
+
+    ``(atoms, None)`` when the disjunct has no existential variable — a
+    premise binding then instantiates it to facts, and membership in the
+    live index decides; otherwise ``(atoms, shared)``, the premise
+    variables to seed a match with.
+    """
+    premise = dtgd.premise_variables
+    plan = []
+    for i, disjunct in enumerate(dtgd.disjuncts):
+        if dtgd.existential_variables(i):
+            shared = {v for a in disjunct for v in a.variables()} & premise
+            plan.append((disjunct, sorted(shared)))
+        else:
+            plan.append((disjunct, None))
+    return plan
+
+
+def _witnessed(plan: List[tuple], binding: dict, index: TriggerIndex) -> bool:
+    """:func:`_trigger_satisfied` against a live index, by its plan."""
+    for atoms, shared in plan:
+        if shared is None:
+            if all(atom.instantiate(binding) in index for atom in atoms):
+                return True
+            continue
+        seed = {v: binding[v] for v in shared}
+        if next(match_atoms(atoms, index, initial=seed), None) is not None:
+            return True
+    return False
+
+
 def _guard(bound: Optional[int], deadline: Optional[float], default: int):
     """A fallback bound: applied only when nothing else limits the run."""
     if bound is not None:
@@ -136,12 +168,20 @@ def disjunctive_chase(
     Triggers are selected canonically — first dtgd in declaration order
     with an unsatisfied match, smallest match by
     :func:`~repro.logic.delta.binding_sort_key` — and, by default,
-    *semi-naively*: each branch carries a forked
+    *semi-naively*: each branch carries a
     :class:`~repro.logic.delta.TriggerIndex` plus per-dtgd agendas of
     open triggers, and a child only re-matches against the facts its
-    disjunct added (:func:`~repro.logic.delta.match_atoms_delta`)
-    instead of the whole instance.  ``evaluation="naive"`` (or
-    ``REPRO_NAIVE_CHASE=1``) re-matches every branch from scratch; both
+    disjunct added (:func:`~repro.logic.delta.match_atoms_delta`,
+    skipped for dtgds whose premise reads none of those relations)
+    instead of the whole instance.  Branch worlds are allocation-light:
+    a child world is its parent's frozen fact set extended by the
+    disjunct's facts (:meth:`~repro.instance.Instance.extended`, which
+    shares the parent's untouched relation sets), satisfaction is
+    checked against the branch's live index (by fact membership when a
+    disjunct has no existential variable), and the last disjunct's
+    child inherits the parent's index and agendas instead of forking
+    them.  ``evaluation="naive"`` (or ``REPRO_NAIVE_CHASE=1``) rebuilds
+    every world fact by fact and re-matches it from scratch; both
     modes fire identical triggers and build identical branch trees.
 
     With a *tracer*, the branch genealogy is emitted as
@@ -197,11 +237,20 @@ def disjunctive_chase(
     guard_rounds = _guard(lim.max_rounds, lim.deadline, DEFAULT_MAX_ROUNDS)
     guard_branches = _guard(lim.max_branches, lim.deadline, DEFAULT_MAX_BRANCHES)
 
+    # Each disjunct's existential variables, in minting order.
+    existentials = [
+        [sorted(dtgd.existential_variables(i)) for i in range(len(dtgd.disjuncts))]
+        for dtgd in dtgds
+    ]
     finished = Branches()
     # Frontier entries: (instance, rounds, branch id, delta state).
     # Delta state is (TriggerIndex, per-dtgd agendas) under semi-naive
     # evaluation, None under naive (agendas are then rebuilt per pop).
     if evaluation == "delta":
+        plans = [_witness_plan(dtgd) for dtgd in dtgds]
+        premise_relations = [
+            frozenset(a.relation for a in dtgd.premise) for dtgd in dtgds
+        ]
         root_index = TriggerIndex(instance)
         root_state = (
             root_index,
@@ -304,9 +353,17 @@ def disjunctive_chase(
             if state is None:
                 index = None
                 agendas = [_sorted_matches(dtgd, current) for dtgd in dtgds]
+
+                def satisfied(di: int, binding: dict) -> bool:
+                    return _trigger_satisfied(dtgds[di], binding, current)
+
             else:
                 index, agendas = state
-            trigger = _select_trigger(dtgds, agendas, current, scanned)
+
+                def satisfied(di: int, binding: dict) -> bool:
+                    return _witnessed(plans[di], binding, index)
+
+            trigger = _select_trigger(agendas, satisfied, scanned)
             if trigger is None:
                 if current not in seen:
                     seen.add(current)
@@ -327,13 +384,15 @@ def disjunctive_chase(
                             )
                         )
                 continue
-            dtgd_index, dtgd, binding = trigger
+            dtgd_index, binding = trigger
+            dtgd = dtgds[dtgd_index]
             note_branch("forked")
-            factory = NullFactory.avoiding(current.active_domain, prefix=null_prefix)
+            factory = NullFactory.avoiding(current.nulls, prefix=null_prefix)
+            last = len(dtgd.disjuncts) - 1
             for disjunct_index, disjunct in enumerate(dtgd.disjuncts):
                 full = dict(binding)
                 minted = []
-                for var in sorted(dtgd.existential_variables(disjunct_index)):
+                for var in existentials[dtgd_index][disjunct_index]:
                     fresh = factory.fresh()
                     full[var] = fresh
                     minted.append((var.name, fresh))
@@ -341,6 +400,10 @@ def disjunctive_chase(
                     pop_nulls += len(minted)
                 if index is None:
                     accumulator = InstanceBuilder(current)
+                elif disjunct_index == last:
+                    # The parent world is done once its last child is
+                    # built, so that child inherits the index unforked.
+                    accumulator = index
                 else:
                     accumulator = index.fork()
                 child_branch = f"{branch}.{disjunct_index}"
@@ -388,7 +451,10 @@ def disjunctive_chase(
                             disjunct_index=disjunct_index,
                         )
                     )
-                child = accumulator.snapshot()
+                if index is None:
+                    child = accumulator.snapshot()
+                else:
+                    child = current.extended(added)
                 budget.charge("disjunctive_chase", facts=len(child))
                 if child not in seen:
                     if index is None:
@@ -403,11 +469,19 @@ def disjunctive_chase(
                             delta.setdefault(f.relation, set()).add(f.values)
                         child_agendas = []
                         for di, d in enumerate(dtgds):
-                            base = (
-                                agendas[di][1:]
-                                if di == dtgd_index
-                                else list(agendas[di])
-                            )
+                            if di == dtgd_index:
+                                base = agendas[di][1:]
+                            elif accumulator is index:
+                                # The parent is done with its agendas
+                                # too: the inheriting child takes them.
+                                base = agendas[di]
+                            else:
+                                base = list(agendas[di])
+                            if premise_relations[di].isdisjoint(delta):
+                                # No premise atom reads an added fact,
+                                # so there is no delta match to merge.
+                                child_agendas.append(base)
+                                continue
                             fresh_entries = [
                                 (binding_sort_key(b), b)
                                 for b in match_atoms_delta(
@@ -485,36 +559,36 @@ def _merge_agendas(base: List[tuple], fresh: List[tuple]) -> List[tuple]:
 
 
 def _select_trigger(
-    dtgds: List[DisjunctiveTgd],
     agendas: List[List[tuple]],
-    instance: Instance,
+    satisfied,
     scanned: Optional[list] = None,
 ):
     """First unsatisfied trigger in canonical (dtgd, binding-key) order.
 
     Scans each dtgd's agenda in key order, *permanently dropping*
     satisfied entries along the way: satisfaction is monotone under fact
-    addition, and every descendant branch is a superset of *instance*,
-    so a dropped entry could never fire again on this lineage.  On
-    success the fired entry is left at the head of its agenda (the
+    addition, and every descendant branch is a superset of the current
+    world, so a dropped entry could never fire again on this lineage.
+    On success the fired entry is left at the head of its agenda (the
     caller strips it when building child agendas, since each disjunct's
-    added facts witness it in every child).
+    added facts witness it in every child).  ``satisfied(dtgd_index,
+    binding)`` answers for the world being extended; returns
+    ``(dtgd_index, binding)`` or ``None``.
 
     *scanned*, when given, is a one-element accumulator the profiler
     uses: ``scanned[0]`` gains the number of agenda entries examined.
     """
-    for dtgd_index, dtgd in enumerate(dtgds):
-        agenda = agendas[dtgd_index]
-        satisfied = 0
+    for dtgd_index, agenda in enumerate(agendas):
+        done = 0
         for _key, binding in agenda:
             if scanned is not None:
                 scanned[0] += 1
-            if _trigger_satisfied(dtgd, binding, instance):
-                satisfied += 1
+            if satisfied(dtgd_index, binding):
+                done += 1
                 continue
-            if satisfied:
-                del agenda[:satisfied]
-            return dtgd_index, dtgd, binding
+            if done:
+                del agenda[:done]
+            return dtgd_index, binding
         agenda.clear()
     return None
 
@@ -527,17 +601,51 @@ def minimize_branches(branches: Iterable[Instance]) -> List[Instance]:
     condition (1) is per-element, and for condition (3) any ``V → I'`` is
     witnessed by ``V' → V → I'``.  Hom-equivalent branches collapse to one
     representative.
+
+    Each ``V' → V`` test first checks that the ground facts of ``V'``
+    are facts of ``V`` — necessary, since a homomorphism fixes
+    constants, and exact when ``V'`` is ground — and only searches for
+    a homomorphism when that passes and ``V'`` has nulls.
+
+    The ambient budget (:func:`repro.limits.budget_scope`) governs the
+    pass: it is checked before each candidate and inside every hom
+    search, and exhaustion raises the budget's typed error.
     """
-    pool = sorted(set(branches), key=lambda inst: (len(inst), str(inst)))
-    kept: List[Instance] = []
-    for candidate in pool:
-        if any(is_homomorphic(existing, candidate) for existing in kept):
+    budget = current_budget()
+    kept: List[Tuple[Instance, FrozenSet[Fact]]] = []
+    for instance in _deduplicated(branches):
+        if budget is not None:
+            if budget.checkpoint("minimize_branches") is not None:
+                budget.raise_exhausted()
+        candidate = (instance, _ground_facts(instance))
+        if any(_maps_to(existing, candidate) for existing in kept):
             continue
         kept = [
-            existing for existing in kept if not is_homomorphic(candidate, existing)
+            existing for existing in kept if not _maps_to(candidate, existing)
         ]
         kept.append(candidate)
-    return kept
+    return [instance for instance, _ground in kept]
+
+
+def _deduplicated(branches: Iterable[Instance]) -> List[Instance]:
+    """Distinct branches in canonical (size, text) order."""
+    return sorted(set(branches), key=lambda inst: (len(inst), str(inst)))
+
+
+def _ground_facts(instance: Instance) -> FrozenSet[Fact]:
+    """The facts of *instance* that mention no null."""
+    nulls = instance.nulls
+    if not nulls:
+        return instance.facts
+    return frozenset(f for f in instance.facts if nulls.isdisjoint(f.values))
+
+
+def _maps_to(source: tuple, target: tuple) -> bool:
+    """``V' → V`` over ``(instance, ground facts)`` pairs."""
+    instance, ground = source
+    if not ground <= target[0].facts:
+        return False
+    return len(ground) == len(instance) or is_homomorphic(instance, target[0])
 
 
 def reverse_disjunctive_chase(
@@ -572,7 +680,12 @@ def reverse_disjunctive_chase(
     and is part of the operation's semantics).
 
     Returns a hom-minimal antichain of branch instances unless
-    ``minimize=False`` (the raw set is exponentially redundant).
+    ``minimize=False`` (the raw set is exponentially redundant).  The
+    budget governs minimization too: in partial mode a budget that runs
+    out there — or had already run out in the chase — yields the
+    deduplicated, unminimized branch set (still universally faithful,
+    Def. 6.1) tagged with the diagnosis; in raise mode the typed error
+    propagates.
     """
     if max_rounds is not None or max_branches is not None:
         if max_rounds is not None:
@@ -621,11 +734,18 @@ def reverse_disjunctive_chase(
         if branches.exhausted is not None:
             exhausted = branches.exhausted
             break
+    result = None
     if minimize:
-        result = Branches(minimize_branches(collected))
-    else:
-        result = Branches(
-            sorted(set(collected), key=lambda inst: (len(inst), str(inst)))
-        )
+        try:
+            with budget_scope(budget):
+                result = Branches(minimize_branches(collected))
+        except BudgetExhausted:
+            if budget.limits.raises or budget.exhausted is None:
+                raise
+            if exhausted is None:
+                exhausted = budget.exhausted
+                report_exhaustion(tracer, exhausted)
+    if result is None:
+        result = Branches(_deduplicated(collected))
     result.exhausted = exhausted
     return result

@@ -11,9 +11,12 @@ is a thin **facade over an** :class:`~repro.store.InstanceStore`: the
 default backend is :class:`~repro.store.MemoryStore` (the historical
 in-heap representation, behavior-identical), and
 :class:`~repro.store.SqliteStore` keeps large instances out of the
-Python heap.  The chase and the disjunctive chase build new instances
-through :class:`InstanceBuilder`, and every set-like operation (union,
-substitution, restriction) returns a fresh in-memory instance.
+Python heap.  The chase builds new instances through
+:class:`InstanceBuilder`, and every set-like operation (union,
+substitution, restriction) returns an in-memory instance — over a
+memory-backed operand, union and restriction share its frozen sets
+(:meth:`Instance.extended`, :meth:`Instance.restrict`), which is also
+how the disjunctive chase derives each branch world from its parent.
 
 ``Fact``/``fact`` and the digest serialization live in
 :mod:`repro.facts` (shared with the store backends) and are re-exported
@@ -266,14 +269,36 @@ class Instance:
 
     def union(self, other: "Instance") -> "Instance":
         """A new instance holding the facts of both."""
-        return Instance(list(self.facts) + list(other.facts))
+        return self.extended(other.facts)
+
+    def extended(self, facts: Iterable[Fact]) -> "Instance":
+        """This instance plus *facts* (``self`` when none is new).
+
+        Over an in-memory store the result shares structure with this
+        instance (:meth:`repro.store.MemoryStore.extended`) — the cheap
+        way the disjunctive chase builds each branch world from its
+        parent.  Other backends take the generic path: a fresh
+        in-memory instance of both fact sets.
+        """
+        if isinstance(self._store, MemoryStore):
+            store = self._store.extended(facts)
+            return self if store is self._store else Instance(store=store)
+        return Instance(list(self.facts) + list(facts))
 
     def difference(self, other: "Instance") -> "Instance":
         """A new instance with *other*'s facts removed."""
         return Instance(self.facts - other.facts)
 
     def restrict(self, relations: Iterable[str]) -> "Instance":
-        """Keep only the facts over the given relation names."""
+        """Keep only the facts over the given relation names.
+
+        Over an in-memory store the kept relations' tuple sets are
+        shared, not re-added (:meth:`repro.store.MemoryStore.restricted`),
+        and ``self`` comes back when no relation is dropped.
+        """
+        if isinstance(self._store, MemoryStore):
+            store = self._store.restricted(relations)
+            return self if store is self._store else Instance(store=store)
         keep = set(relations)
         return Instance(f for f in self.facts if f.relation in keep)
 

@@ -7,23 +7,28 @@ partial prefix when a budget truncates the run.  The invariants are
 checked over random instances on the catalogued s-t families, random
 edge sets on the recursive path-closure family (where the two modes
 genuinely diverge in work done), on SQLite-backed instances, and on
-the disjunctive chase's branch trees.
+the disjunctive chase's branch trees — including the paper's own
+recoveries, per quotient world and through the whole reverse chase.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase.disjunctive import disjunctive_chase
+from repro.chase.disjunctive import disjunctive_chase, reverse_disjunctive_chase
 from repro.chase.standard import chase
+from repro.homs.quotient import enumerate_quotients
+from repro.inverses.quasi_inverse import maximum_extended_recovery_for_full_tgds
 from repro.instance import Fact, Instance
 from repro.limits import Limits
-from repro.parsing.parser import parse_dependency
+from repro.obs import Tracer
+from repro.parsing.parser import parse_dependencies, parse_dependency
 from repro.store import SqliteStore
 from repro.terms import Const
-from repro.workloads.generators import path_closure_mapping
+from repro.workloads.generators import path_closure_mapping, random_full_tgd_mapping
 from repro.workloads.scenarios import PAPER_SCENARIOS
 
-from .strategies import instances
+from .strategies import CONSTANTS, NULLS, instances
 
 DECOMPOSITION = PAPER_SCENARIOS["decomposition"].mapping
 PATH2 = PAPER_SCENARIOS["path2"].mapping
@@ -144,3 +149,97 @@ def test_disjunctive_delta_equals_naive_on_sqlite(inst):
     delta = disjunctive_chase(backed, DISJUNCTIVE, evaluation="delta")
     naive = disjunctive_chase(backed, DISJUNCTIVE, evaluation="naive")
     assert [b.facts for b in delta] == [b.facts for b in naive]
+
+
+#: Disjunct facts feed later premises (delta matches in the children),
+#: with a multi-atom ground disjunct, an existential one, and a guard.
+CHAINED = parse_dependencies(
+    "R(x) -> P(x) | Q(x); "
+    "P(x) & R(y) -> S(x, y) & T(y) | (EXISTS z . S(x, z) & T(z)); "
+    "Q(x) & Q(y) & x != y -> U(x, y)"
+)
+
+
+@given(instances({"R": 1, "T": 1, "S": 2, "P": 1}, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_chained_disjunctive_delta_equals_naive(inst):
+    """Children re-match their own added facts: same tree as naive."""
+    delta = disjunctive_chase(inst, CHAINED, evaluation="delta")
+    naive = disjunctive_chase(inst, CHAINED, evaluation="naive")
+    assert [b.facts for b in delta] == [b.facts for b in naive]
+    assert [b.digest() for b in delta] == [b.digest() for b in naive]
+
+
+#: The paper's recoveries: Σ* of Theorem 5.2 (disjunction plus
+#: inequalities), the union recovery of Example 3.14, and the maximum
+#: extended recovery of a random full-tgd mapping.
+RECOVERIES = {
+    "self_join_target": PAPER_SCENARIOS["self_join_target"].reverse,
+    "union": PAPER_SCENARIOS["union"].reverse,
+    "random_full": maximum_extended_recovery_for_full_tgds(
+        random_full_tgd_mapping(seed=7)
+    ),
+}
+
+
+def recovery_targets(recovery, max_size: int = 4):
+    """Targets over *recovery*'s premise schema with at most 3 nulls."""
+    arities = {name: recovery.source.arity(name) for name in recovery.source.names}
+    value = st.sampled_from(CONSTANTS[:3] + NULLS[:3])
+    fact_ = st.sampled_from(sorted(arities)).flatmap(
+        lambda name: st.tuples(*[value] * arities[name]).map(
+            lambda values: Fact(name, values)
+        )
+    )
+    return st.lists(fact_, min_size=1, max_size=max_size).map(Instance)
+
+
+def assert_same_branches(delta, naive):
+    assert [b.facts for b in delta] == [b.facts for b in naive]
+    assert [b.digest() for b in delta] == [b.digest() for b in naive]
+    assert (delta.exhausted is None) == (naive.exhausted is None)
+
+
+@pytest.mark.parametrize("name", sorted(RECOVERIES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_recovery_delta_equals_naive_per_quotient_world(name, data):
+    """Every quotient world chases to the same branch tree in both modes."""
+    recovery = RECOVERIES[name]
+    target = data.draw(recovery_targets(recovery))
+    for quotient in enumerate_quotients(target, max_nulls=3):
+        assert_same_branches(
+            disjunctive_chase(
+                quotient.instance, recovery.dependencies, evaluation="delta"
+            ),
+            disjunctive_chase(
+                quotient.instance, recovery.dependencies, evaluation="naive"
+            ),
+        )
+
+
+@pytest.mark.parametrize("name", sorted(RECOVERIES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_recovery_delta_equals_naive_reverse_chase(name, data):
+    """The unminimized reverse chase returns the same branch list, and
+    traces the same branch genealogy, firings and minted nulls."""
+    recovery = RECOVERIES[name]
+    target = data.draw(recovery_targets(recovery))
+
+    def reverse(evaluation):
+        tracer = Tracer()
+        branches = reverse_disjunctive_chase(
+            target,
+            recovery.dependencies,
+            result_relations=recovery.target.names,
+            minimize=False,
+            evaluation=evaluation,
+            tracer=tracer,
+        )
+        return branches, tracer.events
+
+    delta, delta_events = reverse("delta")
+    naive, naive_events = reverse("naive")
+    assert_same_branches(delta, naive)
+    assert delta_events == naive_events

@@ -9,7 +9,9 @@ covered by the checker-based suites).
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.chase.disjunctive import minimize_branches
 from repro.homs.search import is_homomorphic
 from repro.inverses.quasi_inverse import maximum_extended_recovery_for_full_tgds
 from repro.inverses.recovery import in_arrow_m
@@ -74,3 +76,31 @@ def test_source_reachable_from_some_branch(source):
     """Condition (3) instantiated at I' = I: some branch maps into I."""
     branches = branches_for(UNION, UNION_RECOVERY, source)
     assert any(is_homomorphic(branch, source) for branch in branches)
+
+
+def reference_antichain(branches):
+    """The plain O(n²) antichain: one ``is_homomorphic`` call per test."""
+    pool = sorted(set(branches), key=lambda inst: (len(inst), str(inst)))
+    kept = []
+    for candidate in pool:
+        if any(is_homomorphic(existing, candidate) for existing in kept):
+            continue
+        kept = [e for e in kept if not is_homomorphic(candidate, e)]
+        kept.append(candidate)
+    return kept
+
+
+MIXED_BRANCHES = st.lists(
+    st.one_of(
+        instances(P2T1, max_size=3, allow_nulls=False),
+        instances(P2T1, max_size=3),
+    ),
+    max_size=10,
+)
+
+
+@given(MIXED_BRANCHES)
+@settings(max_examples=150, deadline=None)
+def test_minimize_matches_reference_antichain(branches):
+    """The ground-subset pre-test never changes the kept list or its order."""
+    assert minimize_branches(branches) == reference_antichain(branches)

@@ -4,7 +4,28 @@ import pytest
 
 from repro.instance import Fact, Instance, InstanceBuilder, fact
 from repro.schema import Schema
+from repro.store import MemoryStore, StoreError
 from repro.terms import Const, Null, Var
+
+
+def assert_same_instance(got: Instance, want: Instance) -> None:
+    """*got* agrees with *want* on every read the kernels make."""
+    assert got == want
+    assert got.facts == want.facts
+    assert got.digest() == want.digest()
+    assert hash(got) == hash(want)
+    assert got.active_domain == want.active_domain
+    assert got.nulls == want.nulls
+    assert got.relation_names == want.relation_names
+    probes = want.active_domain | {Const("absent")}
+    for relation in want.relation_names + ("Absent",):
+        assert set(got.tuples(relation)) == set(want.tuples(relation))
+        arity = max((len(row) for row in want.tuples(relation)), default=1)
+        for position in range(arity):
+            for value in probes:
+                assert set(got.tuples_at(relation, position, value)) == set(
+                    want.tuples_at(relation, position, value)
+                )
 
 
 class TestFact:
@@ -138,6 +159,7 @@ class TestInstanceAlgebra:
     def test_union(self):
         u = Instance.parse("P(a)").union(Instance.parse("Q(b)"))
         assert len(u) == 2
+        assert_same_instance(u, Instance.parse("Q(b), P(a)"))
 
     def test_difference(self):
         d = Instance.parse("P(a), Q(b)").difference(Instance.parse("Q(b)"))
@@ -179,6 +201,86 @@ class TestInstanceAlgebra:
         inst = Instance.parse("P(a)")
         out = inst.map_values(lambda v: Const("z"))
         assert out == Instance.parse("P(z)")
+
+
+class TestStructureSharing:
+    """``extended`` and ``restrict`` over a frozen memory store share the
+    parent's sets yet read exactly like a per-fact build."""
+
+    BASE = Instance.parse("P(a, X), P(b, c), Q(X), R(c)")
+    EXTRA = [fact("P", "c", "Y"), fact("S", "Y"), fact("Q", "X")]
+
+    def per_fact(self, facts) -> Instance:
+        builder = InstanceBuilder()
+        for f in facts:
+            builder.add(f)
+        return builder.snapshot()
+
+    def test_extended_matches_per_fact_build(self):
+        child = self.BASE.extended(self.EXTRA)
+        assert_same_instance(child, self.per_fact(list(self.BASE) + self.EXTRA))
+        assert_same_instance(self.BASE, Instance.parse("P(a, X), P(b, c), Q(X), R(c)"))
+
+    def test_extended_chain_matches_per_fact_build(self):
+        grandchild = self.BASE.extended(self.EXTRA[:1]).extended(self.EXTRA[1:])
+        assert_same_instance(
+            grandchild, self.per_fact(list(self.BASE) + self.EXTRA)
+        )
+
+    def test_extended_shares_untouched_relations(self):
+        child = self.BASE.extended([fact("P", "d", "Z")])
+        assert child.tuples("Q") is self.BASE.tuples("Q")
+        assert child.tuples("R") is self.BASE.tuples("R")
+        assert child.tuples("P") is not self.BASE.tuples("P")
+
+    def test_extended_with_nothing_new_is_self(self):
+        assert self.BASE.extended([fact("Q", "X")]) is self.BASE
+        assert self.BASE.extended([]) is self.BASE
+
+    def test_extended_after_index_built(self):
+        self.BASE.tuples_at("P", 0, Const("a"))  # build the parent's index
+        child = self.BASE.extended([fact("P", "a", "b")])
+        assert set(child.tuples_at("P", 0, Const("a"))) == {
+            (Const("a"), Null("X")),
+            (Const("a"), Const("b")),
+        }
+
+    def test_extended_domain_grows_only_when_new(self):
+        same = self.BASE.extended([fact("P", "c", "a")])
+        assert same.active_domain is self.BASE.active_domain
+        assert same.nulls is self.BASE.nulls
+        grown = self.BASE.extended([fact("P", "c", "W")])
+        assert grown.nulls == {Null("X"), Null("W")}
+
+    def test_extended_rejects_non_facts(self):
+        with pytest.raises(TypeError):
+            self.BASE.extended([("P", "z")])
+
+    def test_derivation_needs_a_frozen_store(self):
+        with pytest.raises(StoreError):
+            MemoryStore().extended([fact("P", "a")])
+        with pytest.raises(StoreError):
+            MemoryStore().restricted(["P"])
+
+    @pytest.mark.parametrize(
+        "keep", [["P"], ["P", "Q"], ["Q", "Absent"], [], ["R", "S"]]
+    )
+    def test_restrict_matches_per_fact_build(self, keep):
+        want = self.per_fact(f for f in self.BASE if f.relation in keep)
+        assert_same_instance(self.BASE.restrict(keep), want)
+
+    def test_restrict_shares_kept_relations(self):
+        restricted = self.BASE.restrict(["P", "R"])
+        assert restricted.tuples("P") is self.BASE.tuples("P")
+        assert restricted.nulls == {Null("X")}
+        assert self.BASE.restrict(["Q", "R"]).tuples_at("R", 0, Const("c"))
+
+    def test_restrict_keeping_everything_is_self(self):
+        assert self.BASE.restrict(["P", "Q", "R", "Absent"]) is self.BASE
+
+    def test_derived_instances_skip_schema_validation(self):
+        typed = Instance([fact("P", "a")], schema=Schema.from_arities({"P": 1}))
+        assert len(typed.union(Instance.parse("Q(b, c)"))) == 2
 
 
 class TestPositionIndex:

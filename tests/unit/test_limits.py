@@ -26,7 +26,7 @@ from repro import (
     parse_dependencies,
     parse_dependency,
 )
-from repro.chase.disjunctive import Branches
+from repro.chase.disjunctive import Branches, reverse_disjunctive_chase
 from repro.homs.search import find_homomorphism
 from repro.limits import Exhausted, resolve_limits
 from repro.obs import Tracer
@@ -265,6 +265,86 @@ class TestHomSearchGovernance:
         source = Instance.parse("E(X, Y)")
         target = Instance.parse("E(a, b)")
         assert find_homomorphism(source, target) is not None
+
+
+class OnMinimize:
+    """A progress reporter that runs *action* once minimization starts."""
+
+    def __init__(self, action) -> None:
+        self.action = action
+
+    def heartbeat(self, where, rounds, steps, **gauges):
+        if where == "minimize_branches":
+            self.action()
+
+
+class TestReverseMinimizationGovernance:
+    """The budget keeps governing ``reverse_disjunctive_chase`` after the
+    chase: minimization runs under it too."""
+
+    SIGMA_STAR = SchemaMapping.from_text(
+        "P'(x, y) & x != y -> P(x, y)\nP'(x, x) -> T(x) | P(x, x)"
+    )
+    TARGET = Instance.parse("P'(X, Y), P'(Y, a)")
+
+    def reverse(self, budget=None, minimize=True, target=TARGET):
+        return reverse_disjunctive_chase(
+            target,
+            self.SIGMA_STAR.dependencies,
+            result_relations=["P", "T"],
+            minimize=minimize,
+            budget=budget,
+        )
+
+    def cancelling_budget(self, on_exhausted):
+        token = CancelToken()
+        return Budget(
+            Limits(on_exhausted=on_exhausted),
+            token=token,
+            reporter=OnMinimize(lambda: token.cancel("during minimization")),
+        )
+
+    def test_target_really_minimizes(self):
+        assert len(self.reverse()) < len(self.reverse(minimize=False))
+
+    def test_partial_mode_returns_deduplicated_unminimized_set(self):
+        branches = self.reverse(self.cancelling_budget("partial"))
+        assert branches.exhausted is not None
+        assert branches.exhausted.resource == "cancelled"
+        assert branches.exhausted.where == "minimize_branches"
+        assert list(branches) == list(self.reverse(minimize=False))
+
+    def test_raise_mode_raises_typed_error(self):
+        with pytest.raises(Cancelled) as info:
+            self.reverse(self.cancelling_budget("raise"))
+        assert info.value.diagnosis.where == "minimize_branches"
+
+    def test_deadline_passing_during_minimization(self):
+        now = [0.0]
+
+        def expire():
+            now[0] = 2.0
+
+        budget = Budget(
+            Limits(deadline=1.0, on_exhausted="partial"),
+            clock=lambda: now[0],
+            reporter=OnMinimize(expire),
+        )
+        branches = self.reverse(budget)
+        assert branches.exhausted.resource == "deadline"
+        assert branches.exhausted.where == "minimize_branches"
+        assert list(branches) == list(self.reverse(minimize=False))
+
+    def test_budget_spent_by_the_chase_skips_minimization(self):
+        wide = Instance.parse("P'(X, Y), P'(Y, a), P'(a, a)")
+
+        def capped(minimize):
+            budget = Budget(Limits(max_branches=3, on_exhausted="partial"))
+            return self.reverse(budget, minimize, wide)
+
+        branches = capped(minimize=True)
+        assert branches.exhausted.resource == "branches"
+        assert list(branches) == list(capped(minimize=False))
 
 
 class TestEngineLimits:

@@ -26,6 +26,8 @@ from repro.store import (
 from repro.store.sqlite import decode_value, encode_value
 from repro.terms import Const, Null
 
+from .test_instance import assert_same_instance
+
 _counter = itertools.count()
 
 needs_duckdb = pytest.mark.skipif(
@@ -233,6 +235,37 @@ class TestSnapshotAndFacade:
         assert inst == Instance(FACTS)
         assert inst.digest() == Instance(FACTS).digest()
         assert set(inst.tuples("Q")) == {(Const("b"),)}
+
+
+class TestDerivedInstances:
+    """``Instance.extended``/``restrict`` over every backend match a
+    per-fact build; only frozen memory stores take the structure-sharing
+    path, the SQL backends keep the generic one."""
+
+    EXTRA = [fact("P", "c", "Y"), fact("S", "Y"), fact("Q", "b")]
+
+    def base(self, make_store) -> Instance:
+        store = make_store()
+        store.add_all(FACTS)
+        return Instance(store=store)
+
+    def test_extended_matches_per_fact_build(self, make_store):
+        base = self.base(make_store)
+        child = base.extended(self.EXTRA)
+        assert_same_instance(child, Instance(FACTS + self.EXTRA))
+        assert isinstance(child.store, MemoryStore)
+        assert_same_instance(base, Instance(FACTS))  # the parent is untouched
+
+    @pytest.mark.parametrize("keep", [["P"], ["P", "R"], ["Q", "Absent"], []])
+    def test_restrict_matches_per_fact_build(self, make_store, keep):
+        want = Instance(f for f in FACTS if f.relation in keep)
+        assert_same_instance(self.base(make_store).restrict(keep), want)
+
+    def test_only_memory_stores_share_structure(self, make_store):
+        base = self.base(make_store)
+        shared = isinstance(base.store, MemoryStore)
+        assert (base.restrict(["P", "Q", "R"]) is base) == shared
+        assert (base.extended(FACTS[:1]) is base) == shared
 
 
 class TestSqliteSpecifics:
