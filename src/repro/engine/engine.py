@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 from threading import Lock
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -77,6 +78,9 @@ _OPS = ("chase", "reverse", "hom", "core", "audit", "answer")
 
 _ON_ERROR = ("raise", "skip")
 
+#: The OpRecord fields that also feed the per-operation counters.
+_COUNTED = ("steps", "rounds", "triggers", "branches")
+
 #: The disjunctive reverse chase's historical guards, as a ``Limits``
 #: base layer (per-call/engine limits are merged on top of it).
 _LEGACY_REVERSE = Limits(max_rounds=32, on_exhausted="raise")
@@ -112,6 +116,17 @@ class _OpCounters:
 def _exhausted_tag(exhausted: Optional[Exhausted]) -> Optional[str]:
     """The registry/sink vocabulary for a diagnosis: its resource name."""
     return None if exhausted is None else exhausted.resource
+
+
+def _chase_fields(result: ChaseResult) -> Dict[str, int]:
+    """A chase result's metric fields for its :class:`OpRecord`."""
+    return {
+        "rounds": result.rounds,
+        "steps": result.steps,
+        "facts": len(result.instance),
+        "nulls": len(result.instance.nulls),
+        "triggers": result.triggers_considered,
+    }
 
 
 class ExchangeEngine:
@@ -348,6 +363,56 @@ class ExchangeEngine:
         if self.registry is not None:
             self.registry.record(record, metrics=metrics)
 
+    def _record_error(
+        self, op: str, key: tuple, elapsed: float, error: BaseException, **batch
+    ) -> None:
+        """Account one failed computation: the error counters and its record.
+
+        *batch* carries a batch item's ``batch_index``, ``attempts`` and
+        ``kills`` into the :class:`OpRecord`.
+        """
+        self._record(op, calls=1, errors=1, error_wall_time=elapsed)
+        if self._telemetry:
+            self._emit(
+                OpRecord(
+                    op=op,
+                    mapping_digest=key[1],
+                    instance_digest=key[2],
+                    wall_time=elapsed,
+                    error=type(error).__name__,
+                    exhausted=_exhausted_tag(getattr(error, "diagnosis", None)),
+                    **batch,
+                )
+            )
+
+    def _account(
+        self,
+        op: str,
+        hit: bool,
+        elapsed: float,
+        profile: Optional[ChaseProfile] = None,
+        **record,
+    ) -> None:
+        """Account one served operation: the op counters and its record.
+
+        A cache hit counts as a call only; a computation adds *elapsed*
+        and the :data:`_COUNTED` fields among *record*.  *record* (the
+        digests and metric fields) fills the :class:`OpRecord`, and a
+        *profile* rides the registry row.
+        """
+        if hit:
+            self._record(op, calls=1)
+        else:
+            counted = {name: record[name] for name in _COUNTED if name in record}
+            self._record(op, wall_time=elapsed, **counted)
+        if self._telemetry:
+            self._emit(
+                OpRecord(op=op, wall_time=elapsed, cache_hit=hit, **record),
+                metrics=(
+                    {"profile": profile.to_summary()} if profile is not None else None
+                ),
+            )
+
     def close_telemetry(self) -> None:
         """Flush and close the configured sink and registry (idempotent).
 
@@ -433,62 +498,33 @@ class ExchangeEngine:
                             profiler=profiler,
                         )
             except Exception as error:
-                elapsed = self._clock() - start
-                self._record(
-                    "chase", calls=1, errors=1, error_wall_time=elapsed
-                )
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="chase",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=elapsed,
-                            error=type(error).__name__,
-                            exhausted=_exhausted_tag(
-                                getattr(error, "diagnosis", None)
-                            ),
-                        )
-                    )
+                self._record_error("chase", key, self._clock() - start, error)
                 raise
             restricted = result.restricted_to(mapping.target.names)
             elapsed = self._clock() - start
             entry = (result, restricted)
             if result.exhausted is None:
                 self._caches["chase"].put(key, entry)
-            self._record(
-                "chase",
-                wall_time=elapsed,
-                steps=result.steps,
-                rounds=result.rounds,
-                triggers=result.triggers_considered,
-            )
             if profiler is not None:
                 self.last_profile = profiler.profile(total_time=elapsed)
-        else:
-            self._record("chase", calls=1)
+        result = entry[0]
+        self._account(
+            "chase",
+            hit,
+            elapsed,
+            self.last_profile,
+            mapping_digest=key[1],
+            instance_digest=key[2],
+            exhausted=_exhausted_tag(result.exhausted),
+            **_chase_fields(result),
+        )
+        return self._exchange_result(key, entry, hit, elapsed)
+
+    def _exchange_result(
+        self, key: tuple, entry: tuple, hit: bool, elapsed: float = 0.0
+    ) -> ExchangeResult:
+        """Wrap a cached ``(chase result, target restriction)`` entry."""
         result, restricted = entry
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="chase",
-                    mapping_digest=key[1],
-                    instance_digest=key[2],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                    rounds=result.rounds,
-                    steps=result.steps,
-                    facts=len(result.instance),
-                    nulls=len(result.instance.nulls),
-                    triggers=result.triggers_considered,
-                    exhausted=_exhausted_tag(result.exhausted),
-                ),
-                metrics=(
-                    {"profile": self.last_profile.to_summary()}
-                    if self.last_profile is not None
-                    else None
-                ),
-            )
         return ExchangeResult(
             instance=restricted,
             full=result.instance,
@@ -570,22 +606,6 @@ class ExchangeEngine:
             mapping, source, variant=variant, limits=limits
         ).to_chase_result()
 
-    def _batch_policy(
-        self,
-        on_error: Optional[str],
-        retries: Optional[int],
-        faults: Optional[FaultPlan],
-    ) -> Tuple[str, int, Optional[FaultPlan]]:
-        """Resolve per-call batch knobs over the engine defaults."""
-        policy = on_error if on_error is not None else self.on_error
-        if policy not in _ON_ERROR:
-            raise ValueError(
-                f"on_error must be one of {_ON_ERROR}, got {policy!r}"
-            )
-        budget = retries if retries is not None else self.retries
-        plan = faults if faults is not None else current_fault_plan()
-        return policy, budget, plan
-
     def _run_batch(
         self,
         payloads: Sequence[tuple],
@@ -599,12 +619,13 @@ class ExchangeEngine:
 
         **Supervised** (hard-kill) execution runs when the effective
         limits arm it — both ``grace`` and ``deadline`` set — and the
-        host can spawn processes: each item gets its own watched worker
-        process, and a worker whose heartbeat goes silent past the
-        grace period is terminated and respawned
-        (:mod:`repro.engine.supervisor`).  Supervision always uses
-        processes, even for batches the size policy would keep on
-        threads or the serial loop — threads cannot be killed.
+        host can spawn processes: the batch runs on a transient pool of
+        ``min(workers, items)`` watched worker processes, and a worker
+        whose heartbeat goes silent past the grace period is terminated
+        and respawned in place (:mod:`repro.engine.supervisor`).
+        Supervision always uses processes, even for batches the size
+        policy would keep on threads or the serial loop — threads
+        cannot be killed.
 
         The supervised batch deadline is ``deadline + (1 + retries) *
         grace``: the extra grace periods are the supervisor's own
@@ -666,6 +687,152 @@ class ExchangeEngine:
                 )
             )
 
+    def _batch(
+        self,
+        op: str,
+        items: Iterable[Instance],
+        key: Callable[[Instance], tuple],
+        payload: Callable[[Instance], tuple],
+        tasks: Tuple[Callable, Callable],
+        limits: Optional[Limits],
+        settle: Callable,
+        build: Callable,
+        jobs: Optional[int],
+        on_error: Optional[str],
+        retries: Optional[int],
+        faults: Optional[FaultPlan],
+    ) -> List[object]:
+        """The batch skeleton behind :meth:`chase_many`/:meth:`reverse_many`.
+
+        Dedups *items* on their cache *key*, probes the *op* cache, runs
+        the misses through :meth:`_run_batch` — payload ``payload(item)
+        + (ctx, limits, fault, 1)``, task ``tasks[1]`` (the traced one)
+        when a tracer is active, else ``tasks[0]`` — and accounts every
+        outcome: kill notes, one ``OpRecord`` per computed item, the
+        cache put for complete results, and a
+        :class:`repro.errors.BatchItemError` per failed item.  The op
+        supplies the conversions: *settle* turns a worker value into
+        ``(cache entry, exhausted, fields)``, whose metric fields feed
+        ``stats()`` and the item's ``OpRecord``; *build* turns ``(key,
+        entry, hit, exhausted)`` into the item's result.
+        """
+        items = list(items)
+        workers = jobs if jobs is not None else (self.jobs or 1)
+        policy = on_error if on_error is not None else self.on_error
+        if policy not in _ON_ERROR:
+            raise ValueError(
+                f"on_error must be one of {_ON_ERROR}, got {policy!r}"
+            )
+        retry_budget = retries if retries is not None else self.retries
+        plan = faults if faults is not None else current_fault_plan()
+        tracer = self._tracer()
+        cache = self._caches[op]
+        keys = [key(item) for item in items]
+        resolved: Dict[tuple, tuple] = {}
+        failed: Dict[tuple, ItemOutcome] = {}
+        pending: Dict[tuple, Tuple[Instance, int]] = {}
+        for index, (item_key, item) in enumerate(zip(keys, items)):
+            if item_key in resolved or item_key in pending:
+                continue
+            hit, entry = cache.get(item_key)
+            self._cache_event(tracer, op, item_key, hit)
+            if hit:
+                resolved[item_key] = (entry, True, None)
+                self._record(op, calls=1)
+            else:
+                pending[item_key] = (item, index)
+        if pending:
+            todo = list(pending.items())
+            context = current_context()
+            ctx = context.to_dict() if context is not None else None
+            payloads = [
+                payload(item)
+                + (ctx, limits, plan.for_item(first) if plan else None, 1)
+                for _, (item, first) in todo
+            ]
+            fn = tasks[1] if tracer is not None else tasks[0]
+            start = self._clock()
+            with maybe_span(
+                tracer, f"engine.{op}_many", items=len(todo)
+            ) as batch_span:
+                outcomes = self._run_batch(
+                    payloads,
+                    fn,
+                    workers,
+                    max(len(item) for item, _ in pending.values()),
+                    retry_budget,
+                    limits,
+                )
+            elapsed = self._clock() - start
+            for (item_key, (_item, first)), outcome in zip(todo, outcomes):
+                self._note_kills(tracer, op, outcome, first)
+                if not outcome.ok:
+                    failed[item_key] = outcome
+                    self._record_error(
+                        op,
+                        item_key,
+                        outcome.elapsed,
+                        outcome.error,
+                        batch_index=first,
+                        attempts=max(outcome.attempts, 1),
+                        kills=outcome.kills,
+                    )
+                    continue
+                value = outcome.value
+                if tracer is not None:
+                    value, state = value
+                    tracer.absorb(
+                        state,
+                        parent_id=(
+                            batch_span.span_id if batch_span is not None else None
+                        ),
+                    )
+                entry, exhausted, fields = settle(value)
+                if exhausted is None:
+                    cache.put(item_key, entry)
+                resolved[item_key] = (entry, False, exhausted)
+                self._record(
+                    op, **{name: fields[name] for name in _COUNTED if name in fields}
+                )
+                if self._telemetry:
+                    self._emit(
+                        OpRecord(
+                            op=op,
+                            mapping_digest=item_key[1],
+                            instance_digest=item_key[2],
+                            wall_time=outcome.elapsed,
+                            exhausted=_exhausted_tag(exhausted),
+                            batch_index=first,
+                            attempts=outcome.attempts,
+                            kills=outcome.kills,
+                            **fields,
+                        )
+                    )
+            self._record(op, wall_time=elapsed, calls=0)
+            if failed and policy == "raise":
+                for item_key in keys:
+                    if item_key in failed:
+                        raise failed[item_key].error
+        out: List[object] = []
+        for index, item_key in enumerate(keys):
+            if item_key in failed:
+                outcome = failed[item_key]
+                out.append(
+                    BatchItemError(
+                        index=index,
+                        op=op,
+                        error=outcome.error,
+                        attempts=max(outcome.attempts, 1),
+                        elapsed=outcome.elapsed,
+                        kind="killed"
+                        if isinstance(outcome.error, WorkerKilled)
+                        else None,
+                    )
+                )
+            else:
+                out.append(build(item_key, *resolved[item_key]))
+        return out
+
     def chase_many(
         self,
         mapping: SchemaMapping,
@@ -698,165 +865,28 @@ class ExchangeEngine:
         plan) injects deterministic failures by batch index for tests —
         deduplicated items take the fault of their first occurrence.
         """
-        instances = list(instances)
-        workers = jobs if jobs is not None else (self.jobs or 1)
-        policy, retry_budget, plan = self._batch_policy(on_error, retries, faults)
-        effective = resolve_limits(limits, self.limits)
-        tracer = self._tracer()
-        mapping_digest = mapping.digest()
-        keys = [
-            ("chase", mapping_digest, inst.digest(), variant) for inst in instances
-        ]
-        resolved: Dict[tuple, Tuple[tuple, bool]] = {}
-        failed: Dict[tuple, ItemOutcome] = {}
-        pending: Dict[tuple, Tuple[Instance, int]] = {}
-        for index, (key, inst) in enumerate(zip(keys, instances)):
-            if key in resolved or key in pending:
-                continue
-            hit, entry = self._caches["chase"].get(key)
-            self._cache_event(tracer, "chase", key, hit)
-            if hit:
-                resolved[key] = (entry, True)
-                self._record("chase", calls=1)
-            else:
-                pending[key] = (inst, index)
-        if pending:
-            todo = list(pending.items())
-            context = current_context()
-            ctx = context.to_dict() if context is not None else None
-            payloads = [
-                (
-                    mapping,
-                    inst,
-                    variant,
-                    ctx,
-                    effective,
-                    plan.for_item(first) if plan else None,
-                    1,
-                )
-                for _, (inst, first) in todo
-            ]
-            fn = chase_task_traced if tracer is not None else chase_task
-            start = self._clock()
-            with maybe_span(
-                tracer, "engine.chase_many", items=len(todo)
-            ) as batch_span:
-                outcomes = self._run_batch(
-                    payloads,
-                    fn,
-                    workers,
-                    max(len(inst) for inst, _ in pending.values()),
-                    retry_budget,
-                    effective,
-                )
-            elapsed = self._clock() - start
-            for (key, (_inst, first)), outcome in zip(todo, outcomes):
-                self._note_kills(tracer, "chase", outcome, first)
-                if not outcome.ok:
-                    failed[key] = outcome
-                    self._record(
-                        "chase",
-                        calls=1,
-                        errors=1,
-                        error_wall_time=outcome.elapsed,
-                    )
-                    if self._telemetry:
-                        self._emit(
-                            OpRecord(
-                                op="chase",
-                                mapping_digest=key[1],
-                                instance_digest=key[2],
-                                wall_time=outcome.elapsed,
-                                error=type(outcome.error).__name__,
-                                exhausted=_exhausted_tag(
-                                    getattr(outcome.error, "diagnosis", None)
-                                ),
-                                batch_index=first,
-                                attempts=max(outcome.attempts, 1),
-                                kills=outcome.kills,
-                            )
-                        )
-                    continue
-                if tracer is not None:
-                    result, state = outcome.value
-                    tracer.absorb(
-                        state,
-                        parent_id=(
-                            batch_span.span_id if batch_span is not None else None
-                        ),
-                    )
-                else:
-                    result = outcome.value
-                restricted = result.restricted_to(mapping.target.names)
-                entry = (result, restricted)
-                if result.exhausted is None:
-                    self._caches["chase"].put(key, entry)
-                resolved[key] = (entry, False)
-                self._record(
-                    "chase",
-                    steps=result.steps,
-                    rounds=result.rounds,
-                    triggers=result.triggers_considered,
-                    calls=1,
-                )
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="chase",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=outcome.elapsed,
-                            rounds=result.rounds,
-                            steps=result.steps,
-                            facts=len(result.instance),
-                            nulls=len(result.instance.nulls),
-                            triggers=result.triggers_considered,
-                            exhausted=_exhausted_tag(result.exhausted),
-                            batch_index=first,
-                            attempts=outcome.attempts,
-                            kills=outcome.kills,
-                        )
-                    )
-            self._record("chase", wall_time=elapsed, calls=0)
-            if failed and policy == "raise":
-                for key in keys:
-                    if key in failed:
-                        raise failed[key].error
-        out: List[object] = []
-        for index, key in enumerate(keys):
-            if key in failed:
-                outcome = failed[key]
-                out.append(
-                    BatchItemError(
-                        index=index,
-                        op="chase",
-                        error=outcome.error,
-                        attempts=max(outcome.attempts, 1),
-                        elapsed=outcome.elapsed,
-                        kind="killed"
-                        if isinstance(outcome.error, WorkerKilled)
-                        else None,
-                    )
-                )
-                continue
-            (result, restricted), hit = resolved[key]
-            out.append(
-                ExchangeResult(
-                    instance=restricted,
-                    full=result.instance,
-                    generated=frozenset(result.generated),
-                    stats=OperationStats(
-                        0.0,
-                        result.steps,
-                        result.rounds,
-                        triggers_considered=result.triggers_considered,
-                        delta_sizes=result.delta_sizes,
-                    ),
-                    provenance=CacheProvenance(self._key_id(key), hit),
-                    exhausted=result.exhausted,
-                )
-            )
-        return out
+        digest = mapping.digest()
+
+        def settle(result: ChaseResult):
+            restricted = result.restricted_to(mapping.target.names)
+            return (result, restricted), result.exhausted, _chase_fields(result)
+
+        return self._batch(
+            "chase",
+            instances,
+            key=lambda inst: ("chase", digest, inst.digest(), variant),
+            payload=lambda inst: (mapping, inst, variant),
+            tasks=(chase_task, chase_task_traced),
+            limits=resolve_limits(limits, self.limits),
+            settle=settle,
+            build=lambda key, entry, hit, _exhausted: self._exchange_result(
+                key, entry, hit
+            ),
+            jobs=jobs,
+            on_error=on_error,
+            retries=retries,
+            faults=faults,
+        )
 
     # ------------------------------------------------------------------
     # Reverse exchange
@@ -894,6 +924,7 @@ class ExchangeEngine:
         self._cache_event(tracer, "reverse", key, hit)
         exhausted: Optional[Exhausted] = None
         elapsed = 0.0
+        triggers = 0
         self.last_profile = None
         profiler = ChaseProfiler() if self.profile and not hit else None
         if not hit:
@@ -911,63 +942,27 @@ class ExchangeEngine:
                         profiler=profiler,
                     )
             except Exception as error:
-                elapsed = self._clock() - start
-                self._record(
-                    "reverse", calls=1, errors=1, error_wall_time=elapsed
-                )
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="reverse",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=elapsed,
-                            error=type(error).__name__,
-                            exhausted=_exhausted_tag(
-                                getattr(error, "diagnosis", None)
-                            ),
-                        )
-                    )
+                self._record_error("reverse", key, self._clock() - start, error)
                 raise
             candidates = tuple(branches)
             exhausted = branches.exhausted
             elapsed = self._clock() - start
             if exhausted is None:
                 self._caches["reverse"].put(key, candidates)
-            triggers = 0
             if profiler is not None:
                 self.last_profile = profiler.profile(total_time=elapsed)
                 triggers = self.last_profile.triggers_considered
-            self._record(
-                "reverse",
-                wall_time=elapsed,
-                branches=len(candidates),
-                triggers=triggers,
-            )
-        else:
-            self._record("reverse", calls=1)
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="reverse",
-                    mapping_digest=key[1],
-                    instance_digest=key[2],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                    branches=len(candidates),
-                    triggers=(
-                        self.last_profile.triggers_considered
-                        if self.last_profile is not None
-                        else 0
-                    ),
-                    exhausted=_exhausted_tag(exhausted),
-                ),
-                metrics=(
-                    {"profile": self.last_profile.to_summary()}
-                    if self.last_profile is not None
-                    else None
-                ),
-            )
+        self._account(
+            "reverse",
+            hit,
+            elapsed,
+            self.last_profile,
+            mapping_digest=key[1],
+            instance_digest=key[2],
+            branches=len(candidates),
+            triggers=triggers,
+            exhausted=_exhausted_tag(exhausted),
+        )
         return hit, key, candidates, exhausted
 
     def reverse(
@@ -1001,6 +996,18 @@ class ExchangeEngine:
                 (forward.instance,),
                 forward.exhausted,
             )
+        return self._reverse_result(
+            candidates, CacheProvenance(self._key_id(key), hit), exhausted, take_core
+        )
+
+    def _reverse_result(
+        self,
+        candidates: Tuple[Instance, ...],
+        provenance: CacheProvenance,
+        exhausted: Optional[Exhausted],
+        take_core: bool,
+    ) -> ReverseResult:
+        """Wrap a candidate set (none: one empty instance), cored on request."""
         if not candidates:
             candidates = (Instance(),)
         if take_core:
@@ -1009,7 +1016,7 @@ class ExchangeEngine:
             candidates=candidates,
             canonical=candidates[0],
             stats=OperationStats(branches=len(candidates)),
-            provenance=CacheProvenance(self._key_id(key), hit),
+            provenance=provenance,
             exhausted=exhausted,
         )
 
@@ -1056,194 +1063,60 @@ class ExchangeEngine:
         resolve to :class:`repro.errors.BatchItemError`, ``op="reverse"``).
         """
         targets = list(targets)
-        workers = jobs if jobs is not None else (self.jobs or 1)
-        policy, retry_budget, plan = self._batch_policy(on_error, retries, faults)
-        tracer = self._tracer()
-        disjunctive = (
+        if not (
             reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality()
-        )
-        if not disjunctive:
+        ):
             forward = self.chase_many(
                 reverse_mapping,
                 targets,
-                jobs=workers,
+                jobs=jobs,
                 limits=limits,
-                on_error=policy,
-                retries=retry_budget,
-                faults=plan,
+                on_error=on_error,
+                retries=retries,
+                faults=faults,
             )
-            results: List[object] = []
-            for index, item in enumerate(forward):
-                if isinstance(item, BatchItemError):
-                    results.append(
-                        BatchItemError(
-                            index=index,
-                            op="reverse",
-                            error=item.error,
-                            attempts=item.attempts,
-                            diagnosis=item.diagnosis,
-                            elapsed=item.elapsed,
-                            kind=item.kind,
-                        )
-                    )
-                    continue
-                candidates: Tuple[Instance, ...] = (item.instance,)
-                if take_core:
-                    candidates = tuple(self.core(c) for c in candidates)
-                results.append(
-                    ReverseResult(
-                        candidates=candidates,
-                        canonical=candidates[0],
-                        stats=OperationStats(branches=1),
-                        provenance=item.provenance,
-                        exhausted=item.exhausted,
-                    )
+            return [
+                BatchItemError(
+                    index=index,
+                    op="reverse",
+                    error=item.error,
+                    attempts=item.attempts,
+                    elapsed=item.elapsed,
+                    kind=item.kind,
                 )
-            return results
-        task_limits = self._reverse_limits(max_branches, limits)
-        mapping_digest = reverse_mapping.digest()
-        keys = [
-            ("reverse", mapping_digest, t.digest(), max_nulls, minimize, max_branches)
-            for t in targets
-        ]
-        resolved: Dict[tuple, Tuple[Tuple[Instance, ...], bool, Optional[Exhausted]]] = {}
-        failed: Dict[tuple, ItemOutcome] = {}
-        pending: Dict[tuple, Tuple[Instance, int]] = {}
-        for index, (key, target) in enumerate(zip(keys, targets)):
-            if key in resolved or key in pending:
-                continue
-            hit, candidates = self._caches["reverse"].get(key)
-            self._cache_event(tracer, "reverse", key, hit)
-            if hit:
-                resolved[key] = (candidates, True, None)
-                self._record("reverse", calls=1)
-            else:
-                pending[key] = (target, index)
-        if pending:
-            todo = list(pending.items())
-            context = current_context()
-            ctx = context.to_dict() if context is not None else None
-            payloads = [
-                (
-                    reverse_mapping,
-                    t,
-                    max_nulls,
-                    minimize,
-                    ctx,
-                    task_limits,
-                    plan.for_item(first) if plan else None,
-                    1,
+                if isinstance(item, BatchItemError)
+                else self._reverse_result(
+                    (item.instance,), item.provenance, item.exhausted, take_core
                 )
-                for _, (t, first) in todo
+                for index, item in enumerate(forward)
             ]
-            fn = reverse_task_traced if tracer is not None else reverse_task
-            start = self._clock()
-            with maybe_span(
-                tracer, "engine.reverse_many", items=len(todo)
-            ) as batch_span:
-                outcomes = self._run_batch(
-                    payloads,
-                    fn,
-                    workers,
-                    max(len(t) for t, _ in pending.values()),
-                    retry_budget,
-                    task_limits,
-                )
-            elapsed = self._clock() - start
-            for (key, (_target, first)), outcome in zip(todo, outcomes):
-                self._note_kills(tracer, "reverse", outcome, first)
-                if not outcome.ok:
-                    failed[key] = outcome
-                    self._record(
-                        "reverse",
-                        calls=1,
-                        errors=1,
-                        error_wall_time=outcome.elapsed,
-                    )
-                    if self._telemetry:
-                        self._emit(
-                            OpRecord(
-                                op="reverse",
-                                mapping_digest=key[1],
-                                instance_digest=key[2],
-                                wall_time=outcome.elapsed,
-                                error=type(outcome.error).__name__,
-                                exhausted=_exhausted_tag(
-                                    getattr(outcome.error, "diagnosis", None)
-                                ),
-                                batch_index=first,
-                                attempts=max(outcome.attempts, 1),
-                                kills=outcome.kills,
-                            )
-                        )
-                    continue
-                if tracer is not None:
-                    branches, state = outcome.value
-                    tracer.absorb(
-                        state,
-                        parent_id=(
-                            batch_span.span_id if batch_span is not None else None
-                        ),
-                    )
-                else:
-                    branches = outcome.value
-                candidates = tuple(branches)
-                exhausted = getattr(branches, "exhausted", None)
-                if exhausted is None:
-                    self._caches["reverse"].put(key, candidates)
-                resolved[key] = (candidates, False, exhausted)
-                self._record("reverse", branches=len(candidates), calls=1)
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="reverse",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=outcome.elapsed,
-                            branches=len(candidates),
-                            exhausted=_exhausted_tag(exhausted),
-                            batch_index=first,
-                            attempts=outcome.attempts,
-                            kills=outcome.kills,
-                        )
-                    )
-            self._record("reverse", wall_time=elapsed, calls=0)
-            if failed and policy == "raise":
-                for key in keys:
-                    if key in failed:
-                        raise failed[key].error
-        results = []
-        for index, key in enumerate(keys):
-            if key in failed:
-                outcome = failed[key]
-                results.append(
-                    BatchItemError(
-                        index=index,
-                        op="reverse",
-                        error=outcome.error,
-                        attempts=max(outcome.attempts, 1),
-                        elapsed=outcome.elapsed,
-                        kind="killed"
-                        if isinstance(outcome.error, WorkerKilled)
-                        else None,
-                    )
-                )
-                continue
-            candidates, hit, exhausted = resolved[key]
-            if not candidates:
-                candidates = (Instance(),)
-            if take_core:
-                candidates = tuple(self.core(c) for c in candidates)
-            results.append(
-                ReverseResult(
-                    candidates=candidates,
-                    canonical=candidates[0],
-                    stats=OperationStats(branches=len(candidates)),
-                    provenance=CacheProvenance(self._key_id(key), hit),
-                    exhausted=exhausted,
-                )
-            )
-        return results
+        digest = reverse_mapping.digest()
+
+        def settle(branches):
+            candidates = tuple(branches)
+            return candidates, branches.exhausted, {"branches": len(candidates)}
+
+        return self._batch(
+            "reverse",
+            targets,
+            key=lambda t: (
+                "reverse", digest, t.digest(), max_nulls, minimize, max_branches
+            ),
+            payload=lambda t: (reverse_mapping, t, max_nulls, minimize),
+            tasks=(reverse_task, reverse_task_traced),
+            limits=self._reverse_limits(max_branches, limits),
+            settle=settle,
+            build=lambda key, candidates, hit, exhausted: self._reverse_result(
+                candidates,
+                CacheProvenance(self._key_id(key), hit),
+                exhausted,
+                take_core,
+            ),
+            jobs=jobs,
+            on_error=on_error,
+            retries=retries,
+            faults=faults,
+        )
 
     # ------------------------------------------------------------------
     # Homomorphisms and cores
@@ -1264,18 +1137,7 @@ class ExchangeEngine:
                 verdict = is_homomorphic(left, right)
             elapsed = self._clock() - start
             self._caches["hom"].put(key, verdict)
-            self._record("hom", wall_time=elapsed)
-        else:
-            self._record("hom", calls=1)
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="hom",
-                    instance_digest=key[0],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                )
-            )
+        self._account("hom", hit, elapsed, instance_digest=key[0])
         return verdict
 
     def is_hom_equivalent(self, left: Instance, right: Instance) -> bool:
@@ -1297,20 +1159,14 @@ class ExchangeEngine:
                 folded = core(instance)
             elapsed = self._clock() - start
             self._caches["core"].put(key, folded)
-            self._record("core", wall_time=elapsed)
-        else:
-            self._record("core", calls=1)
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="core",
-                    instance_digest=key[0],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                    facts=len(folded),
-                    nulls=len(folded.nulls),
-                )
-            )
+        self._account(
+            "core",
+            hit,
+            elapsed,
+            instance_digest=key[0],
+            facts=len(folded),
+            nulls=len(folded.nulls),
+        )
         return folded
 
     # ------------------------------------------------------------------
@@ -1351,18 +1207,7 @@ class ExchangeEngine:
                 )
             elapsed = self._clock() - start
             self._caches["audit"].put(key, entry)
-            self._record("audit", wall_time=elapsed)
-        else:
-            self._record("audit", calls=1)
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="audit",
-                    mapping_digest=key[1],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                )
-            )
+        self._account("audit", hit, elapsed, mapping_digest=key[1])
         invertible, extended, chase_inverse = entry
         return AuditReport(
             invertible=invertible,
@@ -1410,19 +1255,9 @@ class ExchangeEngine:
                 answers = certain_answers_over_set(query, branches)
             elapsed = self._clock() - start
             self._caches["answer"].put(key, answers)
-            self._record("answer", wall_time=elapsed)
-        else:
-            self._record("answer", calls=1)
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="answer",
-                    mapping_digest=key[1],
-                    instance_digest=key[4],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                )
-            )
+        self._account(
+            "answer", hit, elapsed, mapping_digest=key[1], instance_digest=key[4]
+        )
         return answers
 
     # ------------------------------------------------------------------

@@ -78,7 +78,7 @@ class ItemOutcome:
     """One batch item's fate: a value or the exception that ended it.
 
     ``elapsed`` is the item's wall time across *all* its attempts
-    (first submission to final resolution), so failed items get their
+    (first dispatch to final resolution), so failed items get their
     cost attributed in ``engine.stats()`` just like successful ones.
     ``kills`` counts hard terminations the item's workers needed — it
     stays 0 on this cooperative pool and is populated only by the
@@ -133,16 +133,43 @@ def _scope(ctx: Optional[dict]):
     return nullcontext()
 
 
+def _chase_body(payload: tuple, tracer: Optional[Tracer]) -> ChaseResult:
+    """Chase one instance; *tracer* goes to the kernel as given."""
+    mapping, instance, variant, ctx, limits, fault, attempt = payload
+    trip(fault, attempt)
+    with _scope(ctx):
+        return chase(
+            instance, mapping.dependencies, variant=variant, tracer=tracer, limits=limits
+        )
+
+
+def _reverse_body(payload: tuple, tracer: Optional[Tracer]) -> Branches:
+    """Reverse-chase one target with a disjunctive mapping.
+
+    ``reverse_many`` sends plain-tgd reverse mappings through
+    ``chase_many``, so only disjunctive ones reach this task.
+    """
+    mapping, target, max_nulls, minimize, ctx, limits, fault, attempt = payload
+    trip(fault, attempt)
+    with _scope(ctx):
+        return reverse_disjunctive_chase(
+            target,
+            mapping.dependencies,
+            result_relations=mapping.target.names,
+            max_nulls=max_nulls,
+            minimize=minimize,
+            limits=limits,
+            tracer=tracer,
+        )
+
+
 def chase_task(
     payload: Tuple[
         SchemaMapping, Instance, str, Optional[dict], Optional[Limits], Optional[Fault], int
     ]
 ) -> ChaseResult:
     """Chase one instance (runs inside a worker; must stay picklable)."""
-    mapping, instance, variant, ctx, limits, fault, attempt = payload
-    trip(fault, attempt)
-    with _scope(ctx):
-        return chase(instance, mapping.dependencies, variant=variant, limits=limits)
+    return _chase_body(payload, None)
 
 
 def chase_task_traced(
@@ -157,14 +184,8 @@ def chase_task_traced(
     :class:`TraceState`; the engine absorbs the states on join.  The
     same shape runs in thread-pool and serial batches for uniformity.
     """
-    mapping, instance, variant, ctx, limits, fault, attempt = payload
-    trip(fault, attempt)
     local = Tracer()
-    with _scope(ctx):
-        result = chase(
-            instance, mapping.dependencies, variant=variant, tracer=local, limits=limits
-        )
-    return result, local.export_state()
+    return _chase_body(payload, local), local.export_state()
 
 
 def reverse_task(
@@ -173,22 +194,7 @@ def reverse_task(
     ]
 ) -> Branches:
     """Reverse-chase one target instance inside a worker."""
-    mapping, target, max_nulls, minimize, ctx, limits, fault, attempt = payload
-    trip(fault, attempt)
-    with _scope(ctx):
-        if mapping.is_disjunctive() or mapping.uses_inequality():
-            return reverse_disjunctive_chase(
-                target,
-                mapping.dependencies,
-                result_relations=mapping.target.names,
-                max_nulls=max_nulls,
-                minimize=minimize,
-                limits=limits,
-            )
-        result = chase(target, mapping.dependencies, limits=limits)
-    branches = Branches([result.restricted_to(mapping.target.names)])
-    branches.exhausted = result.exhausted
-    return branches
+    return _reverse_body(payload, None)
 
 
 def reverse_task_traced(
@@ -199,25 +205,8 @@ def reverse_task_traced(
     """Traced counterpart of :func:`reverse_task`.
 
     See :func:`chase_task_traced` for the per-worker tracer protocol."""
-    mapping, target, max_nulls, minimize, ctx, limits, fault, attempt = payload
-    trip(fault, attempt)
     local = Tracer()
-    with _scope(ctx):
-        if mapping.is_disjunctive() or mapping.uses_inequality():
-            branches = reverse_disjunctive_chase(
-                target,
-                mapping.dependencies,
-                result_relations=mapping.target.names,
-                max_nulls=max_nulls,
-                minimize=minimize,
-                limits=limits,
-                tracer=local,
-            )
-        else:
-            result = chase(target, mapping.dependencies, tracer=local, limits=limits)
-            branches = Branches([result.restricted_to(mapping.target.names)])
-            branches.exhausted = result.exhausted
-    return branches, local.export_state()
+    return _reverse_body(payload, local), local.export_state()
 
 
 def make_executor(
@@ -233,20 +222,6 @@ def make_executor(
         except (OSError, ValueError):  # pragma: no cover - sandboxed hosts
             pass
     return ThreadPoolExecutor(max_workers=workers)
-
-
-def run_batch(tasks: Sequence, fn, executor: Optional[Executor]) -> list:
-    """Run *fn* over *tasks*, preserving order; serial when no executor.
-
-    The legacy all-or-nothing runner: the first exception propagates and
-    abandons the batch.  Kept for callers that want exactly that
-    (``on_error="raise"`` with no retries); everything else goes through
-    :func:`run_batch_isolated`.
-    """
-    if executor is None:
-        return [fn(task) for task in tasks]
-    with executor:
-        return list(executor.map(fn, tasks))
 
 
 def run_batch_isolated(

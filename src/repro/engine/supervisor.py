@@ -1,4 +1,4 @@
-"""The worker supervisor: heartbeat-watched, hard-kill process pools.
+"""The worker supervisor: one heartbeat-watched, hard-kill process pool.
 
 ``run_batch_isolated`` (:mod:`repro.engine.parallel`) contains item
 failures and enforces deadlines *cooperatively*: a worker that honors
@@ -8,41 +8,47 @@ pathological chase wedged inside hom search, a deadlocked native call —
 which hangs the whole batch forever.  This module is the escalation
 path, modeled on the supervision patterns of production serving stacks
 (bound each scenario's runtime; kill and respawn stragglers instead of
-awaiting them):
+awaiting them).  :class:`WorkerPool` is the only process supervisor in
+the library: supervised engine batches run on a transient pool
+(:func:`run_batch_supervised`), and ``repro serve`` keeps a persistent
+one (:class:`repro.service.pool.WarmPool`).
 
-* every worker runs as its **own supervised process** holding a shared
-  heartbeat cell; the ambient progress-reporter hook inside the worker
-  turns each cooperative :class:`repro.limits.Budget` checkpoint into a
-  heartbeat (item id + live budget gauges), so the supervisor sees not
-  just *that* the worker is alive but *where* it is;
-* the supervisor polls result pipes and heartbeats; an item past its
-  cooperative deadline first receives a **cooperative cancel** (a
-  shared lock-free flag bridged to the worker's ambient
-  :class:`repro.limits.CancelToken`);
-* a worker whose heartbeat then stays stale for more than
-  ``Limits.grace`` seconds is **terminated** (``SIGTERM``, escalating
-  to ``SIGKILL``) and its slot **respawned** — the in-flight item is
-  re-queued when retries remain (resuming with its remaining deadline
-  via :func:`repro.engine.parallel._rebudgeted`) or failed as a
-  :class:`repro.errors.WorkerKilled`, which the engine surfaces as a
-  typed ``BatchItemError(kind="killed")``;
-* the rest of the batch keeps running throughout: process-per-item
-  leases mean a kill can never poison a shared pool queue, so
-  "respawn" is simply starting the next lease in the freed slot.
+* The pool keeps **N persistent worker processes**, each holding a
+  shared heartbeat cell; the ambient progress-reporter hook inside the
+  worker turns each cooperative :class:`repro.limits.Budget` checkpoint
+  into a heartbeat (live budget gauges), so the supervisor sees not
+  just *that* the worker is alive but *where* it is.  Jobs stream to
+  the workers over pipes from one shared queue.
+* One manager thread per slot feeds and watches its worker.  A job
+  past its cooperative deadline first receives a **cooperative cancel**
+  (a shared lock-free byte that the job's ambient
+  :class:`repro.limits.CancelToken` reads at its next checkpoint).
+* A worker whose heartbeat then stays stale for more than ``grace``
+  seconds is **terminated** (``SIGTERM``, escalating to ``SIGKILL``)
+  and its slot **respawned in place**; the job fails as a
+  :class:`repro.errors.WorkerKilled`.  A worker that exits on its own
+  without replying (a crash, an OOM kill) is not a kill: its job fails
+  with a transient ``OSError`` and the slot respawns.
+* The other slots keep running throughout: each manager supervises
+  only its own worker, and the shared queue keeps feeding the healthy
+  ones.
 
-Heartbeats extend a worker's life: the hard-kill instant for an item is
+Heartbeats extend a worker's life: the hard-kill instant for a job is
 ``max(deadline passed, last heartbeat) + grace``, so a worker that is
 still cooperating (checkpointing while it unwinds a partial result) is
 given time, while one that has gone silent is killed within
 ``deadline + grace`` of its start — the bound the CI smoke test
 asserts.
 
-SIGINT cooperates with supervision: the ambient
-:class:`repro.limits.CancelToken` is polled every supervisor tick; on
-cancellation every live worker gets the cooperative cancel immediately,
-stragglers are killed after one grace period, finished results are
-kept, and unfinished items resolve as ``Cancelled`` — so Ctrl-C during
-a kill escalation still produces the partial dump and exit code 130.
+A supervised batch adds the batch rules on top: a killed item is
+re-queued when retries remain (resuming with its remaining deadline via
+:func:`repro.engine.parallel._rebudgeted`), and the batch deadline and
+SIGINT stop the batch.  The ambient :class:`repro.limits.CancelToken`
+is polled every supervisor tick; on cancellation every running worker
+gets the cooperative cancel immediately, stragglers are killed after
+one grace period, finished results are kept, and unfinished items
+resolve as ``Cancelled`` — so Ctrl-C during a kill escalation still
+produces the partial dump and exit code 130.
 
 Killed items are never cached (they produce no result) and never
 poison telemetry: the engine records one error ``OpRecord`` per killed
@@ -52,20 +58,21 @@ item and counts kills in ``stats()``.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
+import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import Cancelled, WorkerKilled
 from ..limits import Exhausted, Limits
 from ..limits.budget import current_cancel_token, set_cancel_token, CancelToken
 from ..obs.progress import set_reporter
-from .parallel import ItemOutcome, _rebudgeted, is_transient
+from .parallel import ItemOutcome, _deadline_exhausted, _rebudgeted, is_transient
 
-#: How often the supervisor wakes to poll pipes, heartbeats, and the
+#: How often a supervisor wakes to poll pipes, heartbeats, and the
 #: ambient cancel token (seconds).  Kills therefore land within one
 #: tick of their due time — negligible against any realistic grace.
 SUPERVISOR_TICK = 0.05
@@ -75,7 +82,7 @@ _GAUGES = ("rounds", "steps", "facts", "nulls", "branches")
 
 
 class HeartbeatCell:
-    """One item's shared-memory heartbeat: a timestamp plus gauges.
+    """One worker's shared-memory heartbeat: a timestamp plus gauges.
 
     The worker side writes (monotonic timestamp, rounds, steps, facts,
     nulls, branches) on every budget checkpoint; the supervisor side
@@ -94,14 +101,28 @@ class HeartbeatCell:
         self._cells = ctx.RawArray("d", 1 + len(_GAUGES))
         self._cells[0] = time.monotonic()
 
-    def beat(self, **gauges: int) -> None:
+    def heartbeat(
+        self,
+        where: str = "",
+        rounds: Optional[int] = None,
+        steps: Optional[int] = None,
+        facts: Optional[int] = None,
+        nulls: Optional[int] = None,
+        branches: Optional[int] = None,
+    ) -> None:
         """Record one heartbeat (worker side).
 
+        This is the :class:`repro.obs.ProgressReporter` duck-type hook:
+        the worker installs the cell as its ambient reporter, and
+        budgets adopt the ambient reporter at construction
+        (:func:`repro.obs.progress.current_reporter`), so every
+        cooperative checkpoint the chase/hom kernels already execute
+        pumps the cell — no kernel changes needed for supervision.
         Gauges land before the timestamp so a reader that observes a
         fresh beat never pairs it with older gauges.
         """
-        for slot, name in enumerate(_GAUGES, start=1):
-            value = gauges.get(name)
+        gauges = (rounds, steps, facts, nulls, branches)
+        for slot, value in enumerate(gauges, start=1):
             if value is not None:
                 self._cells[slot] = float(value)
         self._cells[0] = time.monotonic()
@@ -119,135 +140,68 @@ class HeartbeatCell:
         }
 
 
-class _HeartbeatReporter:
-    """A progress-reporter shim installed inside the worker process.
-
-    Budgets adopt the ambient reporter at construction
-    (:func:`repro.obs.progress.current_reporter`), so every cooperative
-    checkpoint the chase/hom kernels already execute pumps the shared
-    heartbeat cell — no kernel changes needed for supervision.
-    """
-
-    def __init__(self, cell: HeartbeatCell) -> None:
-        self._cell = cell
-
-    def heartbeat(
-        self,
-        where: str,
-        rounds: int,
-        steps: int,
-        facts: Optional[int] = None,
-        nulls: Optional[int] = None,
-        branches: Optional[int] = None,
-    ) -> None:
-        """The :class:`repro.obs.ProgressReporter` duck-type hook."""
-        self._cell.beat(
-            rounds=rounds, steps=steps, facts=facts, nulls=nulls,
-            branches=branches,
-        )
-
-
-def _bridge_cancel(flag, token: CancelToken, poll: float = 0.05) -> None:
-    """Daemon-thread body: mirror the shared cancel *flag* into *token*.
+class _FlagToken(CancelToken):
+    """A job's cancel token, tripped by the supervisor's shared cancel byte.
 
     The supervisor's cooperative-cancel signal is a lock-free shared
     byte (``RawValue``), not a ``multiprocessing.Event``: an Event's
-    internal lock can be orphaned by a worker that exits while its
-    watcher thread is inside ``Event.wait`` — after which the
-    supervisor's ``set()`` blocks forever.  A raw byte has no lock to
-    orphan; budgets check a thread-backed :class:`CancelToken`, and
-    this watcher is the bridge, running inside the worker process.
+    internal lock can be orphaned by a worker that exits while waiting
+    on it — after which the supervisor's ``set()`` blocks forever.  A
+    raw byte has no lock to orphan.  Budgets poll ``cancelled`` at each
+    checkpoint, so that is where the token reads the byte; every job
+    gets a fresh token, and the supervisor clears the byte before it
+    ships the next job, so a finished job's cancel never leaks into it.
     """
-    while not token.cancelled:
-        if flag.value:
-            token.cancel("supervisor")
-            return
-        time.sleep(poll)
+
+    __slots__ = ("_flag",)
+
+    def __init__(self, flag) -> None:
+        super().__init__()
+        self._flag = flag
+
+    @property
+    def cancelled(self) -> bool:
+        if self._flag.value and self.reason is None:
+            self.cancel("supervisor")
+        return super().cancelled
 
 
-def _worker_main(fn, payload, cell: HeartbeatCell, cancel_flag, conn) -> None:
-    """Entry point of one supervised worker process.
+def _worker_main(fn, conn, cell: HeartbeatCell, cancel_flag) -> None:
+    """Entry point of one supervised worker process: serve jobs forever.
 
-    Installs the heartbeat reporter and the bridged cancel token as
-    this process's ambient telemetry, runs the task, and ships exactly
-    one ``(status, value)`` message back over the pipe.  Runs at module
-    scope so it pickles by reference under spawn-based contexts.
+    Installs the heartbeat cell as this process's ambient progress
+    reporter, then answers each payload from the parent with exactly one
+    ``(status, value)`` message: ``("ok", fn(payload))`` or
+    ``("error", exception)``, with unpicklable values degraded to a
+    picklable error so the job fails loudly, not silently.  A ``None``
+    message (or a closed pipe) ends the worker.  Runs at module scope
+    so it pickles by reference under spawn-based contexts.
     """
-    cell.beat()
-    token = CancelToken()
-    set_cancel_token(token)
-    set_reporter(_HeartbeatReporter(cell))
-    watcher = threading.Thread(
-        target=_bridge_cancel, args=(cancel_flag, token), daemon=True
-    )
-    watcher.start()
-    try:
-        value = fn(payload)
-    except BaseException as error:  # ship the failure, whatever it is
-        message = ("error", error)
-    else:
-        message = ("ok", value)
-    try:
-        conn.send(message)
-    except Exception:
-        # Unpicklable value/error (or a vanished parent): degrade to a
-        # picklable description so the item fails loudly, not silently.
+    set_reporter(cell)
+    while True:
         try:
-            conn.send(
-                ("error", RuntimeError(f"worker result unpicklable: {message[1]!r}"))
-            )
-        except Exception:  # pragma: no cover - parent is gone
-            pass
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Lease:
-    """Supervisor-side record of one running worker attempt."""
-
-    index: int
-    attempt: int
-    payload: tuple
-    process: Any
-    conn: Any
-    cell: HeartbeatCell
-    cancel_flag: Any
-    started: float
-    soft_at: Optional[float]  # cooperative-cancel instant (deadline)
-    soft_sent: bool = False
-    gauges: Dict[str, int] = field(default_factory=dict)
-
-
-def _item_deadline(payload: tuple) -> Optional[float]:
-    """The per-item cooperative deadline riding in the payload, if any."""
-    limits = payload[-3] if len(payload) >= 3 else None
-    if isinstance(limits, Limits):
-        return limits.deadline
-    return None
-
-
-def _killed_error(lease: _Lease, grace: float, now: float) -> WorkerKilled:
-    """The typed error for a lease the supervisor had to terminate."""
-    stale = now - max(lease.cell.last_beat, lease.started)
-    diagnosis = Exhausted(
-        resource="killed",
-        where="engine.supervisor",
-        limit=grace,
-        used=f"heartbeat stale {stale:.2f}s past deadline",
-        rounds=lease.gauges.get("rounds", 0),
-        steps=lease.gauges.get("steps", 0),
-    )
-    return WorkerKilled(
-        item=lease.index, pid=lease.process.pid, diagnosis=diagnosis
-    )
-
-
-def _cancelled_error(where: str = "engine.supervisor") -> Cancelled:
-    """The typed error for items abandoned by a batch-wide cancellation."""
-    return Cancelled(
-        diagnosis=Exhausted(resource="cancelled", where=where, used="SIGINT")
-    )
+            payload = conn.recv()
+        except (EOFError, OSError):
+            break
+        if payload is None:
+            break
+        set_cancel_token(_FlagToken(cancel_flag))
+        # Gauges restart per job: a kill must not report the last job's.
+        cell.heartbeat(rounds=0, steps=0, facts=0, nulls=0, branches=0)
+        try:
+            message = ("ok", fn(payload))
+        except BaseException as error:  # ship the failure, whatever it is
+            message = ("error", error)
+        try:
+            conn.send(message)
+        except Exception:
+            try:
+                conn.send(
+                    ("error", RuntimeError(f"worker result unpicklable: {message[1]!r}"))
+                )
+            except Exception:  # pragma: no cover - parent is gone
+                break
+    conn.close()
 
 
 def _terminate(process, patience: float = 0.5) -> None:
@@ -259,259 +213,319 @@ def _terminate(process, patience: float = 0.5) -> None:
         process.join(patience)
 
 
-class BatchSupervisor:
-    """Runs one batch of payloads under heartbeat-based supervision.
+class Job:
+    """One payload submitted to a :class:`WorkerPool`, and its outcome.
 
-    One instance per ``run_batch_supervised`` call; the class exists to
-    keep the escalation state machine readable (queue, leases, kill
-    bookkeeping) rather than to be reused.
+    ``deadline`` (seconds from dispatch, or ``None``) is when the job
+    gets its cooperative cancel; ``item`` tags the
+    :class:`~repro.errors.WorkerKilled` a kill produces.  The pool sets
+    ``started`` (monotonic time of dispatch to a worker; ``None`` for a
+    job that never ran), ``finished`` (for a killed job, the kill
+    instant, before the terminate and the respawn), ``killed``, and
+    exactly one of ``value``/``error``, then calls *on_done* with the
+    job before :meth:`wait` returns.
     """
+
+    #: The ``where`` of the diagnosis a hard kill reports.
+    kill_site = "engine.supervisor"
 
     def __init__(
         self,
-        payloads: Sequence[tuple],
-        fn: Callable[[tuple], Any],
-        workers: int,
-        retries: int,
-        deadline: Optional[float],
-        grace: float,
-        clock: Callable[[], float],
-        context,
+        payload: Any,
+        deadline: Optional[float] = None,
+        item: int = -1,
+        on_done: Optional[Callable[["Job"], None]] = None,
     ) -> None:
+        """A pending job for *payload*."""
+        self.payload = payload
+        self.deadline = deadline
+        self.item = item
+        self.on_done = on_done
+        self.started: Optional[float] = None
+        self.finished: Optional[float] = None
+        self.killed = False
+        self.value: Any = None
+        self.error: Optional[BaseException] = None
+        self._done = threading.Event()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the job resolves; ``False`` if *timeout* elapsed."""
+        return self._done.wait(timeout)
+
+    def _resolve(
+        self,
+        value: Any = None,
+        error: Optional[BaseException] = None,
+        finished: Optional[float] = None,
+    ) -> None:
+        self.value = value
+        self.error = error
+        self.finished = time.monotonic() if finished is None else finished
+        if self.on_done is not None:
+            self.on_done(self)
+        self._done.set()
+
+
+@dataclass
+class _Slot:
+    """One worker slot: the live process and its supervision channels."""
+
+    index: int
+    process: Any = None
+    conn: Any = None
+    cell: Optional[HeartbeatCell] = None
+    cancel_flag: Any = None
+    tasks: int = 0
+    job: Optional[Job] = None
+    soft_at: Optional[float] = None  # cooperative-cancel instant
+
+
+#: The queue sentinel that tells a slot manager to exit its worker.
+_EXIT = None
+
+
+class WorkerPool:
+    """N persistent supervised workers running ``fn(payload)`` jobs.
+
+    Parameters
+    ----------
+    fn:
+        Module-level task function, or a picklable callable object
+        (pickles by reference under spawn); it runs in the workers.
+    workers:
+        Worker process count (≥ 1), started at construction.
+    grace:
+        Heartbeat staleness past a job's cooperative deadline that
+        triggers the kill, seconds.
+    context:
+        A ``multiprocessing`` context; default
+        :func:`multiprocessing.get_context`.
+    """
+
+    def __init__(
+        self, fn: Callable[[Any], Any], workers: int, grace: float, context=None
+    ) -> None:
+        """Start the workers and one manager thread per slot."""
         self.fn = fn
-        self.workers = max(1, workers)
-        self.retries = max(0, retries)
         self.grace = grace
-        self.clock = clock
-        self.ctx = context
-        self.payloads: List[tuple] = list(payloads)
-        self.outcomes: List[ItemOutcome] = [
-            ItemOutcome(attempts=0) for _ in payloads
+        self.ctx = context if context is not None else multiprocessing.get_context()
+        self.kills = 0
+        self.respawns = 0
+        self._lock = threading.Lock()
+        self._stop_error: Optional[BaseException] = None
+        self._closed = False
+        self._queue: "queue.Queue" = queue.Queue()
+        #: The worker slots, in order (read-only outside the pool).
+        self.slots = [_Slot(index=i) for i in range(workers)]
+        for slot in self.slots:
+            self._spawn(slot)
+        self._managers = [
+            threading.Thread(
+                target=self._manage, args=(slot,), daemon=True,
+                name=f"pool-manager-{slot.index}",
+            )
+            for slot in self.slots
         ]
-        self.queue: List[int] = list(range(len(self.payloads)))
-        self.leases: Dict[int, _Lease] = {}
-        self.attempts = [0] * len(self.payloads)
-        self.kills = [0] * len(self.payloads)
-        self.first_started: Dict[int, float] = {}
-        self.deadline_at = (
-            None if deadline is None else self.clock() + deadline
-        )
-        self.cancelled_at: Optional[float] = None
+        for manager in self._managers:
+            manager.start()
 
-    # -- lifecycle ------------------------------------------------------
+    # -- worker lifecycle ------------------------------------------------
 
-    def run(self) -> List[ItemOutcome]:
-        """Drive the batch to completion; one outcome per payload."""
-        try:
-            while self.queue or self.leases:
-                self._maybe_cancel()
-                self._fill_slots()
-                self._poll_results()
-                self._escalate()
-                self._drain_if_stopped()
-        finally:
-            for lease in self.leases.values():  # pragma: no cover - defense
-                _terminate(lease.process)
-        return self.outcomes
-
-    def _spawn(self, index: int) -> None:
-        """Start (or respawn) one worker process for item *index*."""
-        payload = self.payloads[index]
-        self.attempts[index] += 1
-        cell = HeartbeatCell(self.ctx)
-        # Lock-free cancel signal — see _bridge_cancel for why not Event.
-        cancel_flag = self.ctx.RawValue("b", 0)
-        parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-        process = self.ctx.Process(
+    def _spawn(self, slot: _Slot) -> None:
+        """(Re)start *slot*'s worker: fresh process, pipe, cell, flag."""
+        slot.cell = HeartbeatCell(self.ctx)
+        # Lock-free cancel signal — see _FlagToken for why not Event.
+        slot.cancel_flag = self.ctx.RawValue("b", 0)
+        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
+        slot.process = self.ctx.Process(
             target=_worker_main,
-            args=(self.fn, payload, cell, cancel_flag, child_conn),
+            args=(self.fn, child_conn, slot.cell, slot.cancel_flag),
             daemon=True,
         )
-        process.start()
+        slot.process.start()
         child_conn.close()
-        now = self.clock()
-        self.first_started.setdefault(index, now)
-        item_deadline = _item_deadline(payload)
-        self.leases[index] = _Lease(
-            index=index,
-            attempt=self.attempts[index],
-            payload=payload,
-            process=process,
-            conn=parent_conn,
-            cell=cell,
-            cancel_flag=cancel_flag,
-            started=now,
-            soft_at=None if item_deadline is None else now + item_deadline,
-        )
+        slot.conn = parent_conn
 
-    def _fill_slots(self) -> None:
-        while (
-            self.queue
-            and len(self.leases) < self.workers
-            and not self._stopped()
-        ):
-            self._spawn(self.queue.pop(0))
+    def _respawn(self, slot: _Slot) -> None:
+        """Respawn a slot in place after a kill or a worker crash."""
+        slot.conn.close()
+        self._spawn(slot)
+        with self._lock:
+            self.respawns += 1
 
-    # -- result collection ----------------------------------------------
-
-    def _poll_results(self) -> None:
-        """Wait one tick for pipes; resolve every readable lease."""
-        conns = [lease.conn for lease in self.leases.values()]
-        if not conns:
-            return
-        ready = multiprocessing.connection.wait(conns, timeout=SUPERVISOR_TICK)
-        if not ready:
-            return
-        by_conn = {lease.conn: lease for lease in self.leases.values()}
-        for conn in ready:
-            self._resolve(by_conn[conn])
-
-    def _resolve(self, lease: _Lease) -> None:
-        """One lease's pipe is readable: a result, an error, or EOF."""
-        index = lease.index
+    def _exit_worker(self, slot: _Slot) -> None:
+        """Politely stop one worker, escalating if it ignores the request."""
         try:
-            status, value = lease.conn.recv()
-        except (EOFError, OSError):
-            # The worker died without shipping a result (hard crash,
-            # unpicklable payload under spawn, OOM kill).  Infra-level
-            # breakage: transient, retryable.
-            status, value = "error", OSError(
-                f"worker pid {lease.process.pid} exited without a result"
-            )
-        self._close(lease)
-        elapsed = self.clock() - self.first_started[index]
-        if status == "ok":
-            self.outcomes[index] = ItemOutcome(
-                value=value,
-                attempts=lease.attempt,
-                elapsed=elapsed,
-                kills=self.kills[index],
-            )
-            return
-        self._fail_or_retry(index, lease, value, elapsed)
-
-    def _fail_or_retry(
-        self, index: int, lease: _Lease, error: BaseException, elapsed: float
-    ) -> None:
-        retryable = is_transient(error) or isinstance(error, WorkerKilled)
-        if retryable and lease.attempt <= self.retries and not self._stopped():
-            payload = _rebudgeted(self.payloads[index], elapsed)
-            self.payloads[index] = payload[:-1] + (lease.attempt + 1,)
-            self.queue.append(index)
-            return
-        self.outcomes[index] = ItemOutcome(
-            error=error,
-            attempts=lease.attempt,
-            elapsed=elapsed,
-            kills=self.kills[index],
-        )
-
-    def _close(self, lease: _Lease) -> None:
-        """Retire a finished lease: reap the process, free the slot."""
-        del self.leases[lease.index]
-        try:
-            lease.conn.close()
-        except OSError:  # pragma: no cover - already closed
+            slot.conn.send(_EXIT)
+        except (OSError, ValueError):
             pass
-        lease.process.join(0.5)
-        if lease.process.is_alive():  # pragma: no cover - slow unwind
-            _terminate(lease.process)
+        slot.process.join(2.0)
+        if slot.process.is_alive():
+            _terminate(slot.process)
+        slot.conn.close()
 
-    # -- escalation ------------------------------------------------------
+    # -- jobs ------------------------------------------------------------
 
-    def _escalate(self) -> None:
-        """Cooperative cancel at the deadline; hard kill past grace."""
-        now = self.clock()
-        batch_expired = self.deadline_at is not None and now >= self.deadline_at
-        for lease in list(self.leases.values()):
-            soft_due = (
-                (lease.soft_at is not None and now >= lease.soft_at)
-                or batch_expired
-                or self.cancelled_at is not None
+    def submit(self, job: Job) -> Job:
+        """Queue *job* for the next free worker; returns it."""
+        self._queue.put(job)
+        return job
+
+    def stop(self, error: BaseException) -> None:
+        """Soft-cancel running jobs now and fail queued ones with *error*.
+
+        Jobs submitted afterwards fail with *error* too.  A running job
+        keeps whatever it returns before its worker goes silent for
+        ``grace`` seconds; after that it is killed as usual.  Call it
+        before :meth:`close`.
+        """
+        now = time.monotonic()
+        with self._lock:
+            self._stop_error = error
+            for slot in self.slots:
+                if slot.job is not None:
+                    slot.cancel_flag.value = 1
+                    slot.soft_at = min(slot.soft_at or now, now)
+        while True:
+            try:
+                job = self._queue.get_nowait()
+            except queue.Empty:
+                return
+            job._resolve(error=error)
+
+    def close(self, timeout: Optional[float] = None) -> bool:
+        """Exit every worker once the queued jobs are done.
+
+        Idempotent.  Returns ``True`` when every slot manager joined
+        within *timeout* (``None`` = wait forever).
+        """
+        with self._lock:
+            first, self._closed = not self._closed, True
+        if first:
+            for _ in self._managers:
+                self._queue.put(_EXIT)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for manager in self._managers:
+            manager.join(
+                None if deadline is None else max(0.0, deadline - time.monotonic())
             )
-            if soft_due and not lease.soft_sent:
-                lease.cancel_flag.value = 1
-                lease.soft_sent = True
-            if not soft_due:
+        return all(not manager.is_alive() for manager in self._managers)
+
+    # -- the slot manager ------------------------------------------------
+
+    def _manage(self, slot: _Slot) -> None:
+        """Manager-thread body: feed and supervise one worker slot."""
+        while True:
+            job = self._queue.get()
+            if job is _EXIT:
+                self._exit_worker(slot)
+                return
+            with self._lock:
+                error = self._stop_error
+                if error is None:
+                    slot.cancel_flag.value = 0
+                    slot.job = job
+                    job.started = time.monotonic()
+                    slot.soft_at = (
+                        None if job.deadline is None else job.started + job.deadline
+                    )
+            if error is not None:
+                job._resolve(error=error)
                 continue
+            try:
+                self._run(slot, job)
+            except Exception as failure:  # e.g. a failed respawn (fork)
+                if job.finished is None:
+                    self._finish(slot, job, error=failure)
+
+    def _run(self, slot: _Slot, job: Job) -> None:
+        """Ship *job* to the slot's worker and supervise it to the end."""
+        if not slot.process.is_alive():  # died while idle
+            self._respawn(slot)
+        try:
+            # Pickle first: an unpicklable payload never reaches the
+            # worker, so it fails the job without costing a respawn.
+            message = ForkingPickler.dumps(job.payload)
+        except Exception as error:
+            self._finish(slot, job, error=error)
+            return
+        try:
+            slot.conn.send_bytes(message)
+        except OSError as error:  # the worker is gone: a broken pipe
+            self._respawn(slot)
+            self._finish(slot, job, error=error)
+            return
+        slot.tasks += 1
+        while not slot.conn.poll(SUPERVISOR_TICK):
+            now = time.monotonic()
+            soft_at = slot.soft_at
+            if soft_at is None or now < soft_at:
+                continue
+            slot.cancel_flag.value = 1  # the cooperative cancel
             # The worker earns grace by heartbeating: kill only once it
             # has been silent for a full grace period after the soft
-            # signal (or after its own deadline, whichever is later).
-            soft_since = min(
-                t for t in (
-                    lease.soft_at,
-                    self.deadline_at,
-                    self.cancelled_at,
-                ) if t is not None
-            )
-            quiet_since = max(lease.cell.last_beat, soft_since)
-            if now - quiet_since >= self.grace:
-                self._kill(lease, now)
-
-    def _kill(self, lease: _Lease, now: float) -> None:
-        """Terminate one hung worker and requeue or fail its item."""
-        index = lease.index
-        lease.gauges = lease.cell.gauges()
-        _terminate(lease.process)
-        self.kills[index] += 1
-        del self.leases[index]
+            # signal.
+            if now - max(slot.cell.last_beat, soft_at) >= self.grace:
+                self._kill(slot, job, now)
+                return
         try:
-            lease.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        elapsed = now - self.first_started[index]
-        error: BaseException
-        if self.cancelled_at is not None:
-            error = _cancelled_error()
+            status, value = slot.conn.recv()
+        except (EOFError, OSError):
+            # The worker died on its own without replying (a crash, an
+            # OOM kill, os._exit): infra-level breakage, transient and
+            # retryable — not a kill.
+            now, pid = time.monotonic(), slot.process.pid
+            slot.process.join(0.5)
+            self._respawn(slot)
+            error = OSError(f"worker pid {pid} exited without a result")
+            self._finish(slot, job, error=error, finished=now)
+            return
+        if status == "ok":
+            self._finish(slot, job, value=value)
         else:
-            error = _killed_error(lease, self.grace, now)
-        self._fail_or_retry(index, lease, error, elapsed)
+            self._finish(slot, job, error=value)
 
-    # -- batch-wide stop conditions --------------------------------------
+    def _kill(self, slot: _Slot, job: Job, now: float) -> None:
+        """Terminate a silent worker, respawn the slot, fail the job."""
+        gauges = slot.cell.gauges()
+        stale = now - max(slot.cell.last_beat, job.started)
+        pid = slot.process.pid
+        _terminate(slot.process)
+        with self._lock:
+            self.kills += 1
+        self._respawn(slot)
+        job.killed = True
+        diagnosis = Exhausted(
+            resource="killed",
+            where=job.kill_site,
+            limit=self.grace,
+            used=f"heartbeat stale {stale:.2f}s past deadline",
+            rounds=gauges.get("rounds", 0),
+            steps=gauges.get("steps", 0),
+        )
+        # The job ends at the kill instant: the SIGTERM and the fork of
+        # the replacement worker are the pool's cost, not the item's.
+        error = WorkerKilled(item=job.item, pid=pid, diagnosis=diagnosis)
+        self._finish(slot, job, error=error, finished=now)
 
-    def _maybe_cancel(self) -> None:
-        """Adopt an ambient cancellation (SIGINT) the moment it fires."""
-        if self.cancelled_at is not None:
-            return
-        token = current_cancel_token()
-        if token is not None and token.cancelled:
-            self.cancelled_at = self.clock()
-
-    def _stopped(self) -> bool:
-        """No new work may start: batch deadline passed or cancelled."""
-        if self.cancelled_at is not None:
-            return True
-        return self.deadline_at is not None and self.clock() >= self.deadline_at
-
-    def _drain_if_stopped(self) -> None:
-        """Fail queued (never-started) items once the batch is stopped."""
-        if not self._stopped() or not self.queue:
-            return
-        for index in self.queue:
-            if self.cancelled_at is not None:
-                error: BaseException = _cancelled_error()
-            else:
-                error = _deadline_error()
-            self.outcomes[index] = ItemOutcome(
-                error=error,
-                attempts=max(self.attempts[index], 1),
-                elapsed=(
-                    self.clock() - self.first_started[index]
-                    if index in self.first_started
-                    else 0.0
-                ),
-                kills=self.kills[index],
-            )
-        self.queue.clear()
+    def _finish(
+        self,
+        slot: _Slot,
+        job: Job,
+        value: Any = None,
+        error=None,
+        finished: Optional[float] = None,
+    ) -> None:
+        with self._lock:
+            slot.job = None
+        job._resolve(value, error, finished)
 
 
-def _deadline_error():
-    """A batch-deadline exhaustion, matching ``run_batch_isolated``'s."""
-    from ..errors import BudgetExhausted
-
-    return BudgetExhausted(
+def _cancelled_error() -> Cancelled:
+    """The typed error for items abandoned by a batch-wide cancellation."""
+    return Cancelled(
         diagnosis=Exhausted(
-            resource="deadline", where="engine.batch", used="batch deadline passed"
+            resource="cancelled", where="engine.supervisor", used="SIGINT"
         )
     )
 
@@ -523,21 +537,29 @@ def run_batch_supervised(
     retries: int = 0,
     deadline: Optional[float] = None,
     grace: float = 1.0,
-    clock: Callable[[], float] = time.monotonic,
     context=None,
 ) -> List[ItemOutcome]:
-    """Run *fn* over *payloads* in supervised worker processes.
+    """Run *fn* over *payloads* on a transient supervised worker pool.
 
     The hard-kill counterpart of
     :func:`repro.engine.parallel.run_batch_isolated`: same payload
     contract (``(..., limits, fault, attempt)``), same ordered
     :class:`ItemOutcome` list, same transient-retry and batch-deadline
-    semantics — plus heartbeat supervision.  A worker silent for more
-    than *grace* seconds past its cooperative deadline is terminated
-    and its slot respawned; the item retries (with its remaining
-    deadline) while attempts remain, then fails as
+    semantics — plus heartbeat supervision.  The batch starts a
+    :class:`WorkerPool` of ``min(workers, len(payloads))`` workers and
+    closes it before returning, so no worker outlives the batch.  A
+    worker silent for more than *grace* seconds past its cooperative
+    deadline is terminated and its slot respawned; the item retries
+    (with its remaining deadline) while attempts remain, then fails as
     :class:`repro.errors.WorkerKilled`.  ``ItemOutcome.kills`` counts
-    the terminations each item needed.
+    the terminations each item needed; ``elapsed`` runs from the item's
+    first dispatch to a worker (0.0 for an item that never started).
+
+    When the batch deadline passes or the ambient cancel token fires,
+    running items get the cooperative cancel at once, items not yet
+    started fail (deadline-exhausted or ``Cancelled``), and nothing is
+    retried; a straggler killed after a cancellation resolves as
+    ``Cancelled``.
 
     Parameters
     ----------
@@ -554,26 +576,75 @@ def run_batch_supervised(
         Wall-clock bound for the whole batch, seconds.
     grace:
         Heartbeat staleness past the deadline that triggers the kill.
-    clock:
-        Monotonic time source (overridable for tests).
     context:
         A ``multiprocessing`` context; default
         :func:`multiprocessing.get_context`.
     """
     if not payloads:
         return []
-    ctx = context if context is not None else multiprocessing.get_context()
-    supervisor = BatchSupervisor(
-        payloads=payloads,
-        fn=fn,
-        workers=workers,
-        retries=retries,
-        deadline=deadline,
-        grace=grace,
-        clock=clock,
-        context=ctx,
-    )
-    return supervisor.run()
+    done: "queue.Queue[Job]" = queue.Queue()
+    deadline_at = None if deadline is None else time.monotonic() + deadline
+    outcomes = [ItemOutcome(attempts=0) for _ in payloads]
+    first_started: Dict[int, float] = {}
+    kills = [0] * len(payloads)
+    pool = WorkerPool(fn, min(max(1, workers), len(payloads)), grace, context)
+
+    def submit(index: int, payload: tuple) -> None:
+        limits = payload[-3]  # the per-item cooperative deadline rides here
+        item_deadline = limits.deadline if isinstance(limits, Limits) else None
+        pool.submit(Job(payload, item_deadline, item=index, on_done=done.put))
+
+    try:
+        for index, payload in enumerate(payloads):
+            submit(index, payload)
+        unresolved = len(payloads)
+        stopped = cancelled = False
+        while unresolved:
+            try:
+                job: Optional[Job] = done.get(timeout=SUPERVISOR_TICK)
+            except queue.Empty:
+                job = None
+            token = current_cancel_token()
+            cancelled = cancelled or (token is not None and token.cancelled)
+            if not stopped and (
+                cancelled
+                or (deadline_at is not None and time.monotonic() >= deadline_at)
+            ):
+                stopped = True
+                pool.stop(
+                    _cancelled_error() if cancelled else _deadline_exhausted(1).error
+                )
+            if job is None:
+                continue
+            index, attempt, error = job.item, job.payload[-1], job.error
+            if job.started is None:  # failed by the stop before it ever ran
+                attempt = max(attempt - 1, 1)
+            else:
+                first_started.setdefault(index, job.started)
+            if job.killed:
+                kills[index] += 1
+                if cancelled:
+                    error = _cancelled_error()
+            elapsed = (
+                job.finished - first_started[index] if index in first_started else 0.0
+            )
+            retryable = is_transient(error) or isinstance(error, WorkerKilled)
+            if retryable and attempt <= retries and not stopped:
+                payload = _rebudgeted(job.payload, elapsed)
+                submit(index, payload[:-1] + (attempt + 1,))
+                continue
+            outcomes[index] = ItemOutcome(
+                value=job.value,
+                error=error,
+                attempts=attempt,
+                elapsed=elapsed,
+                kills=kills[index],
+            )
+            unresolved -= 1
+    finally:
+        pool.stop(_cancelled_error())
+        pool.close()
+    return outcomes
 
 
 def supervision_available() -> bool:
@@ -593,9 +664,10 @@ def supervision_available() -> bool:
 
 
 __all__ = [
-    "BatchSupervisor",
     "HeartbeatCell",
+    "Job",
     "SUPERVISOR_TICK",
+    "WorkerPool",
     "run_batch_supervised",
     "supervision_available",
 ]

@@ -87,8 +87,8 @@ class WorkerKilled(ReproError):
     stale for more than ``Limits.grace`` seconds past its cooperative
     deadline and escalation — cooperative cancel, then
     ``Process.terminate()`` — had to end it.  Treated as *transient* by
-    the retry policy: a retried item is respawned in a fresh worker
-    with the remaining deadline.
+    the retry policy: a retried item runs again on a pool worker with
+    the remaining deadline.
 
     Attributes
     ----------

@@ -95,6 +95,21 @@ class Instance:
         self._digest_cache: Optional[str] = None
         self._facts_cache: Optional[FrozenSet[Fact]] = None
 
+    def __reduce__(self):
+        """Pickle by value, always as a memory-backed instance.
+
+        A SQLite or DuckDB store holds a live connection, which cannot
+        cross a process boundary, so an instance over one travels as
+        its in-memory snapshot; digests are backend-independent, so
+        cache keys and results are the same on either side.  A memory
+        store travels as it is.  The cached hash stays behind: string
+        hashing is salted per interpreter.
+        """
+        store = self._store
+        if not isinstance(store, MemoryStore):
+            store = store.snapshot().store
+        return (Instance, ((), None, store))
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

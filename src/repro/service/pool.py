@@ -1,59 +1,37 @@
 """The warm supervised worker pool behind ``repro serve``.
 
-:mod:`repro.engine.supervisor` leases **one fresh process per item** —
-correct for batch jobs, ruinous for a service, where every request
-would pay interpreter start-up plus a cold engine.  This pool keeps the
-supervisor's proven machinery — the lock-free
-:class:`~repro.engine.supervisor.HeartbeatCell`, the
-:class:`~repro.engine.supervisor._HeartbeatReporter` progress shim, the
-raw-byte cooperative-cancel bridge, and the SIGTERM→SIGKILL
-:func:`~repro.engine.supervisor._terminate` escalation — but changes
-the lifecycle: **N persistent workers, respawned in place**.
+Serving runs on the library's one process supervisor,
+:class:`repro.engine.supervisor.WorkerPool`: N persistent workers, one
+manager thread per slot, a cooperative cancel at the request's
+deadline, a hard kill after ``grace`` seconds of heartbeat silence,
+and a respawn in place — so one wedged request costs one worker
+restart, never the pool.  Supervised engine batches run on a transient
+pool of the same kind; what this module adds is only what a service
+needs on top:
 
-* Each worker slot is one long-lived process holding a warm
-  :class:`repro.engine.ExchangeEngine` (imports done, caches populated,
-  disk tier attached).  Tasks stream to it over a duplex pipe.
-* One manager thread per slot pulls requests from a shared queue,
-  ships them to its worker, and supervises: at the request's deadline
-  it flips the shared cancel byte (cooperative cancel); if the
-  worker's heartbeat then stays stale for a full grace period, the
-  worker is terminated and the **slot respawned in place** — a fresh
-  process with a fresh pipe, heartbeat cell, and cancel flag — so one
-  wedged request costs one worker restart, never the pool.
-* Other requests are unaffected throughout: each slot supervises only
-  its own worker, and the shared queue keeps feeding the healthy
-  slots.
-
-Admission control is the caller's (:mod:`repro.service.http`):
-:meth:`WarmPool.submit` raises :class:`PoolSaturated` when the pending
-backlog is full (HTTP 429) and :class:`PoolDraining` once a drain has
-begun (HTTP 503).  :meth:`WarmPool.drain` is the graceful-SIGTERM path:
-intake stops, queued and in-flight requests finish, then every worker
-receives an exit message and is joined.
+* **a warm engine per worker** — each worker process builds one
+  :class:`repro.engine.ExchangeEngine` (caches populated, disk tier
+  attached) on its first request and keeps it for every later one;
+* **admission control** — :meth:`WarmPool.submit` raises
+  :class:`PoolSaturated` when the pending backlog is full (HTTP 429)
+  and :class:`PoolDraining` once a drain has begun (HTTP 503);
+* **the dict view** — :meth:`PoolJob.result` renders a worker's
+  response or failure as a JSON-ready dict (``kind: "killed"`` for a
+  hard kill; a worker that crashes on its own reports ``internal``);
+* **drain and stats** — :meth:`WarmPool.drain` is the graceful-SIGTERM
+  path (intake stops, queued and in-flight requests finish, then every
+  worker exits), and :meth:`WarmPool.stats` is the ``/healthz`` ledger.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import multiprocessing.connection
-import os
-import queue
 import threading
-import time
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Any, Dict, Optional
 
-from ..errors import ReproError, WorkerKilled
-from ..limits import Exhausted
-from ..limits.budget import CancelToken, set_cancel_token
-from ..obs.progress import set_reporter
-from ..engine.supervisor import (
-    SUPERVISOR_TICK,
-    HeartbeatCell,
-    _HeartbeatReporter,
-    _terminate,
-)
+from ..errors import ReproError
+from ..engine.supervisor import Job, WorkerPool, supervision_available
 from .ops import error_payload, execute_op
 
 
@@ -65,108 +43,51 @@ class PoolDraining(ReproError):
     """The pool is draining (SIGTERM); no new work is admitted (503)."""
 
 
-def _bridge_flag(flag, token: CancelToken, stop: threading.Event) -> None:
-    """Watcher-thread body: mirror the shared cancel byte into *token*.
+class _WarmTask:
+    """The pool's task: serve one request on the worker's warm engine.
 
-    The supervisor's :func:`~repro.engine.supervisor._bridge_cancel`
-    runs once per process; a warm worker needs one watcher per *task*
-    (each task gets a fresh token), so this variant also stops when the
-    task finishes — otherwise a finished task's watcher could cancel
-    the next task off a stale flag read.
+    Each worker process holds its own copy (inherited at fork, pickled
+    under spawn) and builds its engine from the picklable *config* —
+    ``cache_dir``/``cache_size``/``store``/``sql_chase``/``sql_jobs`` —
+    once, on its first request.
     """
-    while not stop.is_set() and not token.cancelled:
-        if flag.value:
-            token.cancel("pool-supervisor")
-            return
-        time.sleep(0.02)
+
+    def __init__(self, config: Dict[str, Any]) -> None:
+        self.config = config
+        self.engine = None
+
+    def __call__(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        if self.engine is None:
+            from ..engine import ExchangeEngine
+            from .diskcache import DiskCache
+
+            cache_dir = self.config.get("cache_dir")
+            self.engine = ExchangeEngine(
+                cache_size=self.config.get("cache_size", 512),
+                store=self.config.get("store", "memory"),
+                sql_chase=self.config.get("sql_chase", False),
+                sql_jobs=self.config.get("sql_jobs", 1),
+                disk_cache=DiskCache(cache_dir) if cache_dir else None,
+            )
+        return execute_op(self.engine, request)
 
 
-def _build_worker_engine(config: Dict[str, Any]):
-    """Construct the per-worker warm engine from the picklable config."""
-    from ..engine import ExchangeEngine
-    from .diskcache import DiskCache
-
-    cache_dir = config.get("cache_dir")
-    return ExchangeEngine(
-        cache_size=config.get("cache_size", 512),
-        store=config.get("store", "memory"),
-        sql_chase=config.get("sql_chase", False),
-        sql_jobs=config.get("sql_jobs", 1),
-        disk_cache=DiskCache(cache_dir) if cache_dir else None,
-    )
-
-
-def _worker_main(conn, cell: HeartbeatCell, cancel_flag, config) -> None:
-    """One warm worker process: build the engine once, then serve tasks.
-
-    Protocol (parent → worker): ``("task", task_id, request)`` or
-    ``("exit",)``.  Worker → parent: ``("ok", task_id, response)`` or
-    ``("error", task_id, payload)`` — exactly one reply per task, with
-    unpicklable results degraded to a structured error rather than a
-    silent hang.  Runs at module scope so it pickles by reference under
-    spawn-based contexts.
-    """
-    engine = _build_worker_engine(config)
-    set_reporter(_HeartbeatReporter(cell))
-    cell.beat()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if not message or message[0] == "exit":
-            break
-        _, task_id, request = message
-        token = CancelToken()
-        set_cancel_token(token)
-        stop = threading.Event()
-        watcher = threading.Thread(
-            target=_bridge_flag, args=(cancel_flag, token, stop), daemon=True
-        )
-        watcher.start()
-        try:
-            reply = ("ok", task_id, execute_op(engine, request))
-        except BaseException as error:
-            reply = ("error", task_id, error_payload(error))
-        finally:
-            stop.set()
-        cell.beat()
-        try:
-            conn.send(reply)
-        except Exception:
-            try:
-                conn.send(
-                    (
-                        "error",
-                        task_id,
-                        {
-                            "type": "RuntimeError",
-                            "message": "worker reply unpicklable",
-                            "kind": "internal",
-                        },
-                    )
-                )
-            except Exception:  # pragma: no cover - parent is gone
-                break
-    conn.close()
-
-
-class PoolJob:
+class PoolJob(Job):
     """A future-lite: one submitted request and its eventual outcome."""
 
-    def __init__(self, task_id: int, request: Dict[str, Any]) -> None:
+    kill_site = "service.pool"
+
+    def __init__(
+        self,
+        task_id: int,
+        request: Dict[str, Any],
+        deadline: Optional[float] = None,
+        on_done=None,
+    ) -> None:
         """A pending job for *request*, resolved by a slot manager."""
+        super().__init__(request, deadline, item=task_id, on_done=on_done)
         self.task_id = task_id
         self.request = request
-        self.killed = False
-        self._done = threading.Event()
-        self._value: Optional[Dict[str, Any]] = None
-        self._error: Optional[Dict[str, Any]] = None
-
-    def _resolve(self, value: Optional[dict], error: Optional[dict]) -> None:
-        self._value = value
-        self._error = error
-        self._done.set()
 
     def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Block for the outcome and return it as a dict.
@@ -177,46 +98,13 @@ class PoolJob:
         Raises ``TimeoutError`` only when *timeout* elapses with the job
         still unresolved — worker failures resolve, they don't raise.
         """
-        if not self._done.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError(
                 f"pool job {self.task_id} unresolved after {timeout}s"
             )
-        if self._error is not None:
-            return {"ok": False, "error": self._error}
-        return self._value
-
-
-@dataclass
-class _Slot:
-    """One worker slot: the live process and its supervision channels."""
-
-    index: int
-    process: Any = None
-    conn: Any = None
-    cell: Optional[HeartbeatCell] = None
-    cancel_flag: Any = None
-    tasks: int = 0
-
-
-@dataclass
-class _PoolStats:
-    """Pool-lifetime counters (reported by ``/healthz``)."""
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    kills: int = 0
-    respawns: int = 0
-    rejected: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def bump(self, **deltas: int) -> None:
-        with self.lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-
-_SHUTDOWN = object()
+        if self.error is not None:
+            return {"ok": False, "error": error_payload(self.error)}
+        return self.value
 
 
 class WarmPool:
@@ -229,7 +117,7 @@ class WarmPool:
     engine_config:
         Picklable dict shipped to every worker:
         ``cache_dir``/``cache_size``/``store``/``sql_chase`` (see
-        :func:`_build_worker_engine`).
+        :class:`_WarmTask`).
     deadline:
         Default per-request cooperative deadline, seconds (a request's
         own ``limits.deadline`` wins when smaller is desired — the pool
@@ -263,52 +151,16 @@ class WarmPool:
         self.deadline = deadline
         self.grace = grace
         self.max_pending = max_pending if max_pending is not None else 4 * workers
-        self.ctx = context if context is not None else multiprocessing.get_context()
-        self.stats_counters = _PoolStats()
-        self._queue: "queue.Queue" = queue.Queue()
         self._task_ids = itertools.count(1)
         self._pending = 0
-        self._pending_lock = threading.Lock()
+        # Pool-lifetime counters: submitted, completed, failed, rejected.
+        self._counts: Counter = Counter()
+        self._lock = threading.Lock()
         self._draining = threading.Event()
-        self._slots = [_Slot(index=i) for i in range(workers)]
-        for slot in self._slots:
-            self._spawn(slot)
-        self._managers = [
-            threading.Thread(
-                target=self._manage, args=(slot,), daemon=True,
-                name=f"pool-manager-{slot.index}",
-            )
-            for slot in self._slots
-        ]
-        for manager in self._managers:
-            manager.start()
-
-    # -- worker lifecycle ------------------------------------------------
-
-    def _spawn(self, slot: _Slot) -> None:
-        """(Re)start *slot*'s worker: fresh process, pipe, cell, flag."""
-        slot.cell = HeartbeatCell(self.ctx)
-        slot.cancel_flag = self.ctx.RawValue("b", 0)
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        slot.process = self.ctx.Process(
-            target=_worker_main,
-            args=(child_conn, slot.cell, slot.cancel_flag, self.engine_config),
-            daemon=True,
+        self._pool = WorkerPool(
+            _WarmTask(self.engine_config), workers, grace, context
         )
-        slot.process.start()
-        child_conn.close()
-        slot.conn = parent_conn
-
-    def _respawn(self, slot: _Slot) -> None:
-        """Respawn a slot in place after a kill or a worker crash."""
-        try:
-            slot.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._spawn(slot)
-        self.stats_counters.bump(respawns=1)
-
-    # -- submission ------------------------------------------------------
+        self._slots = self._pool.slots
 
     def submit(
         self, request: Dict[str, Any], deadline: Optional[float] = None
@@ -319,122 +171,30 @@ class WarmPool:
         :class:`PoolSaturated` when admitting the request would push the
         pending count past ``max_pending``.
         """
-        if self._draining.is_set():
-            self.stats_counters.bump(rejected=1)
-            raise PoolDraining("pool is draining; not accepting work")
-        with self._pending_lock:
+        with self._lock:
+            if self._draining.is_set():
+                self._counts["rejected"] += 1
+                raise PoolDraining("pool is draining; not accepting work")
             if self._pending >= self.max_pending:
-                self.stats_counters.bump(rejected=1)
+                self._counts["rejected"] += 1
                 raise PoolSaturated(
                     f"{self._pending} requests pending (limit {self.max_pending})"
                 )
             self._pending += 1
-        job = PoolJob(next(self._task_ids), request)
-        job.deadline = deadline if deadline is not None else self.deadline
-        self.stats_counters.bump(submitted=1)
-        self._queue.put(job)
+            self._counts["submitted"] += 1
+        job = PoolJob(
+            next(self._task_ids),
+            request,
+            deadline if deadline is not None else self.deadline,
+            on_done=self._finish,
+        )
+        self._pool.submit(job)
         return job
 
-    def _finish(self, job: PoolJob, value=None, error=None) -> None:
-        with self._pending_lock:
+    def _finish(self, job: PoolJob) -> None:
+        with self._lock:
             self._pending -= 1
-        self.stats_counters.bump(
-            completed=1 if error is None else 0,
-            failed=0 if error is None else 1,
-        )
-        job._resolve(value, error)
-
-    # -- the slot manager ------------------------------------------------
-
-    def _manage(self, slot: _Slot) -> None:
-        """Manager-thread body: feed and supervise one worker slot."""
-        while True:
-            job = self._queue.get()
-            if job is _SHUTDOWN:
-                self._exit_worker(slot)
-                return
-            self._run_job(slot, job)
-
-    def _run_job(self, slot: _Slot, job: PoolJob) -> None:
-        if slot.process is None or not slot.process.is_alive():
-            self._respawn(slot)
-        slot.cancel_flag.value = 0
-        try:
-            slot.conn.send(("task", job.task_id, job.request))
-        except (OSError, ValueError) as error:
-            self._respawn(slot)
-            self._finish(job, error=error_payload(error))
-            return
-        slot.tasks += 1
-        started = time.monotonic()
-        soft_at = None if job.deadline is None else started + job.deadline
-        soft_sent = False
-        while True:
-            if slot.conn.poll(SUPERVISOR_TICK):
-                try:
-                    status, task_id, payload = slot.conn.recv()
-                except (EOFError, OSError):
-                    # The worker died mid-task (crash, OOM kill).
-                    self._kill_slot(slot, job, reason="worker exited")
-                    return
-                if task_id != job.task_id:  # pragma: no cover - stale reply
-                    continue
-                if status == "ok":
-                    self._finish(job, value=payload)
-                else:
-                    self._finish(job, error=payload)
-                return
-            now = time.monotonic()
-            if soft_at is not None and now >= soft_at and not soft_sent:
-                slot.cancel_flag.value = 1
-                soft_sent = True
-            if soft_sent:
-                quiet_since = max(slot.cell.last_beat, soft_at)
-                if now - quiet_since >= self.grace:
-                    self._kill_slot(slot, job, reason="heartbeat stale")
-                    return
-
-    def _kill_slot(self, slot: _Slot, job: PoolJob, reason: str) -> None:
-        """Terminate the slot's worker, respawn in place, fail the job."""
-        pid = slot.process.pid if slot.process is not None else None
-        gauges = slot.cell.gauges() if slot.cell is not None else {}
-        if slot.process is not None and slot.process.is_alive():
-            _terminate(slot.process)
-            self.stats_counters.bump(kills=1)
-        self._respawn(slot)
-        job.killed = True
-        trace = job.request.get("trace") or {}
-        diagnosis = Exhausted(
-            resource="killed",
-            where="service.pool",
-            limit=self.grace,
-            used=reason,
-            rounds=gauges.get("rounds", 0),
-            steps=gauges.get("steps", 0),
-            trace_id=trace.get("trace_id", ""),
-            request_id=trace.get("request_id", ""),
-        )
-        self._finish(
-            job,
-            error=error_payload(
-                WorkerKilled(item=job.task_id, pid=pid, diagnosis=diagnosis)
-            ),
-        )
-
-    def _exit_worker(self, slot: _Slot) -> None:
-        """Politely stop one worker (drain path), escalating if ignored."""
-        try:
-            slot.conn.send(("exit",))
-        except (OSError, ValueError):
-            pass
-        if slot.process is not None:
-            slot.process.join(2.0)
-            if slot.process.is_alive():
-                _terminate(slot.process)
-        try:
-            slot.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+            self._counts["completed" if job.error is None else "failed"] += 1
 
     # -- lifecycle -------------------------------------------------------
 
@@ -443,11 +203,6 @@ class WarmPool:
         """Has a drain begun?  (New submissions are rejected once true.)"""
         return self._draining.is_set()
 
-    def pending(self) -> int:
-        """Requests admitted but not yet resolved."""
-        with self._pending_lock:
-            return self._pending
-
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Graceful shutdown of the pool.
 
@@ -455,32 +210,22 @@ class WarmPool:
         every worker.  Returns ``True`` when every manager joined
         within *timeout* (``None`` = wait forever).
         """
-        if not self._draining.is_set():
-            self._draining.set()
-            for _ in self._managers:
-                self._queue.put(_SHUTDOWN)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for manager in self._managers:
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            manager.join(remaining)
-        return all(not manager.is_alive() for manager in self._managers)
+        self._draining.set()
+        return self._pool.close(timeout)
 
     def stats(self) -> Dict[str, Any]:
         """A snapshot of pool health for ``/healthz`` and tests."""
-        counters = self.stats_counters
-        with counters.lock:
+        with self._lock:
             snapshot = {
                 "workers": self.workers,
                 "pending": self._pending,
                 "draining": self.draining,
-                "submitted": counters.submitted,
-                "completed": counters.completed,
-                "failed": counters.failed,
-                "kills": counters.kills,
-                "respawns": counters.respawns,
-                "rejected": counters.rejected,
+                "submitted": self._counts["submitted"],
+                "completed": self._counts["completed"],
+                "failed": self._counts["failed"],
+                "kills": self._pool.kills,
+                "respawns": self._pool.respawns,
+                "rejected": self._counts["rejected"],
                 "worker_pids": [
                     slot.process.pid
                     for slot in self._slots
@@ -491,15 +236,8 @@ class WarmPool:
         return snapshot
 
 
-def pool_available() -> bool:
-    """Can this host run the warm pool?  (Mirrors the supervisor gate.)"""
-    if os.environ.get("REPRO_NO_SUPERVISOR", "").strip() in ("1", "true", "yes"):
-        return False
-    try:
-        multiprocessing.get_context()
-        return True
-    except Exception:  # pragma: no cover - exotic hosts
-        return False
+#: Can this host run the warm pool?  The same gate as the supervisor.
+pool_available = supervision_available
 
 
 __all__ = [

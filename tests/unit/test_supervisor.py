@@ -19,6 +19,7 @@ wedge an unsupervised run (pytest-timeout is not installed locally).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -28,6 +29,8 @@ import pytest
 
 from repro import (
     BatchItemError,
+    BudgetExhausted,
+    Cancelled,
     ExchangeEngine,
     FaultPlan,
     Instance,
@@ -37,12 +40,16 @@ from repro import (
     inject_faults,
 )
 from repro.engine.supervisor import (
+    Job,
+    WorkerPool,
     run_batch_supervised,
     supervision_available,
 )
 from repro.limits import Fault, trip
+from repro.limits.budget import CancelToken, cancel_scope
 from repro.limits.faults import HANG_BACKSTOP
 from repro.obs import JsonlSink, RunRegistry, tracing
+from repro.store import open_store
 
 MAPPING = SchemaMapping.from_text("P(x, y, z) -> Q(x, y) & R(y, z)")
 #: A chase that never reaches a fixpoint on its own — used to exercise
@@ -167,6 +174,76 @@ class TestRunBatchSupervised:
     def test_empty_batch(self):
         assert run_batch_supervised([], _echo_task, grace=0.1) == []
 
+    def test_unpicklable_payload_fails_without_a_respawn(self):
+        pool = WorkerPool(_echo_task, workers=1, grace=0.3)
+        try:
+            bad = pool.submit(Job((lambda: None, None, None, 1)))
+            assert bad.wait(10.0)
+            assert bad.error is not None and not bad.killed
+            assert bad.started is not None
+            good = pool.submit(Job((21, None, None, 1)))
+            assert good.wait(10.0)
+            assert good.value == 42
+            assert (pool.kills, pool.respawns) == (0, 0)
+        finally:
+            pool.close(10.0)
+
+
+class TestBatchStop:
+    """How a supervised batch ends early, and what each item reports.
+
+    One worker, a hung item 0 and two items queued behind it: a stop
+    hard-kills the running item and fails the queued ones without ever
+    starting them.  Every batch must leave no worker process behind.
+    """
+
+    def _hung_first(self):
+        return [
+            (i, None, Fault("hang", 0, seconds=30.0) if i == 0 else None, 1)
+            for i in range(3)
+        ]
+
+    def _run(self, payloads, **kw):
+        before = set(multiprocessing.active_children())
+        outcomes = run_batch_supervised(payloads, _echo_task, workers=1, **kw)
+        assert not set(multiprocessing.active_children()) - before
+        return outcomes
+
+    def test_batch_deadline_kills_running_and_fails_queued(self):
+        outcomes = self._run(self._hung_first(), deadline=0.5, grace=0.3)
+        assert isinstance(outcomes[0].error, WorkerKilled)
+        assert outcomes[0].kills == 1
+        for outcome in outcomes[1:]:
+            assert isinstance(outcome.error, BudgetExhausted)
+            diagnosis = outcome.error.diagnosis
+            assert diagnosis.resource == "deadline"
+            assert diagnosis.where == "engine.batch"
+            assert outcome.attempts == 1
+            assert outcome.elapsed == 0.0
+            assert outcome.kills == 0
+
+    def test_ambient_cancel_cancels_every_item(self):
+        token = CancelToken()
+        timer = threading.Timer(0.4, token.cancel)
+        timer.daemon = True
+        with cancel_scope(token):
+            timer.start()
+            try:
+                outcomes = self._run(self._hung_first(), grace=0.3)
+            finally:
+                timer.cancel()
+        assert all(isinstance(o.error, Cancelled) for o in outcomes)
+        assert [o.kills for o in outcomes] == [1, 0, 0]
+
+    def test_elapsed_runs_from_dispatch_not_submission(self):
+        payloads = [(i, None, Fault("slow", i, seconds=0.2), 1) for i in range(3)]
+        outcomes = self._run(payloads, grace=0.3)
+        assert all(o.ok for o in outcomes)
+        # Queued behind one worker, items finish at 0.2 / 0.4 / 0.6 s;
+        # each one's own cost is still about 0.2 s.
+        for outcome in outcomes:
+            assert 0.2 <= outcome.elapsed < 0.4
+
 
 class TestEngineSupervision:
     def _engine(self, **kw):
@@ -242,6 +319,33 @@ class TestEngineSupervision:
         assert all(not isinstance(r, BatchItemError) for r in results)
         assert engine.stats()["chase"]["kills"] == 1
         assert engine.stats()["chase"]["errors"] == 0
+
+    @pytest.mark.parametrize(
+        "engine_kw, limits",
+        [({}, Limits(deadline=5, grace=1)), ({"process_threshold": 1}, None)],
+        ids=["supervised", "process-pool"],
+    )
+    def test_sql_backed_items_match_memory_results(self, engine_kw, limits):
+        # A SQL store's connection cannot cross the process boundary:
+        # its instances travel to the workers as in-memory copies.
+        def sql(instance):
+            store = open_store("sqlite")
+            store.add_all(instance.facts)
+            return Instance(store=store)
+
+        def run(many, mapping, items):
+            engine = self._engine(**engine_kw)
+            return getattr(engine, many)(mapping, items, jobs=2, limits=limits)
+
+        sources = _instances(4)
+        expected = run("chase_many", MAPPING, sources)
+        results = run("chase_many", MAPPING, [sql(i) for i in sources])
+        assert [r.instance for r in results] == [r.instance for r in expected]
+        recovery = SchemaMapping.from_text("Q(x, y) -> P(x, y) | S(x)")
+        targets = [Instance.parse(f"Q(a{i}, b{i}), Q(a{i}, c{i})") for i in range(3)]
+        expected = run("reverse_many", recovery, targets)
+        results = run("reverse_many", recovery, [sql(t) for t in targets])
+        assert [r.candidates for r in results] == [r.candidates for r in expected]
 
     def test_reverse_many_supervised_kill(self):
         reverse = SchemaMapping.from_text("Q(x, y) -> P(x, y)")

@@ -1,10 +1,13 @@
 """Unit tests for the warm supervised worker pool behind ``repro serve``."""
 
+import multiprocessing
+import os
 import time
 
 import pytest
 
-from repro.service.ops import validate_request
+from repro.service import pool as pool_module
+from repro.service.ops import execute_op, validate_request
 from repro.service.pool import (
     PoolDraining,
     PoolSaturated,
@@ -25,6 +28,13 @@ def _request(instance="P(a)", **extra):
     return validate_request(
         "chase", body, allow_faults="fault" in extra
     )
+
+
+def _exit_on_die(engine, request):
+    """``execute_op`` that dies without replying on ``P(die)``."""
+    if request["instance"] == "P(die)":
+        os._exit(1)
+    return execute_op(engine, request)
 
 
 @pytest.fixture
@@ -97,6 +107,37 @@ class TestSupervision:
         pool.submit(hang, deadline=0.5).result(60)
         response = pool.submit(_request("P(recovered)")).result(60)
         assert response["ok"]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched execute_op reaches workers only by fork",
+    )
+    def test_worker_that_dies_on_its_own_is_not_a_kill(self, tmp_path, monkeypatch):
+        # A crash (os._exit, an OOM kill) is infra breakage, not a hard
+        # kill: the request fails as an internal OSError, the kill
+        # counter stays put, and the slot respawns in place.
+        monkeypatch.setattr(pool_module, "execute_op", _exit_on_die)
+        pool = WarmPool(
+            workers=1,
+            engine_config={"cache_dir": str(tmp_path / "cache")},
+            deadline=20.0,
+            grace=1.0,
+            context=multiprocessing.get_context("fork"),
+        )
+        try:
+            pids_before = pool.stats()["worker_pids"]
+            job = pool.submit(_request("P(die)"))
+            response = job.result(60)
+            assert not response["ok"]
+            assert response["error"]["type"] == "OSError"
+            assert response["error"]["kind"] == "internal"
+            assert not job.killed
+            stats = pool.stats()
+            assert stats["kills"] == 0 and stats["respawns"] == 1
+            assert stats["worker_pids"] != pids_before
+            assert pool.submit(_request("P(alive)")).result(60)["ok"]
+        finally:
+            pool.drain(timeout=30)
 
     def test_cooperative_cancel_before_hard_kill(self, pool):
         # A slow-but-checkpointing task honors the soft cancel: the
