@@ -11,6 +11,7 @@ import pytest
 from repro.chase.disjunctive import reverse_disjunctive_chase
 from repro.homs.quotient import count_quotients
 from repro.instance import Fact, Instance
+from repro.limits import Limits
 from repro.terms import Const, Null
 from repro.workloads.scenarios import get_scenario
 
@@ -77,7 +78,7 @@ def test_reverse_chase_ground_scaling(benchmark, ground_facts):
         target,
         REVERSE.dependencies,
         result_relations=["P", "T"],
-        max_branches=100_000,
+        limits=Limits(max_branches=100_000, on_exhausted="raise"),
     )
     record_metric(benchmark, ground_facts=ground_facts, branches=len(branches))
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..deprecation import warn_deprecated_kwarg
 from ..errors import BudgetExhausted, ChaseNonTermination
 from ..homs.quotient import enumerate_quotients
 from ..homs.search import is_homomorphic
@@ -43,22 +42,10 @@ from ..limits import Budget, Exhausted, Limits, budget_scope, current_budget
 from ..logic.delta import TriggerIndex, binding_sort_key, match_atoms_delta
 from ..logic.dependencies import Dependency, DisjunctiveTgd, iter_disjunctive
 from ..logic.matching import match_atoms
-from ..obs.events import (
-    BranchClosed,
-    BranchOpened,
-    NullMinted,
-    TriggerFired,
-    freeze_binding,
-)
-from ..obs.profile import ChaseProfiler, fingerprint_dependency
+from ..obs.observer import ChaseObserver, chase_observer
 from ..obs.tracer import Tracer, current_tracer, maybe_span
 from ..terms import NullFactory
-from .standard import (
-    note_dependency_cell,
-    report_exhaustion,
-    resolve_budget,
-    resolve_evaluation,
-)
+from .standard import resolve_budget, resolve_evaluation
 
 #: Per-branch rounds guard when neither rounds nor deadline is bounded.
 DEFAULT_MAX_ROUNDS = 32
@@ -148,15 +135,13 @@ def _guard(bound: Optional[int], deadline: Optional[float], default: int):
 def disjunctive_chase(
     instance: Instance,
     dependencies: Sequence[Dependency],
-    max_rounds: Optional[int] = None,
-    max_branches: Optional[int] = None,
     null_prefix: str = "D",
     tracer: Optional[Tracer] = None,
     branch_root: str = "b",
     limits: Optional[Limits] = None,
     budget: Optional[Budget] = None,
     evaluation: Optional[str] = None,
-    profiler: Optional[ChaseProfiler] = None,
+    profiler: Optional[ChaseObserver] = None,
 ) -> Branches:
     """Chase *instance* with disjunctive tgds; return the branch instances.
 
@@ -188,51 +173,32 @@ def disjunctive_chase(
     ``BranchOpened``/``BranchClosed`` events (*branch_root* names the
     root; children append ``.<disjunct index>``), and every disjunct
     firing carries its branch id, so the provenance graph can replay
-    each finished branch exactly.
+    each finished branch exactly.  Every branch closes exactly once,
+    for the tracer and the budget's progress reporter alike.
 
     Resource governance: pass ``limits`` / ``budget`` as for
-    :func:`repro.chase.standard.chase`; the ``max_rounds`` and
-    ``max_branches`` keywords are deprecated aliases for
-    ``Limits(..., on_exhausted="raise")``.  In the legacy raise mode a
-    branch exceeding the round bound raises
+    :func:`repro.chase.standard.chase`.  In the raise mode (the default
+    without limits) a branch exceeding the round bound raises
     :class:`ChaseNonTermination` and frontier explosion raises
     :class:`repro.errors.BudgetExhausted` (a ``RuntimeError``); in
     partial mode the chase stops and returns the worlds explored so far,
     tagged via ``Branches.exhausted``.
 
-    With a *profiler* (:class:`repro.obs.profile.ChaseProfiler`) each
-    fired trigger's selection-and-fork block is attributed to its dtgd,
+    With a *profiler* (:class:`repro.obs.ChaseProfiler`, or any
+    :class:`repro.obs.observer.ChaseObserver`) each fired trigger's
+    selection-and-fork block is attributed to its dtgd,
     **branch-aware**: cells carry the id of the world being extended,
     so hot dependencies can be pinned to the branch lineages that pay
     for them.  ``considered`` counts the agenda entries the canonical
-    selection examined for that firing.
+    selection examined for that firing.  Tracer, profiler and progress
+    reporter share one observer
+    (:func:`repro.obs.observer.chase_observer`).
     """
     dtgds: List[DisjunctiveTgd] = list(iter_disjunctive(dependencies))
-    if max_rounds is not None or max_branches is not None:
-        if max_rounds is not None:
-            warn_deprecated_kwarg(
-                "repro.disjunctive_chase", "max_rounds", "limits=Limits(...)"
-            )
-        if max_branches is not None:
-            warn_deprecated_kwarg(
-                "repro.disjunctive_chase", "max_branches", "limits=Limits(...)"
-            )
-        if limits is None and budget is None:
-            limits = Limits(
-                max_rounds=(
-                    max_rounds if max_rounds is not None else DEFAULT_MAX_ROUNDS
-                ),
-                max_branches=(
-                    max_branches
-                    if max_branches is not None
-                    else DEFAULT_MAX_BRANCHES
-                ),
-                on_exhausted="raise",
-            )
-    if tracer is None:
-        tracer = current_tracer()
+    tracer = tracer or current_tracer()
     evaluation = resolve_evaluation(evaluation)
     budget = resolve_budget(limits, budget, _LEGACY_LIMITS)
+    observer = chase_observer(tracer, profiler, budget.reporter)
     lim = budget.limits
     guard_rounds = _guard(lim.max_rounds, lim.deadline, DEFAULT_MAX_ROUNDS)
     guard_branches = _guard(lim.max_branches, lim.deadline, DEFAULT_MAX_BRANCHES)
@@ -260,30 +226,19 @@ def disjunctive_chase(
         root_state = None
     frontier: List[tuple] = [(instance, 0, branch_root, root_state)]
     seen: Set[Instance] = set()
-    # Branch lifecycle also feeds the progress ticker's per-branch
-    # breakdown.  getattr-guarded: the supervisor installs a heartbeat
-    # shim in workers that only duck-types heartbeat().
-    _branch_note = getattr(budget.reporter, "branch_event", None)
+    if observer is not None:
+        observer.branch("opened", branch_root)
 
-    def note_branch(kind: str, reason: Optional[str] = None) -> None:
-        if _branch_note is not None:
-            _branch_note(kind, reason)
-
-    note_branch("opened")
-    if tracer is not None:
-        tracer.emit(BranchOpened(branch=branch_root))
-
-    def flush_exhausted(pending: List[tuple]) -> None:
+    def stop(exhausted: Exhausted, pending: List[tuple]) -> Branches:
         """Partial mode: unfinished worlds become results, tagged closed."""
         for inst, _rounds, br, _state in pending:
             if inst not in seen:
                 seen.add(inst)
                 finished.append(inst)
-            note_branch("closed", "exhausted")
-            if tracer is not None:
-                tracer.emit(
-                    BranchClosed(branch=br, reason="exhausted", facts=len(inst))
-                )
+            if observer is not None:
+                observer.branch("closed", br, "exhausted", len(inst))
+        finished.exhausted = exhausted
+        return finished
 
     with maybe_span(tracer, "disjunctive_chase", input_facts=len(instance)):
         while frontier:
@@ -298,7 +253,8 @@ def disjunctive_chase(
                     "branches", "disjunctive_chase", guard_branches, width
                 )
             if exhausted is not None:
-                report_exhaustion(tracer, exhausted)
+                if observer is not None:
+                    observer.exhausted(exhausted)
                 if lim.raises:
                     if exhausted.resource == "branches":
                         raise BudgetExhausted(
@@ -307,44 +263,27 @@ def disjunctive_chase(
                             diagnosis=exhausted,
                         )
                     budget.raise_exhausted()
-                flush_exhausted(frontier)
-                finished.exhausted = exhausted
-                return finished
+                return stop(exhausted, frontier)
             current, rounds, branch, state = frontier.pop()
             if guard_rounds is not None and rounds > guard_rounds:
                 exhausted = budget.mark(
                     "rounds", "disjunctive_chase", guard_rounds, rounds
                 )
-                note_branch("closed", "nonterminating")
-                if tracer is not None:
-                    tracer.emit(
-                        BranchClosed(
-                            branch=branch,
-                            reason="nonterminating",
-                            facts=len(current),
-                        )
-                    )
-                report_exhaustion(tracer, exhausted)
+                if observer is not None:
+                    observer.branch("closed", branch, "nonterminating", len(current))
+                    observer.exhausted(exhausted)
                 if lim.raises:
                     raise ChaseNonTermination(
                         f"disjunctive chase branch exceeded {guard_rounds} rounds",
                         diagnosis=exhausted,
                     )
-                # The diverging world still flushes as a partial result,
-                # but its branch was already noted closed above.
+                # The diverging world still flushes as a partial result;
+                # its branch is already closed.
                 if current not in seen:
                     seen.add(current)
                     finished.append(current)
-                if tracer is not None:
-                    tracer.emit(
-                        BranchClosed(
-                            branch=branch, reason="exhausted", facts=len(current)
-                        )
-                    )
-                flush_exhausted(frontier)
-                finished.exhausted = exhausted
-                return finished
-            if profiler is not None:
+                return stop(exhausted, frontier)
+            if observer is not None:
                 pop_started = time.perf_counter()
                 scanned = [0]
                 pop_facts = pop_nulls = 0
@@ -368,36 +307,22 @@ def disjunctive_chase(
                 if current not in seen:
                     seen.add(current)
                     finished.append(current)
-                    note_branch("closed", "finished")
-                    if tracer is not None:
-                        tracer.emit(
-                            BranchClosed(
-                                branch=branch, reason="finished", facts=len(current)
-                            )
-                        )
+                    reason = "finished"
                 else:
-                    note_branch("closed", "duplicate")
-                    if tracer is not None:
-                        tracer.emit(
-                            BranchClosed(
-                                branch=branch, reason="duplicate", facts=len(current)
-                            )
-                        )
+                    reason = "duplicate"
+                if observer is not None:
+                    observer.branch("closed", branch, reason, len(current))
                 continue
             dtgd_index, binding = trigger
             dtgd = dtgds[dtgd_index]
-            note_branch("forked")
+            if observer is not None:
+                observer.branch("forked", branch)
             factory = NullFactory.avoiding(current.nulls, prefix=null_prefix)
             last = len(dtgd.disjuncts) - 1
             for disjunct_index, disjunct in enumerate(dtgd.disjuncts):
                 full = dict(binding)
-                minted = []
                 for var in existentials[dtgd_index][disjunct_index]:
-                    fresh = factory.fresh()
-                    full[var] = fresh
-                    minted.append((var.name, fresh))
-                if profiler is not None:
-                    pop_nulls += len(minted)
+                    full[var] = factory.fresh()
                 if index is None:
                     accumulator = InstanceBuilder(current)
                 elif disjunct_index == last:
@@ -407,49 +332,30 @@ def disjunctive_chase(
                 else:
                     accumulator = index.fork()
                 child_branch = f"{branch}.{disjunct_index}"
-                note_branch("opened")
                 added = []
                 for atom in disjunct:
                     f = atom.instantiate(full)
                     if accumulator.add(f):
                         added.append(f)
-                if profiler is not None:
+                if observer is not None:
                     pop_facts += len(added)
-                if tracer is not None:
-                    tgd_text = str(dtgd)
-                    tracer.emit(
-                        BranchOpened(
-                            branch=child_branch,
-                            parent=branch,
-                            disjunct_index=disjunct_index,
-                            round=rounds + 1,
-                        )
+                    pop_nulls += len(full) - len(binding)
+                    observer.branch(
+                        "opened",
+                        child_branch,
+                        parent=branch,
+                        disjunct_index=disjunct_index,
+                        round_number=rounds + 1,
                     )
-                    for var_name, fresh in minted:
-                        tracer.emit(
-                            NullMinted(
-                                null=fresh,
-                                var=var_name,
-                                tgd=tgd_text,
-                                tgd_index=dtgd_index,
-                                round=rounds + 1,
-                                branch=child_branch,
-                            )
-                        )
-                    tracer.emit(
-                        TriggerFired(
-                            tgd=tgd_text,
-                            tgd_index=dtgd_index,
-                            round=rounds + 1,
-                            binding=freeze_binding(binding),
-                            added=tuple(added),
-                            premises=tuple(
-                                a.instantiate(binding) for a in dtgd.premise
-                            ),
-                            minted=tuple(minted),
-                            branch=child_branch,
-                            disjunct_index=disjunct_index,
-                        )
+                    observer.fired(
+                        dtgd,
+                        dtgd_index,
+                        rounds + 1,
+                        binding,
+                        full,
+                        added,
+                        branch=child_branch,
+                        disjunct_index=disjunct_index,
                     )
                 if index is None:
                     child = accumulator.snapshot()
@@ -494,25 +400,13 @@ def disjunctive_chase(
                             )
                         child_state = (accumulator, child_agendas)
                     frontier.append((child, rounds + 1, child_branch, child_state))
-                else:
-                    note_branch("closed", "duplicate")
-                    if tracer is not None:
-                        tracer.emit(
-                            BranchClosed(
-                                branch=child_branch,
-                                reason="duplicate",
-                                facts=len(child),
-                            )
-                        )
-            if profiler is not None:
-                note_dependency_cell(
-                    profiler,
-                    tracer,
-                    fingerprint_dependency(dtgd),
-                    str(dtgd),
+                elif observer is not None:
+                    observer.branch("closed", child_branch, "duplicate", len(child))
+            if observer is not None:
+                observer.cell(
+                    dtgd,
                     rounds + 1,
-                    pop_started,
-                    time.perf_counter(),
+                    time.perf_counter() - pop_started,
                     scanned[0],
                     len(dtgd.disjuncts),
                     pop_facts,
@@ -653,14 +547,12 @@ def reverse_disjunctive_chase(
     dependencies: Sequence[Dependency],
     result_relations: Sequence[str] | None = None,
     max_nulls: int = 8,
-    max_rounds: Optional[int] = None,
-    max_branches: Optional[int] = None,
     minimize: bool = True,
     tracer: Optional[Tracer] = None,
     limits: Optional[Limits] = None,
     budget: Optional[Budget] = None,
     evaluation: Optional[str] = None,
-    profiler: Optional[ChaseProfiler] = None,
+    profiler: Optional[ChaseObserver] = None,
 ) -> Branches:
     """Reverse data exchange: chase a target instance back to source worlds.
 
@@ -675,9 +567,8 @@ def reverse_disjunctive_chase(
     One :class:`~repro.limits.Budget` (built from *limits*, or passed in
     directly) spans the whole composite — quotient enumeration and every
     per-world chase — so a deadline governs the operation end to end.
-    ``max_rounds`` / ``max_branches`` are deprecated aliases (note that
-    ``max_nulls`` is *not* a limit: it bounds the quotient enumeration
-    and is part of the operation's semantics).
+    (``max_nulls`` is *not* a limit: it bounds the quotient enumeration
+    and is part of the operation's semantics.)
 
     Returns a hom-minimal antichain of branch instances unless
     ``minimize=False`` (the raw set is exponentially redundant).  The
@@ -687,31 +578,10 @@ def reverse_disjunctive_chase(
     Def. 6.1) tagged with the diagnosis; in raise mode the typed error
     propagates.
     """
-    if max_rounds is not None or max_branches is not None:
-        if max_rounds is not None:
-            warn_deprecated_kwarg(
-                "repro.reverse_disjunctive_chase", "max_rounds", "limits=Limits(...)"
-            )
-        if max_branches is not None:
-            warn_deprecated_kwarg(
-                "repro.reverse_disjunctive_chase",
-                "max_branches",
-                "limits=Limits(...)",
-            )
-        if limits is None and budget is None:
-            limits = Limits(
-                max_rounds=(
-                    max_rounds if max_rounds is not None else DEFAULT_MAX_ROUNDS
-                ),
-                max_branches=(
-                    max_branches
-                    if max_branches is not None
-                    else DEFAULT_MAX_BRANCHES
-                ),
-                on_exhausted="raise",
-            )
-    if tracer is None:
-        tracer = current_tracer()
+    tracer = tracer or current_tracer()
+    # The per-world chases resolve their own observers; this one
+    # reports only an exhaustion during minimization.
+    observer = chase_observer(tracer, profiler)
     budget = resolve_budget(limits, budget, _LEGACY_LIMITS)
     collected: List[Instance] = []
     exhausted: Optional[Exhausted] = None
@@ -744,7 +614,8 @@ def reverse_disjunctive_chase(
                 raise
             if exhausted is None:
                 exhausted = budget.exhausted
-                report_exhaustion(tracer, exhausted)
+                if observer is not None:
+                    observer.exhausted(exhausted)
     if result is None:
         result = Branches(_deduplicated(collected))
     result.exhausted = exhausted

@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..deprecation import warn_deprecated_kwarg
 from ..errors import ChaseNonTermination
 from ..instance import Instance
 from ..limits import Budget, Exhausted, Limits, current_budget
@@ -56,8 +55,7 @@ from ..logic.atoms import Atom
 from ..logic.delta import TriggerIndex, match_atoms_delta
 from ..logic.dependencies import Dependency, Tgd
 from ..logic.matching import match_atoms
-from ..obs.events import NullMinted, TriggerFired, exhaustion_event, freeze_binding
-from ..obs.profile import DEP_SPAN_NAME, ChaseProfiler, fingerprint_dependency
+from ..obs.observer import ChaseObserver, chase_observer
 from ..obs.tracer import Tracer, current_tracer, maybe_span
 from ..terms import NullFactory, Value, Var
 
@@ -138,7 +136,7 @@ def _fire(
     binding: Dict[Var, Value],
     builder,
     factory: NullFactory,
-    tracer: Optional[Tracer] = None,
+    observer: Optional[ChaseObserver] = None,
     tgd_index: int = -1,
     round_number: int = 0,
 ) -> int:
@@ -149,42 +147,16 @@ def _fire(
     :class:`~repro.logic.delta.TriggerIndex`.
     """
     full = dict(binding)
-    if tracer is None:
-        for var in sorted(tgd.existential_variables):
-            full[var] = factory.fresh()
-        return builder.add_all(atom.instantiate(full) for atom in tgd.conclusion)
-    minted = []
     for var in sorted(tgd.existential_variables):
-        fresh = factory.fresh()
-        full[var] = fresh
-        minted.append((var.name, fresh))
+        full[var] = factory.fresh()
+    if observer is None:
+        return builder.add_all(atom.instantiate(full) for atom in tgd.conclusion)
     added = []
     for atom in tgd.conclusion:
         f = atom.instantiate(full)
         if builder.add(f):
             added.append(f)
-    tgd_text = str(tgd)
-    for var_name, fresh in minted:
-        tracer.emit(
-            NullMinted(
-                null=fresh,
-                var=var_name,
-                tgd=tgd_text,
-                tgd_index=tgd_index,
-                round=round_number,
-            )
-        )
-    tracer.emit(
-        TriggerFired(
-            tgd=tgd_text,
-            tgd_index=tgd_index,
-            round=round_number,
-            binding=freeze_binding(binding),
-            added=tuple(added),
-            premises=tuple(a.instantiate(binding) for a in tgd.premise),
-            minted=tuple(minted),
-        )
-    )
+    observer.fired(tgd, tgd_index, round_number, binding, full, added)
     return len(added)
 
 
@@ -218,68 +190,6 @@ def resolve_budget(
     return Budget(limits)
 
 
-def report_exhaustion(
-    tracer: Optional[Tracer], diagnosis: Exhausted
-) -> None:
-    """Emit the exhaustion event and counters onto the tracer."""
-    if tracer is None:
-        return
-    tracer.emit(exhaustion_event(diagnosis))
-    tracer.metrics.inc(f"budget.exhausted.{diagnosis.resource}")
-    if diagnosis.resource == "rounds":
-        tracer.metrics.inc("chase.nontermination")
-
-
-def note_dependency_cell(
-    profiler: ChaseProfiler,
-    tracer: Optional[Tracer],
-    fingerprint: str,
-    text: str,
-    round_number: int,
-    started: float,
-    ended: float,
-    considered: int,
-    fired: int,
-    facts: int,
-    nulls: int,
-    branch: Optional[str] = None,
-) -> None:
-    """Record one profiled (dependency, round) cell — and its span.
-
-    Shared by both fixpoint loops: the cell always lands on the
-    profiler; when a tracer is also active and the cell saw any
-    binding, a ``chase.dep`` span is recorded so cross-process merges
-    can rebuild the same profile from spans alone
-    (:meth:`repro.obs.profile.ChaseProfile.from_spans`).
-    """
-    seconds = ended - started
-    profiler.note(
-        fingerprint=fingerprint,
-        text=text,
-        round_number=round_number,
-        seconds=seconds,
-        considered=considered,
-        fired=fired,
-        facts=facts,
-        nulls=nulls,
-        branch=branch,
-    )
-    if tracer is not None and considered:
-        attrs = {
-            "fingerprint": fingerprint,
-            "tgd": text,
-            "round": round_number,
-            "seconds": seconds,
-            "considered": considered,
-            "fired": fired,
-            "facts": facts,
-            "nulls": nulls,
-        }
-        if branch is not None:
-            attrs["branch"] = branch
-        tracer.record_span(DEP_SPAN_NAME, started, ended, **attrs)
-
-
 def resolve_evaluation(evaluation: Optional[str]) -> str:
     """The effective evaluation mode: explicit > environment > delta.
 
@@ -300,13 +210,12 @@ def chase(
     instance: Instance,
     dependencies: Sequence[Dependency],
     variant: str = "restricted",
-    max_rounds: Optional[int] = None,
     null_prefix: str = "N",
     tracer: Optional[Tracer] = None,
     limits: Optional[Limits] = None,
     budget: Optional[Budget] = None,
     evaluation: Optional[str] = None,
-    profiler: Optional[ChaseProfiler] = None,
+    profiler: Optional[ChaseObserver] = None,
 ) -> ChaseResult:
     """Chase *instance* with plain tgds; returns the full chased instance.
 
@@ -328,9 +237,7 @@ def chase(
     returns the tagged partial result instead of raising.  A shared
     ``budget`` (:class:`repro.limits.Budget`) may be passed instead for
     composite operations; otherwise the thread's ambient budget
-    (:func:`repro.limits.budget_scope`) applies.  The ``max_rounds``
-    keyword is a deprecated alias of ``Limits(max_rounds=...,
-    on_exhausted="raise")``.
+    (:func:`repro.limits.budget_scope`) applies.
 
     With a *tracer* (explicit, or the ambient one from
     :func:`repro.obs.tracing`) every trigger firing and minted null is
@@ -338,11 +245,14 @@ def chase(
     graph; tracing never changes the chase result.  On non-termination
     the events emitted so far stay on the tracer (a partial trace).
 
-    With a *profiler* (:class:`repro.obs.profile.ChaseProfiler`) each
-    dependency's match-and-fire block is timed per round — self time,
-    triggers considered/fired, facts added, nulls minted — at a cost of
-    two clock reads per (dependency, round); profiling, like tracing,
-    never changes the chase result.
+    With a *profiler* (:class:`repro.obs.ChaseProfiler`, or any
+    :class:`repro.obs.observer.ChaseObserver`) each dependency's
+    match-and-fire block is timed per round — self time, triggers
+    considered/fired, facts added, nulls minted — at a cost of two
+    clock reads per (dependency, round); profiling, like tracing, never
+    changes the chase result.  Both report through one observer
+    (:func:`repro.obs.observer.chase_observer`); with neither attached
+    the loop reads no clock and builds no event.
 
     With no limits at all, raises :class:`ChaseNonTermination` after 64
     fixpoint rounds; for source-to-target tgds one round always suffices.
@@ -358,12 +268,8 @@ def chase(
     if variant not in ("restricted", "oblivious"):
         raise ValueError(f"unknown chase variant {variant!r}")
     evaluation = resolve_evaluation(evaluation)
-    if max_rounds is not None:
-        warn_deprecated_kwarg("repro.chase", "max_rounds", "limits=Limits(...)")
-        if limits is None and budget is None:
-            limits = Limits(max_rounds=max_rounds, on_exhausted="raise")
-    if tracer is None:
-        tracer = current_tracer()
+    tracer = tracer or current_tracer()
+    observer = chase_observer(tracer, profiler)
     budget = resolve_budget(
         limits, budget, _LEGACY_LIMITS, fallback_rounds=DEFAULT_MAX_ROUNDS
     )
@@ -377,9 +283,6 @@ def chase(
     triggers_considered = 0
     delta_sizes: List[int] = []
     exhausted: Optional[Exhausted] = None
-    if profiler is not None:
-        dep_keys = [(fingerprint_dependency(tgd), str(tgd)) for tgd in tgds]
-        clock = time.perf_counter
 
     with maybe_span(tracer, "chase", variant=variant, input_facts=len(instance)):
         while exhausted is None:
@@ -399,12 +302,9 @@ def chase(
             for tgd_index, tgd in enumerate(tgds):
                 if exhausted is not None:
                     break
-                if profiler is not None:
-                    cell_started = clock()
-                    considered_before = triggers_considered
-                    steps_before = steps
-                    facts_before = len(index)
-                    nulls_before = minted_total
+                if observer is not None:
+                    started = time.perf_counter()
+                    before = (triggers_considered, steps, len(index), minted_total)
                 if evaluation == "delta":
                     bindings = match_atoms_delta(
                         tgd.premise, view, delta, tgd.guards
@@ -427,7 +327,7 @@ def chase(
                         # in the same round would be missed).
                         if _conclusion_satisfied(tgd, binding, index):
                             continue
-                    _fire(tgd, binding, index, factory, tracer, tgd_index, rounds)
+                    _fire(tgd, binding, index, factory, observer, tgd_index, rounds)
                     steps += 1
                     progressed = True
                     minted_total += len(tgd.existential_variables)
@@ -436,25 +336,21 @@ def chase(
                     )
                     if exhausted is not None:
                         break
-                if profiler is not None:
-                    fingerprint, text = dep_keys[tgd_index]
-                    note_dependency_cell(
-                        profiler,
-                        tracer,
-                        fingerprint,
-                        text,
+                if observer is not None:
+                    observer.cell(
+                        tgd,
                         rounds,
-                        cell_started,
-                        clock(),
-                        triggers_considered - considered_before,
-                        steps - steps_before,
-                        len(index) - facts_before,
-                        minted_total - nulls_before,
+                        time.perf_counter() - started,
+                        triggers_considered - before[0],
+                        steps - before[1],
+                        len(index) - before[2],
+                        minted_total - before[3],
                     )
             if not progressed and exhausted is None:
                 break
         if exhausted is not None:
-            report_exhaustion(tracer, exhausted)
+            if observer is not None:
+                observer.exhausted(exhausted)
             if budget.limits.raises:
                 budget.raise_exhausted()
 

@@ -262,7 +262,7 @@ def _finish(engine: ExchangeEngine, args: argparse.Namespace, code: int) -> int:
             print(render_profile(engine.last_profile), file=sys.stderr)
         else:
             print(
-                "profile: not collected (batch run, cache hit, or SQL chase)",
+                "profile: not collected (batch run or cache hit)",
                 file=sys.stderr,
             )
     if getattr(args, "stats", False):

@@ -1,8 +1,8 @@
 """Warn-once deprecation plumbing (the PR 2 pattern, factored out).
 
-Deprecated keyword arguments and aliases warn exactly once per process
-per (callable, name) pair: loud enough to drive migration, quiet enough
-not to flood a batch service's logs.
+Deprecated attributes warn exactly once per process per (owner, name)
+pair: loud enough to drive migration, quiet enough not to flood a batch
+service's logs.
 """
 
 from __future__ import annotations
@@ -11,20 +11,6 @@ import warnings
 from typing import Set, Tuple
 
 _warned: Set[Tuple[str, str]] = set()
-
-
-def warn_deprecated_kwarg(func: str, name: str, replacement: str) -> None:
-    """Emit a warn-once ``DeprecationWarning`` for a legacy kwarg."""
-    key = (func, name)
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(
-        f"the {name!r} keyword of {func} is deprecated; pass "
-        f"{replacement} instead (e.g. limits=Limits({name}=...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def warn_deprecated_attr(owner: str, name: str, replacement: str) -> None:

@@ -214,7 +214,8 @@ class ExchangeEngine:
         ``False``.
     profile:
         ``True`` attaches a :class:`repro.obs.ChaseProfiler` to every
-        single-item chase and reverse chase, collecting per-dependency
+        single-item chase (tuple or SQL kernel) and reverse chase,
+        collecting per-dependency
         × per-round attribution (self time, triggers considered/fired,
         facts, nulls).  The resulting :class:`repro.obs.ChaseProfile`
         is exposed as :attr:`last_profile` after each computed
@@ -477,16 +478,14 @@ class ExchangeEngine:
         self._cache_event(tracer, "chase", key, hit)
         elapsed = 0.0
         self.last_profile = None
-        profiler = (
-            ChaseProfiler() if self.profile and not use_sql and not hit else None
-        )
+        profiler = ChaseProfiler() if self.profile and not hit else None
         if not hit:
             start = self._clock()
             try:
                 with maybe_span(tracer, "engine.chase", key=self._key_id(key)):
                     if use_sql:
                         result = self._sql_chase_result(
-                            mapping, source, tracer, effective
+                            mapping, source, tracer, effective, profiler
                         )
                     else:
                         result = chase(
@@ -546,6 +545,7 @@ class ExchangeEngine:
         source: Instance,
         tracer: Optional[Tracer],
         effective: Limits,
+        profiler: Optional[ChaseProfiler] = None,
     ) -> ChaseResult:
         """Run the set-at-a-time SQL chase and adapt it to a ChaseResult.
 
@@ -572,6 +572,7 @@ class ExchangeEngine:
             tracer=tracer,
             limits=effective,
             jobs=self.sql_jobs,
+            profiler=profiler,
         )
         full = sqlres.instance
         return ChaseResult(

@@ -27,9 +27,11 @@ Typical use::
     graph.why(next(iter(result.generated)))      # the minting firing
     graph.check_replay(Instance.parse("P(a, b, c)"), result.instance)
 
-The instrumented call sites live in ``chase/``, ``homs/``, and
-``engine/``; the CLI surfaces everything via ``--trace out.jsonl`` and
-``repro explain``.
+The chase kernels report through one seam, :class:`ChaseObserver`
+(:func:`chase_observer` resolves a kernel's tracer, profiler and
+progress reporter into one observer, or ``None``); the other
+instrumented call sites live in ``homs/`` and ``engine/``.  The CLI
+surfaces everything via ``--trace out.jsonl`` and ``repro explain``.
 
 Two request-scoped layers ride on top: the ambient
 :class:`TraceContext` (``trace_id``/``request_id`` propagated across
@@ -69,10 +71,10 @@ from .export import (
     trace_lines,
     write_trace_jsonl,
 )
+from .observer import ChaseObserver, chase_observer
 from .profile import (
     ChaseProfile,
     ChaseProfiler,
-    DEP_SPAN_NAME,
     DependencyProfile,
     diff_profiles,
     fingerprint_dependency,
@@ -132,10 +134,10 @@ __all__ = [
     "BucketedHistogram",
     "CacheHit",
     "CacheMiss",
+    "ChaseObserver",
     "ChaseProfile",
     "ChaseProfiler",
     "DEFAULT_DB_PATH",
-    "DEP_SPAN_NAME",
     "DependencyProfile",
     "Derivation",
     "DerivationNode",
@@ -162,6 +164,7 @@ __all__ = [
     "Tracer",
     "TriggerFired",
     "WorkerKilled",
+    "chase_observer",
     "context_scope",
     "current_context",
     "current_reporter",

@@ -1,41 +1,40 @@
 """The chase profiler: per-dependency, per-round time attribution.
 
 ``EXPLAIN ANALYZE`` for the chase.  A :class:`ChaseProfiler` is handed
-to :func:`repro.chase.standard.chase` (or the disjunctive chase) and
+to any chase kernel — :func:`repro.chase.standard.chase`, the
+disjunctive chase, or :func:`repro.store.sqlplan.sql_chase` — and
 collects, for every dependency × fixpoint round, the **self time** of
-that dependency's match-and-fire block plus its work counters:
-triggers considered, triggers fired, facts added, nulls minted.  The
-finished :class:`ChaseProfile` answers "which tgd is the hot one" the
-way a database plan profile answers "which operator".
+that dependency's work plus its counters: triggers considered,
+triggers fired, facts added, nulls minted.  The finished
+:class:`ChaseProfile` answers "which tgd is the hot one" the way a
+database plan profile answers "which operator".
 
-Cost model: with no profiler installed the chase pays one ``None``
-check per (dependency, round) — the ≤2% ambient-off budget is enforced
-by ``benchmarks/bench_profile_overhead.py`` in CI.  With a profiler
-installed the only additions are two ``perf_counter`` calls and one
-dict accumulation per (dependency, round) — never per binding — gated
-at ≤10%.  Profiling **never changes the chase result**: the CI
-``profile-smoke`` job diffs profiled output byte-for-byte against an
-unprofiled run.
+The profiler is a :class:`~repro.obs.observer.ChaseObserver` that
+consumes only the ``cell`` hook: one cell per tuple dependency ×
+round, per disjunctive pop (keyed by branch), or per SQL trigger plan
+× round.  With no profiler attached the kernels read no clock; with
+one, they read it twice per cell — never per binding.  The one
+overhead guard (``benchmarks/bench_overhead.py``) races profiler-on
+against nothing attached at ≤10%.  Profiling **never changes the
+chase result**: the CI ``profile-smoke`` job diffs profiled output
+byte-for-byte against an unprofiled run.
 
 Dependencies are keyed by a stable :func:`fingerprint_dependency`
 (content hash of the dependency text), so profiles from different
 processes, runs, or registry rows line up row-for-row —
 ``repro runs diff --profile`` exploits this to attribute a wall-time
-regression to the specific dependencies whose self time moved.  When a
-tracer is also active the chase emits one ``chase.dep`` span per
-active (dependency, round) cell; :meth:`ChaseProfile.from_spans`
-rebuilds the same profile from those spans after a cross-process
-merge.
+regression to the specific dependencies whose self time moved.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from .observer import ChaseObserver
 
 __all__ = [
-    "DEP_SPAN_NAME",
     "ChaseProfile",
     "ChaseProfiler",
     "DependencyProfile",
@@ -43,9 +42,6 @@ __all__ = [
     "render_profile",
     "diff_profiles",
 ]
-
-#: Span name used for per-(dependency, round) chase profile spans.
-DEP_SPAN_NAME = "chase.dep"
 
 #: Blocks for the rounds-active sparkline, lightest to heaviest.
 _SPARK = "▁▂▃▄▅▆▇█"
@@ -190,62 +186,29 @@ class ChaseProfile:
             dependencies=tuple(deps),
         )
 
-    @classmethod
-    def from_spans(
-        cls, spans: Iterable, total_time: Optional[float] = None
-    ) -> "ChaseProfile":
-        """Aggregate ``chase.dep`` spans back into a profile.
 
-        Accepts :class:`~repro.obs.tracer.Span` objects or their
-        exported dict form, so profiles can be rebuilt both from a
-        live tracer after a cross-process merge and from span JSON
-        persisted on a registry row.
-        """
-        profiler = ChaseProfiler()
-        for span in spans:
-            if isinstance(span, dict):
-                name, attrs = span.get("name"), span.get("attrs", {})
-                duration = float(span.get("duration", 0.0))
-            else:
-                name, attrs = span.name, span.attrs
-                duration = span.duration
-            if name != DEP_SPAN_NAME:
-                continue
-            profiler.note(
-                fingerprint=str(attrs.get("fingerprint", "")),
-                text=str(attrs.get("tgd", "")),
-                round_number=int(attrs.get("round", 0)),
-                seconds=float(attrs.get("seconds", duration)),
-                considered=int(attrs.get("considered", 0)),
-                fired=int(attrs.get("fired", 0)),
-                facts=int(attrs.get("facts", 0)),
-                nulls=int(attrs.get("nulls", 0)),
-                branch=attrs.get("branch"),
-            )
-        return profiler.profile(total_time=total_time)
+class ChaseProfiler(ChaseObserver):
+    """Mutable per-chase collector: the observer that builds profiles.
 
+    Consumes the kernels' ``cell`` hook.  One instance may span several
+    chase calls (the disjunctive reverse chase profiles every quotient
+    world into the same collector, keyed by branch).  Not thread-safe —
+    one profiler per operation, like a budget."""
 
-class ChaseProfiler:
-    """Mutable per-chase collector the fixpoint loops accumulate into.
-
-    One instance may span several chase calls (the disjunctive reverse
-    chase profiles every quotient world into the same collector, keyed
-    by branch).  Not thread-safe — one profiler per operation, like a
-    budget."""
-
-    __slots__ = ("_cells", "_texts", "_max_round")
+    __slots__ = ("_cells", "_texts", "_keys", "_max_round")
 
     def __init__(self) -> None:
         """An empty collector."""
         # (fingerprint, branch) -> {round -> [sec, considered, fired, facts, nulls]}
         self._cells: Dict[Tuple[str, Optional[str]], Dict[int, list]] = {}
         self._texts: Dict[str, str] = {}
+        # dependency -> fingerprint, filled on its first cell
+        self._keys: Dict[object, str] = {}
         self._max_round = 0
 
-    def note(
+    def cell(
         self,
-        fingerprint: str,
-        text: str,
+        dependency,
         round_number: int,
         seconds: float,
         considered: int,
@@ -255,7 +218,10 @@ class ChaseProfiler:
         branch: Optional[str] = None,
     ) -> None:
         """Accumulate one (dependency, round) cell."""
-        self._texts.setdefault(fingerprint, text)
+        fingerprint = self._keys.get(dependency)
+        if fingerprint is None:
+            fingerprint = self._keys[dependency] = fingerprint_dependency(dependency)
+            self._texts.setdefault(fingerprint, str(dependency))
         if round_number > self._max_round:
             self._max_round = round_number
         rounds = self._cells.setdefault((fingerprint, branch), {})

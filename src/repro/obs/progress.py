@@ -12,7 +12,9 @@ Design constraints mirror the tracer's:
 
 * **Near-zero overhead when off.**  With no reporter installed (the
   default) a budget checkpoint pays exactly one ``is None`` slot read.
-  ``benchmarks/bench_sink_overhead.py`` holds the ≤2% line.
+  The reporter is a :class:`~repro.obs.observer.ChaseObserver`: the
+  disjunctive chase attaches its budget's reporter and feeds it
+  branch lifecycle steps only when one is installed.
 * **Throttled when on.**  Heartbeats arrive per chase *step*; the
   reporter keeps the latest gauges and writes at most one line per
   ``interval`` seconds (monotonic clock), so a hot loop cannot flood
@@ -30,14 +32,18 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Optional, TextIO
 
+from .observer import ChaseObserver
 
-class ProgressReporter:
+
+class ProgressReporter(ChaseObserver):
     """Collects heartbeat gauges and renders a throttled stderr ticker.
 
     ``stream=None`` keeps the reporter silent (gauges still accumulate
     — useful for tests and for embedding).  On a TTY the ticker
     redraws one line with ``\\r``; otherwise each report is a plain
-    newline-terminated line.
+    newline-terminated line.  As a
+    :class:`~repro.obs.observer.ChaseObserver` it consumes the
+    disjunctive chase's ``branch`` hook.
     """
 
     def __init__(
@@ -117,6 +123,19 @@ class ProgressReporter:
                 self.close_reasons[reason] = self.close_reasons.get(reason, 0) + 1
         else:
             raise ValueError(f"unknown branch event kind {kind!r}")
+
+    def branch(
+        self,
+        kind: str,
+        branch: str,
+        reason: Optional[str] = None,
+        facts: int = 0,
+        parent: Optional[str] = None,
+        disjunct_index: Optional[int] = None,
+        round_number: int = 0,
+    ) -> None:
+        """The chase observer hook: one :meth:`branch_event`."""
+        self.branch_event(kind, reason)
 
     @property
     def branches_open(self) -> int:

@@ -17,9 +17,8 @@ Three implementations:
   file after each flush — the node-exporter textfile-collector pattern;
 * :class:`MultiSink` — in-process fan-out to several sinks.
 
-The PR-2 overhead guarantee holds: with no sink configured the engine
-pays one attribute check per operation (``benchmarks/
-bench_sink_overhead.py`` enforces the ≤2% budget in CI).
+With no sink configured the engine pays one attribute check per
+operation.
 """
 
 from __future__ import annotations

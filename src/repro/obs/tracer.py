@@ -4,11 +4,11 @@ Design constraints, in order:
 
 1. **Near-zero overhead when disabled.**  Instrumentation points fetch
    the ambient tracer once per operation (:func:`current_tracer`, a
-   plain module-global read) and guard every inner-loop emission with
-   ``if tracer is not None``.  With no tracer installed — the default —
-   the instrumented code paths differ from uninstrumented ones by a
-   handful of ``None`` checks; ``benchmarks/bench_tracing_overhead.py``
-   enforces the ≤2% budget against an uninstrumented reference chase.
+   plain module-global read).  The chase kernels fold it, with the
+   profiler and progress reporter, into one
+   :class:`~repro.obs.observer.ChaseObserver` and guard every
+   inner-loop hook with one ``None`` check; with nothing attached they
+   build no event and read no clock.
 2. **Mergeable across workers.**  A tracer snapshots to a picklable
    :class:`TraceState`; the engine's batch paths run each worker under
    a private tracer and :meth:`Tracer.absorb` the states on join, so a
@@ -134,34 +134,6 @@ class Tracer:
             stack.pop()
             with self._lock:
                 self.metrics.observe(f"span.{name}", span.duration)
-
-    def record_span(
-        self, name: str, start: float, end: float, **attrs
-    ) -> Optional[Span]:
-        """Record an already-timed span under the current span stack.
-
-        For instrumentation that measures a block itself (the chase
-        profiler's per-dependency cells) rather than wrapping it in the
-        :meth:`span` context manager.  Parent linkage and context
-        stamping match :meth:`span`."""
-        if not self.enabled:
-            return None
-        stack = getattr(self._local, "stack", None)
-        context = current_context()
-        with self._lock:
-            span = Span(
-                name=name,
-                span_id=next(self._ids),
-                parent_id=stack[-1].span_id if stack else None,
-                attrs=dict(attrs),
-                start=start,
-                end=end,
-                trace_id=context.trace_id if context is not None else "",
-                request_id=context.request_id if context is not None else "",
-            )
-            self.spans.append(span)
-            self.metrics.observe(f"span.{name}", span.duration)
-        return span
 
     def current_span_id(self) -> Optional[int]:
         """The id of this thread's innermost open span, if any."""

@@ -8,11 +8,6 @@ from .exchange import (
     reverse_exchange,
     round_trip,
 )
-
-# Deprecated compatibility alias, bound here without touching the
-# warn-once module attribute (repro.reverse.exchange.ExchangeResult),
-# so merely importing this package stays silent.
-ExchangeResult = ReverseResult
 from .pipeline import EvolutionPipeline, Hop
 from .query_answering import (
     brute_force_certain_answers,
@@ -23,7 +18,6 @@ from .query_answering import (
 __all__ = [
     "EvolutionPipeline",
     "Hop",
-    "ExchangeResult",
     "RecoveryQuality",
     "ReverseResult",
     "forward_exchange",

@@ -32,29 +32,6 @@ from ..homs.search import is_hom_equivalent
 from ..instance import Instance
 from ..mappings.schema_mapping import SchemaMapping
 
-# Deprecated alias: the reverse exchange outcome used to be called
-# ExchangeResult here; that name now denotes the *forward* result type
-# (repro.ExchangeResult).  Old imports keep working but warn once per
-# process — the module __getattr__ fires on first access only, then
-# caches the alias into the module globals so later lookups are free
-# (and silent).
-
-
-def __getattr__(name: str):
-    if name == "ExchangeResult":
-        import warnings
-
-        warnings.warn(
-            "repro.reverse.exchange.ExchangeResult is deprecated; it is an "
-            "alias of repro.engine.results.ReverseResult — import "
-            "ReverseResult (or repro.ReverseResult) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        globals()["ExchangeResult"] = ReverseResult
-        return ReverseResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _engine(engine=None):
     if engine is not None:

@@ -66,6 +66,7 @@ that is what CI's store-smoke diff pins.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -573,6 +574,7 @@ def sql_chase(
     budget=None,
     evaluation: Optional[str] = None,
     jobs: Optional[int] = None,
+    profiler=None,
 ) -> SqlChaseResult:
     """Run the restricted chase set-at-a-time inside *store*.
 
@@ -593,6 +595,13 @@ def sql_chase(
     exhaustion either raises or returns a tagged partial result per
     ``Limits.on_exhausted``.
 
+    With a *profiler* (:class:`repro.obs.ChaseProfiler`, or any
+    :class:`repro.obs.observer.ChaseObserver`) each trigger plan's work
+    is attributed per round — one cell per compiled plan (or fallback
+    tgd) × round: self time, join rows considered, triggers fired,
+    facts added, nulls minted — so ``--profile`` works on
+    ``--sql-chase`` like on the tuple chase.
+
     Provenance note: the SQL path fires whole trigger *sets*, so no
     per-trigger ``TriggerFired`` events are emitted — set-at-a-time
     throughput trades away per-fact provenance.  Budget heartbeats and
@@ -604,11 +613,11 @@ def sql_chase(
         DEFAULT_MAX_ROUNDS,
         _LEGACY_LIMITS,
         _conclusion_satisfied,
-        report_exhaustion,
         resolve_budget,
         resolve_evaluation,
     )
     from ..logic.matching import match_atoms
+    from ..obs.observer import chase_observer
     from ..obs.tracer import current_tracer, maybe_span
 
     if not isinstance(store, SqlStoreBase):
@@ -626,8 +635,8 @@ def sql_chase(
         tgds.append(dep)
     if store.frozen:
         raise SqlPlanError("cannot chase into a frozen store")
-    if tracer is None:
-        tracer = current_tracer()
+    tracer = tracer or current_tracer()
+    observer = chase_observer(tracer, profiler)
     budget = resolve_budget(
         limits, budget, _LEGACY_LIMITS, fallback_rounds=DEFAULT_MAX_ROUNDS
     )
@@ -705,6 +714,8 @@ def sql_chase(
                 )
                 progressed = False
                 for plan in compiled:
+                    if observer is not None:
+                        started = time.perf_counter()
                     queries = (
                         plan.deltas if evaluation == "delta" else (plan.naive,)
                     )
@@ -719,33 +730,45 @@ def sql_chase(
                             conn, plan, queries, wm_old, wm_visible
                         )
                     considered_total += considered
-                    if n == 0:
-                        continue
                     stride = len(plan.existentials)
                     added = 0
-                    for insert_sql, param_plan in plan.inserts:
-                        params = tuple(
-                            null_prefix
-                            if p is PREFIX
-                            else next_null
-                            if p is BASE
-                            else p
-                            for p in param_plan
+                    if n:
+                        for insert_sql, param_plan in plan.inserts:
+                            params = tuple(
+                                null_prefix
+                                if p is PREFIX
+                                else next_null
+                                if p is BASE
+                                else p
+                                for p in param_plan
+                            )
+                            added += store._exec_insert(insert_sql, params)
+                        next_null += n * stride
+                        minted_total += n * stride
+                        steps += n
+                        added_total += added
+                        progressed = True
+                        store._count = None  # inserts bypassed the add() counter
+                        exhausted = budget.charge(
+                            "sql_chase", facts=len(store), nulls=minted_total
                         )
-                        added += store._exec_insert(insert_sql, params)
-                    next_null += n * stride
-                    minted_total += n * stride
-                    steps += n
-                    added_total += added
-                    progressed = True
-                    store._count = None  # inserts bypassed the add() counter
-                    exhausted = budget.charge(
-                        "sql_chase", facts=len(store), nulls=minted_total
-                    )
+                    if observer is not None:
+                        observer.cell(
+                            plan.tgd,
+                            rounds,
+                            time.perf_counter() - started,
+                            considered,
+                            n,
+                            added,
+                            n * stride,
+                        )
                     if exhausted is not None:
                         break
                 if exhausted is None:
                     for index, tgd in fallback:
+                        if observer is not None:
+                            started = time.perf_counter()
+                            before = (steps, added_total, minted_total)
                         bindings = list(
                             match_atoms(tgd.premise, store, tgd.guards)
                         )
@@ -769,13 +792,24 @@ def sql_chase(
                             )
                             if exhausted is not None:
                                 break
+                        if observer is not None:
+                            observer.cell(
+                                tgd,
+                                rounds,
+                                time.perf_counter() - started,
+                                len(bindings),
+                                steps - before[0],
+                                added_total - before[1],
+                                minted_total - before[2],
+                            )
                         if exhausted is not None:
                             break
                 if not progressed and exhausted is None:
                     break
             conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
             if exhausted is not None:
-                report_exhaustion(tracer, exhausted)
+                if observer is not None:
+                    observer.exhausted(exhausted)
                 if budget.limits.raises:
                     budget.raise_exhausted()
     finally:

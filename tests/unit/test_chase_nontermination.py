@@ -12,22 +12,24 @@ from repro import Instance, chase, parse_dependency
 from repro.chase.disjunctive import disjunctive_chase
 from repro.chase.standard import ChaseNonTermination
 from repro.cli import main
+from repro.limits import Limits
 from repro.obs import Tracer
 
 RECURSIVE = parse_dependency("P(x, y) -> EXISTS z . P(y, z)")
 PAB = Instance.parse("P(a, b)")
+FIVE_ROUNDS = Limits(max_rounds=5, on_exhausted="raise")
 
 
 class TestStandardChase:
     @pytest.mark.parametrize("variant", ["restricted", "oblivious"])
     def test_recursive_tgd_raises(self, variant):
         with pytest.raises(ChaseNonTermination, match="did not terminate"):
-            chase(PAB, [RECURSIVE], variant=variant, max_rounds=5)
+            chase(PAB, [RECURSIVE], variant=variant, limits=FIVE_ROUNDS)
 
     def test_partial_trace_survives_the_abort(self):
         tracer = Tracer()
         with pytest.raises(ChaseNonTermination):
-            chase(PAB, [RECURSIVE], max_rounds=5, tracer=tracer)
+            chase(PAB, [RECURSIVE], limits=FIVE_ROUNDS, tracer=tracer)
         fired = [e for e in tracer.events if e.kind == "trigger_fired"]
         assert fired, "the rounds before the abort must be on the tracer"
         assert max(e.round for e in fired) == 5
@@ -50,12 +52,12 @@ class TestStandardChase:
 class TestDisjunctiveChase:
     def test_recursive_tgd_raises(self):
         with pytest.raises(ChaseNonTermination, match="exceeded 5 rounds"):
-            disjunctive_chase(PAB, [RECURSIVE], max_rounds=5)
+            disjunctive_chase(PAB, [RECURSIVE], limits=FIVE_ROUNDS)
 
     def test_diverging_branch_closed_in_trace(self):
         tracer = Tracer()
         with pytest.raises(ChaseNonTermination):
-            disjunctive_chase(PAB, [RECURSIVE], max_rounds=5, tracer=tracer)
+            disjunctive_chase(PAB, [RECURSIVE], limits=FIVE_ROUNDS, tracer=tracer)
         closed = [e for e in tracer.events if e.kind == "branch_closed"]
         assert any(e.reason == "nonterminating" for e in closed)
         assert tracer.metrics.counter("chase.nontermination") == 1

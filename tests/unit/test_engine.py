@@ -15,7 +15,6 @@ from repro import (
 from repro.engine.cache import LRUCache
 from repro.homs.core import core as plain_core
 from repro.parsing.parser import parse_query
-from repro.reverse.exchange import ExchangeResult as LegacyReverseAlias
 from repro.reverse.exchange import reverse_exchange
 
 
@@ -312,8 +311,7 @@ class TestResultShapes:
             result.unique
         assert result.instances == result.candidates
 
-    def test_legacy_reverse_alias_is_reverse_result(self):
-        assert LegacyReverseAlias is ReverseResult
+    def test_reverse_exchange_returns_reverse_result(self):
         mapping = SchemaMapping.from_text("Q(x, y) -> P(x, y)")
         result = reverse_exchange(mapping, Instance.parse("Q(a, b)"))
         assert isinstance(result, ReverseResult)

@@ -2,13 +2,11 @@
 
 Covers the ``render_stats`` regression (ops with zero recorded calls
 used to divide by zero / misalign the table), the tracer merge across
-batch fan-out, and the warn-once deprecated ``ExchangeResult`` alias.
+batch fan-out, and the removal of the deprecated ``ExchangeResult``
+alias.
 """
 
 from __future__ import annotations
-
-import subprocess
-import sys
 
 import pytest
 
@@ -155,49 +153,13 @@ class TestBatchTraceMerging:
         assert any(node.closed == "finished" for node in branches.values())
 
 
-DEPRECATION_SNIPPET = """
-import warnings
-
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    from repro.reverse import exchange
-    first = exchange.ExchangeResult
-    second = exchange.ExchangeResult
-    third = exchange.ExchangeResult
-
-from repro.engine.results import ReverseResult
-assert first is ReverseResult, "alias must still point at ReverseResult"
-assert second is ReverseResult and third is ReverseResult
-relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)
-            and "ExchangeResult" in str(w.message)]
-print(len(relevant))
-"""
-
-
 class TestDeprecatedAlias:
-    def test_alias_warns_exactly_once(self):
-        # A subprocess gives a fresh module state: the session's other
-        # tests import the alias at collection time, which would consume
-        # the one-shot warning.
-        proc = subprocess.run(
-            [sys.executable, "-c", DEPRECATION_SNIPPET],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert proc.stdout.strip() == "1"
-
-    def test_alias_still_resolves_in_process(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.engine.results import ReverseResult
-            from repro.reverse.exchange import ExchangeResult
-        assert ExchangeResult is ReverseResult
-
     def test_unknown_attribute_raises(self):
+        # The deprecated ExchangeResult alias is gone: like any unknown
+        # name, it now raises instead of resolving to ReverseResult.
         from repro.reverse import exchange
 
         with pytest.raises(AttributeError):
             exchange.NoSuchName
+        with pytest.raises(AttributeError):
+            exchange.ExchangeResult

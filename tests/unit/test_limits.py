@@ -9,6 +9,8 @@ raising — unless ``on_exhausted="raise"`` asks for the legacy errors.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import (
@@ -29,7 +31,7 @@ from repro import (
 from repro.chase.disjunctive import Branches, reverse_disjunctive_chase
 from repro.homs.search import find_homomorphism
 from repro.limits import Exhausted, resolve_limits
-from repro.obs import Tracer
+from repro.obs import ProgressReporter, Tracer, progress_scope
 
 RECURSIVE = parse_dependency("P(x, y) -> EXISTS z . P(y, z)")
 PAB = Instance.parse("P(a, b)")
@@ -194,14 +196,6 @@ class TestChasePartialResults:
         with pytest.raises(ChaseNonTermination):
             chase(PAB, [RECURSIVE])
 
-    def test_deprecated_max_rounds_kwarg_warns_and_raises(self):
-        from repro.deprecation import reset_warned
-
-        reset_warned()
-        with pytest.warns(DeprecationWarning, match="max_rounds"):
-            with pytest.raises(ChaseNonTermination):
-                chase(PAB, [RECURSIVE], max_rounds=3)
-
 
 class TestDisjunctivePartialResults:
     DEPS = parse_dependencies("P(x, y) -> EXISTS z . P(y, z)")
@@ -239,6 +233,44 @@ class TestDisjunctivePartialResults:
                 deps,
                 limits=Limits(max_branches=3, on_exhausted="raise"),
             )
+
+    @pytest.mark.parametrize(
+        "instance, deps, limits",
+        [
+            # Rounds: the diverging branch closes as nonterminating and
+            # must not close again when the frontier is flushed.
+            (PAB, [RECURSIVE], Limits(max_rounds=3)),
+            (
+                Instance.parse("R(a), R(b), R(c), R(d)"),
+                parse_dependencies("R(x) -> P(x) | Q(x)"),
+                Limits(max_branches=5),
+            ),
+        ],
+    )
+    def test_every_branch_closes_once_for_every_consumer(
+        self, instance, deps, limits
+    ):
+        tracer = Tracer()
+        with progress_scope(ProgressReporter(stream=None)) as reporter:
+            branches = disjunctive_chase(
+                instance, deps, limits=limits, tracer=tracer
+            )
+        assert branches.exhausted is not None
+        closed = [e for e in tracer.events if e.kind == "branch_closed"]
+        ids = Counter(e.branch for e in closed)
+        assert max(ids.values()) == 1, ids
+        assert Counter(e.reason for e in closed) == reporter.close_reasons
+        assert reporter.branches_closed == len(closed)
+
+    def test_diverging_branch_closes_as_nonterminating(self):
+        tracer = Tracer()
+        disjunctive_chase(
+            PAB, [RECURSIVE], limits=Limits(max_rounds=3), tracer=tracer
+        )
+        (closed,) = [e for e in tracer.events if e.kind == "branch_closed"]
+        assert closed.reason == "nonterminating"
+        node = tracer.provenance.branches[closed.branch]
+        assert node.closed == "nonterminating"
 
     def test_exhausted_branch_closed_in_trace(self):
         tracer = Tracer()

@@ -10,8 +10,6 @@ from repro.engine import ExchangeEngine
 from repro.obs import (
     ChaseProfile,
     ChaseProfiler,
-    DEP_SPAN_NAME,
-    Tracer,
     diff_profiles,
     fingerprint_dependency,
     render_profile,
@@ -85,32 +83,6 @@ class TestProfiledChase:
         chase(Instance.parse("P(a)"), mapping.dependencies, profiler=profiler)
         (dep,) = profiler.profile().dependencies
         assert dep.nulls == 1
-
-
-class TestSpansPath:
-    def test_dep_spans_rebuild_the_same_profile(self):
-        tracer = Tracer()
-        profiler = ChaseProfiler()
-        chase(
-            CHAIN, CLOSURE.dependencies, tracer=tracer, profiler=profiler
-        )
-        direct = profiler.profile()
-        rebuilt = ChaseProfile.from_spans(
-            tracer.spans, total_time=direct.total_time
-        )
-        assert rebuilt.triggers_considered == direct.triggers_considered
-        assert {
-            (d.fingerprint, d.considered, d.fired, d.facts, d.nulls)
-            for d in rebuilt.dependencies
-        } == {
-            (d.fingerprint, d.considered, d.fired, d.facts, d.nulls)
-            for d in direct.dependencies
-        }
-
-    def test_no_dep_spans_without_profiler(self):
-        tracer = Tracer()
-        chase(CHAIN, CLOSURE.dependencies, tracer=tracer)
-        assert not any(s.name == DEP_SPAN_NAME for s in tracer.spans)
 
 
 class TestDisjunctiveProfile:

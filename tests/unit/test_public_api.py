@@ -56,7 +56,7 @@ EXPECTED_SURFACE = {
     },
     "repro.reverse": {
         "forward_exchange", "reverse_exchange", "round_trip",
-        "ExchangeResult", "EvolutionPipeline", "Hop",
+        "EvolutionPipeline", "Hop",
         "certain_answers", "reverse_certain_answers",
         "brute_force_certain_answers",
     },
