@@ -32,6 +32,7 @@ from .errors import (
     BudgetExhausted,
     Cancelled,
     FaultInjected,
+    ParseError,
     ReproError,
     WorkerKilled,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "BudgetExhausted",
     "Cancelled",
     "FaultInjected",
+    "ParseError",
     "BatchItemError",
     "WorkerKilled",
     "Budget",

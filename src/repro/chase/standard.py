@@ -115,10 +115,6 @@ class ChaseResult:
         return self.instance.restrict(relations)
 
 
-def _frontier_binding(tgd: Tgd, binding: Dict[Var, Value]) -> Dict[Var, Value]:
-    return {v: binding[v] for v in tgd.frontier}
-
-
 def _conclusion_satisfied(tgd: Tgd, binding: Dict[Var, Value], store) -> bool:
     """Can the conclusion be witnessed in *store* extending *binding*?
 

@@ -11,7 +11,9 @@ Usage (after ``pip install -e .``)::
 
 ``--mapping``/``--recovery`` accept a file path or an inline dependency
 string (semicolon-separated).  Instances use the token convention
-(lowercase/number = constant, Uppercase = null).
+(lowercase/number = constant, Uppercase = null).  Malformed text (a
+:class:`repro.errors.ParseError`), like any library error no command
+handles, prints one ``error:`` line to stderr and exits 2.
 
 The engine-backed commands (``chase``, ``reverse``, ``audit``,
 ``answer``) share four flags: ``--jobs N`` fans batches out over N
@@ -32,9 +34,9 @@ failed) and ``--retries N`` for transiently failing items.
 
 Worker supervision (see ``docs/ARCHITECTURE.md`` §5): ``--grace S``
 together with ``--deadline`` arms the hard-kill watchdog for batch
-runs — each item runs in its own heartbeat-watched worker process, and
-a worker silent for more than the grace period past its deadline is
-terminated and its item failed as *killed* (or retried under
+runs — the items run on a pool of heartbeat-watched worker processes,
+and a worker silent for more than the grace period past its deadline
+is terminated and its item failed as *killed* (or retried under
 ``--retries``).  Kills are noted on stderr and, when any item ends
 killed, the exit code is 7 (taking precedence over the generic batch
 failure code 5).
@@ -85,7 +87,7 @@ from typing import List, Optional
 
 from .chase.standard import ChaseNonTermination
 from .engine import ExchangeEngine
-from .errors import BatchItemError, Cancelled
+from .errors import BatchItemError, Cancelled, ReproError
 from .instance import Instance
 from .inverses.quasi_inverse import (
     NotFullTgds,
@@ -882,10 +884,10 @@ def build_parser() -> argparse.ArgumentParser:
              "chase uses it as scratch space")
     engine_flags.add_argument(
         "--sql-chase", action="store_true",
-        help="compile non-disjunctive restricted chases to semi-naive "
-             "SQL plans run inside the SQL store backend (dependencies "
-             "outside the fragment fall back to tuple-at-a-time per "
-             "round; REPRO_NAIVE_CHASE=1 selects the naive SQL oracle)")
+        help="compile restricted chases to semi-naive SQL plans run "
+             "inside the SQL store backend (a mapping with a dependency "
+             "outside the SQL fragment runs tuple-at-a-time; "
+             "REPRO_NAIVE_CHASE=1 selects the naive SQL oracle)")
     engine_flags.add_argument(
         "--sql-jobs", metavar="N", type=int, default=1,
         help="shard SQL-chase rounds across N threads (default 1); "
@@ -1135,6 +1137,11 @@ def main(argv: Optional[list] = None) -> int:
         # handler (telemetry has already flushed what it could).
         print(f"cancelled: {exc}", file=sys.stderr)
         return 130
+    except ReproError as exc:
+        # Malformed input and any other library error no command
+        # handled: one line, the exit code recover/compose use.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if reporter is not None:
             reporter.finish()

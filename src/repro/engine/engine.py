@@ -5,9 +5,9 @@ the engine is the stateful counterpart that amortizes work across
 calls.  It holds content-addressed caches — keyed by ``(mapping digest,
 instance digest, options)`` — for chase results, disjunctive-chase
 branch sets, homomorphism-existence verdicts, cores, audits, and
-reverse certain answers, with size-bounded LRU eviction; and it fans
-batch operations out over ``concurrent.futures`` (processes for large
-instances, threads or a serial loop below the size threshold).
+reverse certain answers, with size-bounded LRU eviction; and it runs
+batch operations on a worker pool (supervised batches, and batches of
+large instances) or on the serial loop.
 
 Because the chase, the disjunctive chase, and ``core`` are
 deterministic, caching is semantically transparent: a cache hit returns
@@ -20,6 +20,7 @@ call sites gain caching without changing.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace as dc_replace
 from threading import Lock
@@ -45,7 +46,6 @@ from ..limits import (
     current_fault_plan,
     resolve_limits,
 )
-from ..logic.dependencies import Tgd
 from ..mappings.schema_mapping import SchemaMapping
 from ..obs.context import current_context
 from ..obs.events import CacheHit, CacheMiss
@@ -54,13 +54,12 @@ from ..obs.profile import ChaseProfile, ChaseProfiler
 from ..obs.registry import RunRegistry
 from ..obs.sinks import OpRecord, OpenMetricsSink, TelemetrySink
 from ..obs.tracer import Tracer, current_tracer, maybe_span
-from ..store import open_store
+from ..store import in_sql_fragment, open_store
 from .cache import LRUCache, TieredCache
 from .parallel import (
     ItemOutcome,
     chase_task,
     chase_task_traced,
-    make_executor,
     reverse_task,
     reverse_task_traced,
     run_batch_isolated,
@@ -142,8 +141,9 @@ class ExchangeEngine:
         Default worker count for ``chase_many``/``reverse_many`` when
         the call does not pass its own.
     process_threshold:
-        Batches whose largest instance has at least this many facts use
-        a process pool; smaller batches use threads or the serial loop.
+        Batches whose largest instance has at least this many facts run
+        on the worker pool; smaller batches run on the serial loop
+        (unless supervision is armed; see :meth:`chase_many`).
     tracer:
         An :class:`repro.obs.Tracer` to receive cache hit/miss events,
         spans, and chase provenance.  When ``None`` (the default) the
@@ -189,12 +189,13 @@ class ExchangeEngine:
         (``fresh=True``) for every operation that uses it.
     sql_chase:
         ``True`` switches :meth:`exchange` to the set-at-a-time SQL
-        plan compiler (:func:`repro.store.sql_chase`) whenever the
-        mapping is non-disjunctive and the variant is ``restricted``;
-        dependencies outside the compilable fragment fall back to
-        tuple-at-a-time per round.  Results are hom-equivalent to the
-        in-memory chase (identical for full tgds), so SQL-chased
-        results are cached under a distinct key tag.
+        plan compiler (:func:`repro.store.sql_chase`) whenever every
+        dependency is in the compilable fragment
+        (:func:`repro.store.in_sql_fragment`) and the variant is
+        ``restricted``; other mappings run on the tuple chase.  Results
+        are hom-equivalent to the in-memory chase (identical for full
+        tgds), so SQL-chased results are cached under a distinct key
+        tag.
     sql_jobs:
         Shard count for SQL-chase rounds (default 1, serial).  Values
         above 1 partition each round's trigger queries by
@@ -457,9 +458,10 @@ class ExchangeEngine:
         cached completed result is correct for every budget; partial
         (exhausted) results are returned tagged but never cached.
 
-        With ``sql_chase=True`` on the engine, non-disjunctive
-        restricted chases compile to SQL plans executed in a SQLite
-        store (see :mod:`repro.store.sqlplan`); null *names* may then
+        With ``sql_chase=True`` on the engine, restricted chases whose
+        dependencies are all in the SQL fragment compile to SQL plans
+        executed in a SQLite store (see :mod:`repro.store.sqlplan`);
+        other chases run tuple-at-a-time.  Null *names* may then
         differ from the tuple-at-a-time result, so those entries cache
         under a ``"sql"``-tagged key and never alias tuple-chase
         results.
@@ -468,7 +470,7 @@ class ExchangeEngine:
         use_sql = (
             self.sql_chase
             and variant == "restricted"
-            and all(isinstance(dep, Tgd) for dep in mapping.dependencies)
+            and all(in_sql_fragment(dep) for dep in mapping.dependencies)
         )
         key = ("chase", mapping.digest(), source.digest(), variant)
         if use_sql:
@@ -616,55 +618,50 @@ class ExchangeEngine:
         retries: int,
         effective: Optional[Limits],
     ) -> List[ItemOutcome]:
-        """Dispatch one batch of payloads to the right runner.
+        """Run one batch of payloads on the worker pool or the serial loop.
 
-        **Supervised** (hard-kill) execution runs when the effective
-        limits arm it — both ``grace`` and ``deadline`` set — and the
-        host can spawn processes: the batch runs on a transient pool of
-        ``min(workers, items)`` watched worker processes, and a worker
-        whose heartbeat goes silent past the grace period is terminated
-        and respawned in place (:mod:`repro.engine.supervisor`).
-        Supervision always uses processes, even for batches the size
-        policy would keep on threads or the serial loop — threads
-        cannot be killed.
+        The batch runs on a transient pool of ``min(workers, items)``
+        worker processes (:func:`run_batch_supervised`) when the host
+        can start them and either the effective limits arm
+        **supervision** — both ``grace`` and ``deadline`` set — or the
+        batch is worth processes: more than one worker for more than one
+        item, a largest instance of at least ``process_threshold``
+        facts, and more than one CPU.  Everything else runs on the
+        serial loop (:func:`run_batch_isolated`); the chase holds the
+        GIL, so threads would not beat it.
 
-        The supervised batch deadline is ``deadline + (1 + retries) *
-        grace``: the extra grace periods are the supervisor's own
-        escalation overhead (detecting the stall, terminating the
-        worker, giving each permitted retry its turn), not time the
-        items get to spend.  Without the headroom a kill — which by
-        construction lands *after* the cooperative deadline — would
-        always find the batch already stopped and the documented
-        retry-with-remaining-deadline path could never run.
-
-        Everything else goes through the cooperative
-        :func:`make_executor` policy and
-        :func:`run_batch_isolated`.
+        A supervised pool terminates and respawns a worker whose
+        heartbeat goes silent past the grace period
+        (:mod:`repro.engine.supervisor`), so supervision always uses the
+        pool — the serial loop cannot be killed.  Its batch deadline is
+        ``deadline + (1 + retries) * grace``: the extra grace periods
+        are the supervisor's own escalation overhead (detecting the
+        stall, terminating the worker, giving each permitted retry its
+        turn), not time the items get to spend.  Without the headroom a
+        kill — which by construction lands *after* the cooperative
+        deadline — would always find the batch already stopped and the
+        documented retry-with-remaining-deadline path could never run.
+        Unsupervised, the pool gets ``grace=None``: it never kills, and
+        items stop through the deadlines in their own budgets.
         """
-        if (
-            effective is not None
-            and effective.grace is not None
-            and effective.deadline is not None
-            and supervision_available()
-        ):
-            return run_batch_supervised(
-                payloads,
-                fn,
-                workers=max(1, workers),
-                retries=retries,
-                deadline=effective.deadline
-                + (1 + retries) * effective.grace,
-                grace=effective.grace,
-            )
-        executor = make_executor(
-            workers, len(payloads), largest, self.process_threshold
+        deadline = effective.deadline if effective is not None else None
+        grace = effective.grace if deadline is not None else None
+        pooled = grace is not None or (
+            min(workers, len(payloads)) > 1
+            and largest >= self.process_threshold
+            and (os.cpu_count() or 1) > 1
         )
-        return run_batch_isolated(
+        if not pooled or not supervision_available():
+            return run_batch_isolated(payloads, fn, retries=retries, deadline=deadline)
+        if grace is not None:
+            deadline += (1 + retries) * grace
+        return run_batch_supervised(
             payloads,
             fn,
-            executor,
+            workers=max(1, workers),
             retries=retries,
-            deadline=effective.deadline if effective is not None else None,
+            deadline=deadline,
+            grace=grace,
         )
 
     def _note_kills(
@@ -849,8 +846,10 @@ class ExchangeEngine:
 
         Content-addressed dedup runs first — structurally identical
         instances (and anything already cached) are chased once — then
-        the remaining unique work goes to a process pool, thread pool,
-        or serial loop per the size policy.  Results come back in input
+        the remaining unique work runs on the worker pool when
+        supervision is armed or the largest instance has at least
+        ``process_threshold`` facts (with more than one job and item),
+        and on the serial loop otherwise.  Results come back in input
         order and are fact-for-fact identical to the serial path.
 
         Items are **fault isolated**: one item failing does not abandon
@@ -860,8 +859,9 @@ class ExchangeEngine:
         under ``"raise"`` (the historical default) the remaining items
         still complete and cache, then the first failure propagates.
         Transient failures retry up to *retries* extra attempts.  A
-        deadline in *limits* bounds the whole batch: unfinished items
-        come back as deadline-exhausted errors, finished ones survive.
+        deadline in *limits* bounds the whole batch: items not started
+        by then come back as deadline-exhausted errors, running ones
+        stop cooperatively with partial results, finished ones survive.
         *faults* (default: the ambient :func:`repro.limits.inject_faults`
         plan) injects deterministic failures by batch index for tests —
         deduplicated items take the fault of their first occurrence.

@@ -1,24 +1,23 @@
-"""Executor selection, fault-isolated batch running, and task functions.
+"""Task functions, batch outcomes, and the in-process serial loop.
 
-``chase_many``/``reverse_many`` fan unique work items out over
-``concurrent.futures``.  The policy, per the engine design:
+``chase_many``/``reverse_many`` hand their unique work items to one of
+two runners (:meth:`repro.engine.ExchangeEngine._run_batch` picks):
 
-* **serial** when there is one job, one item, or one CPU — no pool can
-  beat the plain loop there, and the batch path still wins through
-  content-addressed dedup;
-* **threads** for batches of small instances — task setup dominates, so
-  the cheap pool is right even though the chase holds the GIL;
-* **processes** for batches with large instances (``process_threshold``
-  facts or more) — the chase is CPU-bound, instances and mappings are
-  picklable, and fork-based workers amortize the serialization cost.
+* the **serial loop** here (:func:`run_batch_isolated`) — one item at
+  a time in the calling process.  It is the default: the chase holds
+  the GIL, so threads cannot beat it, and the batch path still wins
+  through content-addressed dedup;
+* the **worker pool** (:func:`repro.engine.supervisor.run_batch_supervised`)
+  — when supervision is armed, or when a batch of large instances
+  (``process_threshold`` facts or more) has more than one item and
+  more than one job on a multi-CPU host.
 
-Batch execution is **fault isolated**: one item crashing (a worker
-exception, a broken pool, an injected fault) no longer takes the whole
-batch down.  :func:`run_batch_isolated` returns one
-:class:`ItemOutcome` per payload — either a value or the exception that
-killed the item — retries *transient* failures up to a retry budget,
-and enforces an executor-level deadline by cancelling whatever has not
-finished when time runs out.
+Batch execution is **fault isolated** on both: one item crashing (a
+worker exception, an injected fault) does not take the whole batch
+down.  Each runner returns one :class:`ItemOutcome` per payload —
+either a value or the exception that ended the item — retries
+*transient* failures up to a retry budget, and reports items still
+unstarted at the batch deadline as deadline-exhausted.
 
 Task functions live at module scope so they pickle by reference.  Every
 payload ends with ``(..., limits, fault, attempt)``: ``limits`` is the
@@ -34,16 +33,8 @@ worker carry the originating request's ids."""
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import nullcontext
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -56,16 +47,12 @@ from ..mappings.schema_mapping import SchemaMapping
 from ..obs.context import TraceContext, context_scope
 from ..obs.tracer import Tracer, TraceState
 
-try:  # BrokenExecutor is 3.8+; keep the guard cheap and explicit
-    from concurrent.futures import BrokenExecutor
-except ImportError:  # pragma: no cover - ancient pythons only
-    BrokenExecutor = OSError  # type: ignore[assignment,misc]
-
 #: Failures worth retrying: injected crash faults (deterministically
-#: transient by construction) and infrastructure-level breakage.  A
+#: transient by construction) and infrastructure-level breakage (an
+#: ``OSError``, such as a pool worker that died without a result).  A
 #: :class:`BudgetExhausted` is *not* transient — retrying an exhausted
 #: budget would just exhaust it again.
-_TRANSIENT = (FaultInjected, BrokenExecutor, OSError, ConnectionError)
+_TRANSIENT = (FaultInjected, OSError)
 
 
 def is_transient(error: BaseException) -> bool:
@@ -81,8 +68,8 @@ class ItemOutcome:
     (first dispatch to final resolution), so failed items get their
     cost attributed in ``engine.stats()`` just like successful ones.
     ``kills`` counts hard terminations the item's workers needed — it
-    stays 0 on this cooperative pool and is populated only by the
-    supervised runner (:mod:`repro.engine.supervisor`).
+    stays 0 in the serial loop and on a pool without a grace period
+    (:mod:`repro.engine.supervisor`).
     """
 
     value: Any = None
@@ -182,7 +169,7 @@ def chase_task_traced(
     Worker processes cannot share the parent's tracer, so each traced
     task records into a fresh local tracer and returns its picklable
     :class:`TraceState`; the engine absorbs the states on join.  The
-    same shape runs in thread-pool and serial batches for uniformity.
+    same shape runs in serial batches for uniformity.
     """
     local = Tracer()
     return _chase_body(payload, local), local.export_state()
@@ -209,133 +196,52 @@ def reverse_task_traced(
     return _reverse_body(payload, local), local.export_state()
 
 
-def make_executor(
-    jobs: int, items: int, largest: int, process_threshold: int
-) -> Optional[Executor]:
-    """Pick an executor for a batch, or ``None`` for the serial loop."""
-    workers = min(jobs, items)
-    if workers <= 1 or (os.cpu_count() or 1) <= 1:
-        return None
-    if largest >= process_threshold:
-        try:
-            return ProcessPoolExecutor(max_workers=workers)
-        except (OSError, ValueError):  # pragma: no cover - sandboxed hosts
-            pass
-    return ThreadPoolExecutor(max_workers=workers)
-
-
 def run_batch_isolated(
     payloads: Sequence[tuple],
     fn,
-    executor: Optional[Executor],
     retries: int = 0,
     deadline: Optional[float] = None,
-    clock=time.monotonic,
 ) -> List[ItemOutcome]:
-    """Run *fn* over *payloads* with per-item fault isolation.
+    """Run *fn* over *payloads* in this process, one item at a time.
 
     Returns one :class:`ItemOutcome` per payload, in payload order; no
     item's failure affects any other item.  Transient failures (see
     :func:`is_transient`) are retried up to *retries* extra attempts,
-    resubmitting the payload with its trailing attempt counter bumped.
-    *deadline* is a wall-clock duration (seconds) for the whole batch:
-    items unfinished when it passes are cancelled (or, if already
-    running, left to stop cooperatively via the deadline inside their
-    own ``Limits``) and reported as deadline-exhausted outcomes.
+    resubmitting the payload with its remaining deadline and its
+    trailing attempt counter bumped.  *deadline* is a wall-clock
+    duration (seconds) for the whole batch: items not yet started when
+    it passes are reported as deadline-exhausted outcomes, and a
+    running item stops cooperatively via the deadline in its own
+    ``Limits``.
     """
-    deadline_at = None if deadline is None else clock() + deadline
+    deadline_at = None if deadline is None else time.monotonic() + deadline
 
     def expired() -> bool:
-        return deadline_at is not None and clock() >= deadline_at
+        return deadline_at is not None and time.monotonic() >= deadline_at
 
-    outcomes: List[ItemOutcome] = [ItemOutcome(attempts=0) for _ in payloads]
-
-    if executor is None:
-        for index, payload in enumerate(payloads):
-            attempt = 1
-            started = clock()
-            while True:
-                if expired():
-                    outcomes[index] = _deadline_exhausted(
-                        attempt - 1, elapsed=clock() - started
-                    )
-                    break
-                try:
-                    value = fn(payload)
-                    outcomes[index] = ItemOutcome(
-                        value=value, attempts=attempt, elapsed=clock() - started
-                    )
-                    break
-                except Exception as error:
-                    if is_transient(error) and attempt <= retries and not expired():
-                        attempt += 1
-                        payload = _rebudgeted(payload, clock() - started)
-                        payload = payload[:-1] + (attempt,)
-                        continue
-                    outcomes[index] = ItemOutcome(
-                        error=error, attempts=attempt, elapsed=clock() - started
-                    )
-                    break
-        return outcomes
-
-    with executor:
-        info: dict = {}
-        pending = set()
-        started: dict = {}
-        for index, payload in enumerate(payloads):
-            started[index] = clock()
-            try:
-                future = executor.submit(fn, payload)
-            except Exception as error:  # pragma: no cover - broken pool
-                outcomes[index] = ItemOutcome(
-                    error=error, attempts=1, elapsed=clock() - started[index]
+    outcomes: List[ItemOutcome] = []
+    for payload in payloads:
+        attempt = 1
+        started = time.monotonic()
+        while True:
+            if expired():
+                outcome = _deadline_exhausted(
+                    attempt - 1, elapsed=time.monotonic() - started
                 )
-                continue
-            info[future] = (index, 1, payload)
-            pending.add(future)
-        while pending:
-            timeout = (
-                None if deadline_at is None else max(0.0, deadline_at - clock())
-            )
-            done, pending = wait(
-                pending, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # Deadline passed with work still outstanding: cancel what
-                # has not started; running items stop cooperatively via
-                # the deadline in their own Limits (if any).
-                for future in pending:
-                    future.cancel()
-                    index, attempts, _payload = info[future]
-                    outcomes[index] = _deadline_exhausted(
-                        attempts, elapsed=clock() - started[index]
-                    )
-                executor.shutdown(wait=False, cancel_futures=True)
                 break
-            for future in done:
-                index, attempts, payload = info.pop(future)
-                elapsed = clock() - started[index]
-                try:
-                    outcomes[index] = ItemOutcome(
-                        value=future.result(), attempts=attempts, elapsed=elapsed
-                    )
+            try:
+                value = fn(payload)
+            except Exception as error:
+                elapsed = time.monotonic() - started
+                if is_transient(error) and attempt <= retries and not expired():
+                    attempt += 1
+                    payload = _rebudgeted(payload, elapsed)[:-1] + (attempt,)
                     continue
-                except Exception as error:
-                    caught = error
-                if is_transient(caught) and attempts <= retries and not expired():
-                    retry_payload = _rebudgeted(payload, elapsed)
-                    retry_payload = retry_payload[:-1] + (attempts + 1,)
-                    try:
-                        future = executor.submit(fn, retry_payload)
-                    except Exception:  # pragma: no cover - broken pool
-                        outcomes[index] = ItemOutcome(
-                            error=caught, attempts=attempts, elapsed=elapsed
-                        )
-                        continue
-                    info[future] = (index, attempts + 1, retry_payload)
-                    pending.add(future)
-                else:
-                    outcomes[index] = ItemOutcome(
-                        error=caught, attempts=attempts, elapsed=elapsed
-                    )
+                outcome = ItemOutcome(error=error, attempts=attempt, elapsed=elapsed)
+                break
+            outcome = ItemOutcome(
+                value=value, attempts=attempt, elapsed=time.monotonic() - started
+            )
+            break
+        outcomes.append(outcome)
     return outcomes

@@ -1,17 +1,21 @@
-"""The worker supervisor: one heartbeat-watched, hard-kill process pool.
+"""The worker pool: the only code in the library that starts processes.
 
-``run_batch_isolated`` (:mod:`repro.engine.parallel`) contains item
-failures and enforces deadlines *cooperatively*: a worker that honors
-its budget checkpoints stops itself, and a worker that crashes reports
-an error.  What it cannot handle is a worker that does **neither** — a
-pathological chase wedged inside hom search, a deadlocked native call —
-which hangs the whole batch forever.  This module is the escalation
-path, modeled on the supervision patterns of production serving stacks
-(bound each scenario's runtime; kill and respawn stragglers instead of
-awaiting them).  :class:`WorkerPool` is the only process supervisor in
-the library: supervised engine batches run on a transient pool
-(:func:`run_batch_supervised`), and ``repro serve`` keeps a persistent
-one (:class:`repro.service.pool.WarmPool`).
+:class:`WorkerPool` runs ``fn(payload)`` jobs on N persistent worker
+processes.  Engine batches run on a transient pool
+(:func:`run_batch_supervised`) and ``repro serve`` keeps a persistent
+one (:class:`repro.service.pool.WarmPool`); batches that do not need
+one run on the serial loop (:func:`repro.engine.parallel.run_batch_isolated`).
+
+A pool with a ``grace`` period is **supervised**.  Supervision is the
+escalation path for a worker that neither honors its budget
+checkpoints nor crashes — a pathological chase wedged inside hom
+search, a deadlocked native call — and would otherwise hang the whole
+batch forever.  It is modeled on the supervision patterns of
+production serving stacks (bound each scenario's runtime; kill and
+respawn stragglers instead of awaiting them).  A pool with
+``grace=None`` is **cooperative**: its workers do not heartbeat, it
+sends no per-job cancel, and it never kills a worker, so jobs stop
+through the deadlines in their own budgets, as on the serial loop.
 
 * The pool keeps **N persistent worker processes**, each holding a
   shared heartbeat cell; the ambient progress-reporter hook inside the
@@ -40,15 +44,16 @@ given time, while one that has gone silent is killed within
 ``deadline + grace`` of its start — the bound the CI smoke test
 asserts.
 
-A supervised batch adds the batch rules on top: a killed item is
-re-queued when retries remain (resuming with its remaining deadline via
-:func:`repro.engine.parallel._rebudgeted`), and the batch deadline and
-SIGINT stop the batch.  The ambient :class:`repro.limits.CancelToken`
-is polled every supervisor tick; on cancellation every running worker
-gets the cooperative cancel immediately, stragglers are killed after
-one grace period, finished results are kept, and unfinished items
-resolve as ``Cancelled`` — so Ctrl-C during a kill escalation still
-produces the partial dump and exit code 130.
+A pool batch adds the batch rules on top: a transiently failed or
+killed item is re-queued when retries remain (resuming with its
+remaining deadline via :func:`repro.engine.parallel._rebudgeted`), and
+the batch deadline and SIGINT stop the batch.  The ambient
+:class:`repro.limits.CancelToken` is polled every supervisor tick; on
+cancellation every running worker gets the cooperative cancel
+immediately, a supervised pool kills stragglers after one grace period,
+finished results are kept, and unfinished items resolve as
+``Cancelled`` — so Ctrl-C during a kill escalation still produces the
+partial dump and exit code 130.
 
 Killed items are never cached (they produce no result) and never
 poison telemetry: the engine records one error ``OpRecord`` per killed
@@ -166,12 +171,13 @@ class _FlagToken(CancelToken):
         return super().cancelled
 
 
-def _worker_main(fn, conn, cell: HeartbeatCell, cancel_flag) -> None:
-    """Entry point of one supervised worker process: serve jobs forever.
+def _worker_main(fn, conn, cell: Optional[HeartbeatCell], cancel_flag) -> None:
+    """Entry point of one pool worker process: serve jobs forever.
 
     Installs the heartbeat cell as this process's ambient progress
-    reporter, then answers each payload from the parent with exactly one
-    ``(status, value)`` message: ``("ok", fn(payload))`` or
+    reporter (``None`` on a cooperative pool, which watches no
+    heartbeat), then answers each payload from the parent with exactly
+    one ``(status, value)`` message: ``("ok", fn(payload))`` or
     ``("error", exception)``, with unpicklable values degraded to a
     picklable error so the job fails loudly, not silently.  A ``None``
     message (or a closed pipe) ends the worker.  Runs at module scope
@@ -186,8 +192,9 @@ def _worker_main(fn, conn, cell: HeartbeatCell, cancel_flag) -> None:
         if payload is None:
             break
         set_cancel_token(_FlagToken(cancel_flag))
-        # Gauges restart per job: a kill must not report the last job's.
-        cell.heartbeat(rounds=0, steps=0, facts=0, nulls=0, branches=0)
+        if cell is not None:
+            # Gauges restart per job: a kill must not report the last job's.
+            cell.heartbeat(rounds=0, steps=0, facts=0, nulls=0, branches=0)
         try:
             message = ("ok", fn(payload))
         except BaseException as error:  # ship the failure, whatever it is
@@ -217,7 +224,7 @@ class Job:
     """One payload submitted to a :class:`WorkerPool`, and its outcome.
 
     ``deadline`` (seconds from dispatch, or ``None``) is when the job
-    gets its cooperative cancel; ``item`` tags the
+    gets its cooperative cancel on a supervised pool; ``item`` tags the
     :class:`~repro.errors.WorkerKilled` a kill produces.  The pool sets
     ``started`` (monotonic time of dispatch to a worker; ``None`` for a
     job that never ran), ``finished`` (for a killed job, the kill
@@ -296,14 +303,20 @@ class WorkerPool:
         Worker process count (≥ 1), started at construction.
     grace:
         Heartbeat staleness past a job's cooperative deadline that
-        triggers the kill, seconds.
+        triggers the kill, seconds; ``None`` for a cooperative pool,
+        whose workers do not heartbeat and which sends no per-job
+        cancel and never kills.
     context:
         A ``multiprocessing`` context; default
         :func:`multiprocessing.get_context`.
     """
 
     def __init__(
-        self, fn: Callable[[Any], Any], workers: int, grace: float, context=None
+        self,
+        fn: Callable[[Any], Any],
+        workers: int,
+        grace: Optional[float],
+        context=None,
     ) -> None:
         """Start the workers and one manager thread per slot."""
         self.fn = fn
@@ -333,7 +346,8 @@ class WorkerPool:
 
     def _spawn(self, slot: _Slot) -> None:
         """(Re)start *slot*'s worker: fresh process, pipe, cell, flag."""
-        slot.cell = HeartbeatCell(self.ctx)
+        # A cooperative pool never kills, so it watches no heartbeat.
+        slot.cell = HeartbeatCell(self.ctx) if self.grace is not None else None
         # Lock-free cancel signal — see _FlagToken for why not Event.
         slot.cancel_flag = self.ctx.RawValue("b", 0)
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
@@ -375,8 +389,8 @@ class WorkerPool:
         """Soft-cancel running jobs now and fail queued ones with *error*.
 
         Jobs submitted afterwards fail with *error* too.  A running job
-        keeps whatever it returns before its worker goes silent for
-        ``grace`` seconds; after that it is killed as usual.  Call it
+        keeps whatever it returns; on a supervised pool, a worker that
+        goes silent for ``grace`` seconds is killed as usual.  Call it
         before :meth:`close`.
         """
         now = time.monotonic()
@@ -459,7 +473,7 @@ class WorkerPool:
         while not slot.conn.poll(SUPERVISOR_TICK):
             now = time.monotonic()
             soft_at = slot.soft_at
-            if soft_at is None or now < soft_at:
+            if self.grace is None or soft_at is None or now < soft_at:
                 continue
             slot.cancel_flag.value = 1  # the cooperative cancel
             # The worker earns grace by heartbeating: kill only once it
@@ -536,24 +550,25 @@ def run_batch_supervised(
     workers: int = 1,
     retries: int = 0,
     deadline: Optional[float] = None,
-    grace: float = 1.0,
+    grace: Optional[float] = 1.0,
     context=None,
 ) -> List[ItemOutcome]:
-    """Run *fn* over *payloads* on a transient supervised worker pool.
+    """Run *fn* over *payloads* on a transient worker pool.
 
-    The hard-kill counterpart of
+    The process counterpart of
     :func:`repro.engine.parallel.run_batch_isolated`: same payload
     contract (``(..., limits, fault, attempt)``), same ordered
     :class:`ItemOutcome` list, same transient-retry and batch-deadline
-    semantics — plus heartbeat supervision.  The batch starts a
-    :class:`WorkerPool` of ``min(workers, len(payloads))`` workers and
-    closes it before returning, so no worker outlives the batch.  A
-    worker silent for more than *grace* seconds past its cooperative
-    deadline is terminated and its slot respawned; the item retries
-    (with its remaining deadline) while attempts remain, then fails as
-    :class:`repro.errors.WorkerKilled`.  ``ItemOutcome.kills`` counts
-    the terminations each item needed; ``elapsed`` runs from the item's
-    first dispatch to a worker (0.0 for an item that never started).
+    semantics.  The batch starts a :class:`WorkerPool` of
+    ``min(workers, len(payloads))`` workers and closes it before
+    returning, so no worker outlives the batch.  With a *grace* the
+    pool is supervised: a worker silent for more than *grace* seconds
+    past its cooperative deadline is terminated and its slot respawned;
+    the item retries (with its remaining deadline) while attempts
+    remain, then fails as :class:`repro.errors.WorkerKilled`.
+    ``ItemOutcome.kills`` counts the terminations each item needed;
+    ``elapsed`` runs from the item's first dispatch to a worker (0.0
+    for an item that never started).
 
     When the batch deadline passes or the ambient cancel token fires,
     running items get the cooperative cancel at once, items not yet
@@ -575,7 +590,8 @@ def run_batch_supervised(
     deadline:
         Wall-clock bound for the whole batch, seconds.
     grace:
-        Heartbeat staleness past the deadline that triggers the kill.
+        Heartbeat staleness past the deadline that triggers the kill;
+        ``None`` runs the batch on a cooperative pool that never kills.
     context:
         A ``multiprocessing`` context; default
         :func:`multiprocessing.get_context`.
@@ -648,11 +664,11 @@ def run_batch_supervised(
 
 
 def supervision_available() -> bool:
-    """True when this host can run supervised pools at all.
+    """True when this host can run worker pools at all.
 
     Needs working ``multiprocessing`` process spawning; sandboxed hosts
-    without ``/dev/shm`` or fork permission fall back to the
-    cooperative-only pool.
+    without ``/dev/shm`` or fork permission (or ``REPRO_NO_SUPERVISOR=1``)
+    run every engine batch on the serial loop.
     """
     if os.environ.get("REPRO_NO_SUPERVISOR", "").strip() in ("1", "true", "yes"):
         return False

@@ -11,6 +11,7 @@ service loop needs.  The stable, supported import paths are::
         ChaseNonTermination,   # round budget exhausted in "raise" mode
         BatchItemError,        # one item of an engine batch failed
         FaultInjected,         # a deterministic test fault tripped
+        ParseError,            # malformed dependency, query or instance text
         WorkerKilled,          # the supervisor hard-killed a hung worker
     )
 
@@ -22,6 +23,10 @@ Design notes:
   pre-hierarchy guards (``max_rounds``/``max_branches``) raised
   ``RuntimeError`` subclasses; existing ``except RuntimeError`` call
   sites keep working.
+* :class:`ParseError` subclasses :class:`ValueError` for the same
+  reason: the parsers raised ``ValueError`` before the hierarchy did.
+  It is also importable from :mod:`repro.parsing.parser`, where it
+  used to live.
 * :class:`ChaseNonTermination` subclasses :class:`BudgetExhausted`:
   non-termination *is* exhaustion of the round budget.  Its historical
   import path ``repro.chase.standard.ChaseNonTermination`` remains
@@ -77,6 +82,10 @@ class FaultInjected(ReproError):
         """Tag the injected failure with the batch *item* it hit."""
         super().__init__(message)
         self.item = item
+
+
+class ParseError(ReproError, ValueError):
+    """Malformed or ill-formed dependency, query, or instance text."""
 
 
 class WorkerKilled(ReproError):
@@ -178,6 +187,7 @@ __all__ = [
     "Cancelled",
     "ChaseNonTermination",
     "FaultInjected",
+    "ParseError",
     "WorkerKilled",
     "BatchItemError",
 ]

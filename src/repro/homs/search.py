@@ -189,11 +189,6 @@ def is_hom_equivalent(left: Instance, right: Instance) -> bool:
     return is_homomorphic(left, right) and is_homomorphic(right, left)
 
 
-def apply_homomorphism(h: Mapping[Null, Value], instance: Instance) -> Instance:
-    """The image ``h(I)`` of an instance under a (partial) null mapping."""
-    return instance.substitute(dict(h))
-
-
 def verify_homomorphism(
     h: Mapping[Null, Value], source: Instance, target: Instance
 ) -> bool:

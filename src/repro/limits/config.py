@@ -78,7 +78,7 @@ class Limits:
     live disjunctive branches.
 
     ``grace`` arms **hard-kill supervision** for the engine's batch
-    process pools: a pool worker whose heartbeat goes stale for more
+    worker pool: a pool worker whose heartbeat goes stale for more
     than *grace* seconds past its cooperative ``deadline`` is
     terminated and the pool respawned (see
     :mod:`repro.engine.supervisor` and ``docs/ARCHITECTURE.md``).

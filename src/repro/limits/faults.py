@@ -17,7 +17,7 @@ to trip inside the worker:
   :data:`HANG_BACKSTOP`) so an unsupervised run cannot wedge CI
   forever.
 
-Plans are plain frozen dataclasses, so they pickle into process-pool
+Plans are plain frozen dataclasses, so they pickle into pool
 workers unchanged and the same plan produces the same failures every
 run — that's what makes the CI smoke job deterministic.
 

@@ -13,6 +13,7 @@ import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..chase.standard import ChaseResult
+from ..errors import ParseError
 from ..instance import Instance
 from ..logic.atoms import Atom
 from ..logic.dependencies import Dependency, DisjunctiveTgd, Tgd, iter_disjunctive
@@ -80,8 +81,17 @@ class SchemaMapping:
         source: Optional[Schema] = None,
         target: Optional[Schema] = None,
     ) -> "SchemaMapping":
-        """Parse a mapping from dependency text (one dependency per line)."""
-        return cls(parse_dependencies(text), source=source, target=target)
+        """Parse a mapping from dependency text (one dependency per line).
+
+        Raises :class:`repro.errors.ParseError` for malformed text and
+        for dependencies that do not form a mapping (a relation used
+        with two arities, say).
+        """
+        dependencies = parse_dependencies(text)
+        try:
+            return cls(dependencies, source=source, target=target)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # Inspection

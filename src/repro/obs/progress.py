@@ -21,8 +21,9 @@ Design constraints mirror the tracer's:
   stderr.
 * **Ambient, like the tracer.**  ``with progress_scope(reporter): ...``
   installs a process-wide reporter that freshly created budgets pick
-  up; thread-pool workers share it, process-pool workers (fresh module
-  state) simply run silent.
+  up; batch items on the serial loop share it, and worker-pool
+  processes install their heartbeat cell as the reporter instead
+  (:mod:`repro.engine.supervisor`).
 """
 
 from __future__ import annotations

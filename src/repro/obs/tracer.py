@@ -73,8 +73,8 @@ class Tracer:
     ``enabled=False`` degrades every method to a cheap no-op (for
     keeping one code path while toggling collection); ``provenance=False``
     skips the provenance graph (events and metrics only).
-    Thread-safe: the engine's thread-pool fan-out and instrumented
-    library code may emit concurrently.
+    Thread-safe: instrumented library code may emit from several
+    threads at once (``repro serve`` handles requests on threads).
     """
 
     def __init__(self, enabled: bool = True, provenance: bool = True) -> None:
@@ -134,11 +134,6 @@ class Tracer:
             stack.pop()
             with self._lock:
                 self.metrics.observe(f"span.{name}", span.duration)
-
-    def current_span_id(self) -> Optional[int]:
-        """The id of this thread's innermost open span, if any."""
-        stack = getattr(self._local, "stack", None)
-        return stack[-1].span_id if stack else None
 
     # ------------------------------------------------------------------
     # Sinks and lifecycle

@@ -23,6 +23,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from ..errors import ReproError
+
 
 @dataclass(frozen=True)
 class Token:
@@ -36,8 +38,8 @@ class Token:
         return f"{self.kind}({self.text!r})@{self.position}"
 
 
-class LexError(ValueError):
-    """Raised on an unrecognized character."""
+class LexError(ReproError, ValueError):
+    """Raised on an unrecognized character or an unexpected token."""
 
 
 _TOKEN_RE = re.compile(

@@ -35,16 +35,13 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ..errors import ParseError
 from ..logic.atoms import Atom
 from ..logic.dependencies import Dependency, DisjunctiveTgd, Tgd
 from ..logic.guards import ConstantGuard, Guard, Inequality
 from ..logic.queries import ConjunctiveQuery
 from ..terms import Const, Term, Var
-from .lexer import LexError, TokenStream, tokenize
-
-
-class ParseError(ValueError):
-    """Raised on a syntactically invalid dependency or query."""
+from .lexer import TokenStream, tokenize
 
 
 def _parse_term(stream: TokenStream) -> Term:
@@ -146,6 +143,9 @@ def parse_dependency(text: str) -> Dependency:
     """Parse one dependency; returns :class:`Tgd` or :class:`DisjunctiveTgd`.
 
     A dependency with a single disjunct comes back as a plain :class:`Tgd`.
+    Malformed text, and a dependency the constructors reject (say, a
+    guard variable missing from the premise), raise :class:`ParseError`
+    naming *text*.
     """
     try:
         stream = TokenStream(tokenize(text))
@@ -159,11 +159,11 @@ def parse_dependency(text: str) -> Dependency:
             if not stream.accept("OR"):
                 break
         stream.expect("EOF")
-    except LexError as exc:
+        if len(disjuncts) == 1:
+            return Tgd(tuple(premise), disjuncts[0], tuple(guards))
+        return DisjunctiveTgd(tuple(premise), tuple(disjuncts), tuple(guards))
+    except ValueError as exc:  # LexError, ParseError, constructor checks
         raise ParseError(f"in {text!r}: {exc}") from exc
-    if len(disjuncts) == 1:
-        return Tgd(tuple(premise), disjuncts[0], tuple(guards))
-    return DisjunctiveTgd(tuple(premise), tuple(disjuncts), tuple(guards))
 
 
 def parse_dependencies(text: str) -> List[Dependency]:
@@ -180,7 +180,10 @@ def parse_dependencies(text: str) -> List[Dependency]:
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
-    """Parse a conjunctive query, e.g. ``q(x) :- P(x, y) & Q(y, x)``."""
+    """Parse a conjunctive query, e.g. ``q(x) :- P(x, y) & Q(y, x)``.
+
+    Malformed or ill-formed text raises :class:`ParseError` naming *text*.
+    """
     try:
         stream = TokenStream(tokenize(text))
         stream.expect("IDENT")  # query name, ignored
@@ -199,6 +202,6 @@ def parse_query(text: str) -> ConjunctiveQuery:
             if not stream.accept("AND"):
                 break
         stream.expect("EOF")
-    except LexError as exc:
+        return ConjunctiveQuery(tuple(head), tuple(body))
+    except ValueError as exc:  # LexError, ParseError, constructor checks
         raise ParseError(f"in {text!r}: {exc}") from exc
-    return ConjunctiveQuery(tuple(head), tuple(body))

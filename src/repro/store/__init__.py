@@ -15,7 +15,7 @@ Use :func:`open_store` to construct a backend from a CLI-style spec
 string: ``memory``, ``sqlite`` (in-memory database),
 ``sqlite:/path/to.db``, ``duckdb``, or ``duckdb:/path/to.db``.  See
 ``docs/STORES.md`` for the backend × chase-strategy matrix and the
-SQL-chase fragment/fallback rules.
+SQL-chase fragment (dependencies outside it run on the tuple chase).
 
 ``sql_chase`` and friends are re-exported lazily: the plan compiler
 imports the chase layer, which sits above this package, so an eager

@@ -51,12 +51,10 @@ merged in Python by sorted-set union and renumbered — the merged
 trigger table is identical to the serial ``ROW_NUMBER`` ordering, so
 sharded output is fact-for-fact identical to serial (see D6).
 
-Dependencies outside the fragment (guard kinds a future dialect might
-add) **fall back per round** to the tuple-at-a-time
-chase — premise matching runs against the store through the ordinary
-:func:`~repro.logic.matching.match_atoms` protocol — so a mixed
-dependency set still reaches the same fixpoint.  Disjunctive tgds are
-rejected outright, mirroring :func:`repro.chase.standard.chase`.
+Dependencies outside the fragment are rejected up front with
+:class:`SqlPlanError`, and so are disjunctive tgds, mirroring
+:func:`repro.chase.standard.chase`; the engine runs such mappings on
+the tuple chase instead (:func:`in_sql_fragment` decides).
 
 Result caveat: a SQL chase reaches the same fixpoint as the in-memory
 restricted chase *up to null renaming* (hom-equivalent); for **full**
@@ -72,7 +70,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from ..terms import Const, Null, Var
+from ..terms import Const, Var
 from ..logic.atoms import Atom
 from ..logic.dependencies import Dependency, Tgd
 from ..logic.guards import ConstantGuard, Guard, Inequality
@@ -120,15 +118,15 @@ class Watermark:
 
 
 def in_sql_fragment(dep: Dependency) -> bool:
-    """True when *dep* compiles to a SQL plan (no per-round fallback).
+    """True when *dep* compiles to a SQL plan.
 
     The fragment is: non-disjunctive tgds whose guards are all
     inequalities or ``Constant`` guards.  Inequalities compare encoded
     cells (sound because the encoding is injective); ``Constant``
     guards probe the *type* of a value, which the tagged encoding makes
     a prefix test — a cell is a null exactly when it starts with
-    ``'n:'`` (constants encode as ``'i:'``/``'s:'``).  Guard kinds
-    outside the dialect route the dependency to the tuple fallback.
+    ``'n:'`` (constants encode as ``'i:'``/``'s:'``).  :func:`sql_chase`
+    rejects a dependency outside the fragment.
     """
     return isinstance(dep, Tgd) and all(
         isinstance(g, (Inequality, ConstantGuard)) for g in dep.guards
@@ -182,11 +180,6 @@ class CompiledTgd:
     def trigger_sql(self) -> str:
         """The naive trigger SELECT (kept for introspection/tests)."""
         return self.naive.sql
-
-    @property
-    def trigger_params(self) -> Tuple[object, ...]:
-        """Parameters of :attr:`trigger_sql`."""
-        return self.naive.params
 
 
 def _guard_condition(
@@ -330,16 +323,16 @@ def _compile_variant(
 
 def compile_tgd(
     tgd: Tgd, index: int, resolve: Dict[str, Tuple[str, int]]
-) -> Optional[CompiledTgd]:
+) -> CompiledTgd:
     """Compile one tgd against the store's table catalog.
 
-    Returns ``None`` when the dependency is outside the SQL fragment
-    (the caller then routes it to the per-round tuple fallback).
-    *resolve* maps every premise/conclusion relation to its
-    ``(table, arity)`` — the caller ensures the tables exist.
+    Raises :class:`SqlPlanError` when the dependency is outside the SQL
+    fragment (:func:`in_sql_fragment`).  *resolve* maps every
+    premise/conclusion relation to its ``(table, arity)`` — the caller
+    ensures the tables exist.
     """
     if not in_sql_fragment(tgd):
-        return None
+        raise SqlPlanError(f"{tgd!r} is outside the SQL fragment")
     frontier = tuple(sorted(tgd.frontier))
     existentials = tuple(sorted(tgd.existential_variables))
 
@@ -398,10 +391,10 @@ class SqlChaseResult:
 
     Mirrors :class:`repro.chase.standard.ChaseResult` where it can;
     ``generated_count`` replaces the materialized ``generated`` set (the
-    point of this backend is not to materialize), ``compiled`` /
-    ``fallback`` report how the dependency set split across the two
-    execution regimes, ``delta_sizes`` records how many facts became
-    newly visible entering each round, and ``triggers_considered``
+    point of this backend is not to materialize), ``compiled`` counts
+    the compiled dependency plans, ``delta_sizes`` records how many
+    facts became newly visible entering each round, and
+    ``triggers_considered``
     totals the raw premise-join rows the trigger queries enumerated —
     the set-at-a-time analog of the tuple chase's bindings metric, and
     the quantity semi-naive evaluation shrinks.
@@ -412,7 +405,6 @@ class SqlChaseResult:
     rounds: int
     generated_count: int
     compiled: int
-    fallback: int
     exhausted: Optional[object] = None
     delta_sizes: Tuple[int, ...] = ()
     triggers_considered: int = 0
@@ -578,11 +570,11 @@ def sql_chase(
 ) -> SqlChaseResult:
     """Run the restricted chase set-at-a-time inside *store*.
 
-    Compilable dependencies execute as ``INSERT ... SELECT`` plans; the
-    rest fall back, per round, to tuple-at-a-time matching against the
-    store (same fixpoint, slower).  *evaluation* selects semi-naive
-    delta joins (``"delta"``, the default) or the full-join oracle
-    (``"naive"``); resolution follows
+    Every dependency executes as ``INSERT ... SELECT`` plans; one
+    outside the fragment (:func:`in_sql_fragment`) raises
+    :class:`SqlPlanError` before anything runs.  *evaluation* selects
+    semi-naive delta joins (``"delta"``, the default) or the full-join
+    oracle (``"naive"``); resolution follows
     :func:`repro.chase.standard.resolve_evaluation` (explicit argument >
     ``REPRO_NAIVE_CHASE=1`` > delta), and the two modes are
     byte-identical in everything but ``triggers_considered``.
@@ -597,10 +589,10 @@ def sql_chase(
 
     With a *profiler* (:class:`repro.obs.ChaseProfiler`, or any
     :class:`repro.obs.observer.ChaseObserver`) each trigger plan's work
-    is attributed per round — one cell per compiled plan (or fallback
-    tgd) × round: self time, join rows considered, triggers fired,
-    facts added, nulls minted — so ``--profile`` works on
-    ``--sql-chase`` like on the tuple chase.
+    is attributed per round — one cell per compiled plan × round: self
+    time, join rows considered, triggers fired, facts added, nulls
+    minted — so ``--profile`` works on ``--sql-chase`` like on the
+    tuple chase.
 
     Provenance note: the SQL path fires whole trigger *sets*, so no
     per-trigger ``TriggerFired`` events are emitted — set-at-a-time
@@ -612,11 +604,9 @@ def sql_chase(
     from ..chase.standard import (
         DEFAULT_MAX_ROUNDS,
         _LEGACY_LIMITS,
-        _conclusion_satisfied,
         resolve_budget,
         resolve_evaluation,
     )
-    from ..logic.matching import match_atoms
     from ..obs.observer import chase_observer
     from ..obs.tracer import current_tracer, maybe_span
 
@@ -631,6 +621,11 @@ def sql_chase(
             raise SqlPlanError(
                 f"sql_chase handles plain tgds only, got {dep!r}; "
                 "use disjunctive_chase for disjunctive dependencies"
+            )
+        if not in_sql_fragment(dep):
+            raise SqlPlanError(
+                f"sql_chase cannot compile {dep!r}: a guard is outside the "
+                "SQL fragment; use chase for it"
             )
         tgds.append(dep)
     if store.frozen:
@@ -650,14 +645,7 @@ def sql_chase(
                 atom.relation, atom.arity
             )
 
-    compiled: List[CompiledTgd] = []
-    fallback: List[Tuple[int, Tgd]] = []
-    for index, tgd in enumerate(tgds):
-        plan = compile_tgd(tgd, index, resolve)
-        if plan is None:
-            fallback.append((index, tgd))
-        else:
-            compiled.append(plan)
+    compiled = [compile_tgd(tgd, i, resolve) for i, tgd in enumerate(tgds)]
 
     conn = store.connection
     next_null = _null_base(store, null_prefix)
@@ -693,7 +681,6 @@ def sql_chase(
             tracer,
             "sql_chase",
             compiled=len(compiled),
-            fallback=len(fallback),
             evaluation=evaluation,
             jobs=jobs,
         ):
@@ -764,46 +751,6 @@ def sql_chase(
                         )
                     if exhausted is not None:
                         break
-                if exhausted is None:
-                    for index, tgd in fallback:
-                        if observer is not None:
-                            started = time.perf_counter()
-                            before = (steps, added_total, minted_total)
-                        bindings = list(
-                            match_atoms(tgd.premise, store, tgd.guards)
-                        )
-                        considered_total += len(bindings)
-                        for binding in bindings:
-                            if _conclusion_satisfied(tgd, binding, store):
-                                continue
-                            full = dict(binding)
-                            for var in sorted(tgd.existential_variables):
-                                full[var] = Null(f"{null_prefix}{next_null}")
-                                next_null += 1
-                                minted_total += 1
-                            added_total += store.add_all(
-                                atom.instantiate(full)
-                                for atom in tgd.conclusion
-                            )
-                            steps += 1
-                            progressed = True
-                            exhausted = budget.charge(
-                                "sql_chase", facts=len(store), nulls=minted_total
-                            )
-                            if exhausted is not None:
-                                break
-                        if observer is not None:
-                            observer.cell(
-                                tgd,
-                                rounds,
-                                time.perf_counter() - started,
-                                len(bindings),
-                                steps - before[0],
-                                added_total - before[1],
-                                minted_total - before[2],
-                            )
-                        if exhausted is not None:
-                            break
                 if not progressed and exhausted is None:
                     break
             conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
@@ -824,7 +771,6 @@ def sql_chase(
         rounds=rounds,
         generated_count=added_total,
         compiled=len(compiled),
-        fallback=len(fallback),
         exhausted=exhausted,
         delta_sizes=tuple(delta_sizes),
         triggers_considered=considered_total,

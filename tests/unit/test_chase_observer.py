@@ -16,13 +16,10 @@ from collections import Counter
 import pytest
 
 from repro import Instance, Limits, chase, disjunctive_chase, parse_dependencies
-from repro.logic.dependencies import Tgd
 from repro.obs import ChaseObserver, ChaseProfiler, Tracer, chase_observer
 from repro.obs.events import BranchClosed, BranchOpened, NullMinted, TriggerFired
 from repro.store import SqliteStore, sql_chase
 from repro.workloads.generators import chain_graph_instance, path_closure_mapping
-
-from .test_sql_chase import _OpaqueGuard
 
 CLOSURE = path_closure_mapping().dependencies
 CHAIN = chain_graph_instance(8)
@@ -31,16 +28,6 @@ MINTING = parse_dependencies(
     "E(x, y) -> EXISTS z . F(x, z); F(x, z) & E(x, y) -> G(z, y)"
 )
 WITH_NULLS = Instance.parse("E(a, b), E(b, N1), E(N1, c)")
-# The second tgd's guard is outside the SQL dialect: it runs on the SQL
-# chase's per-round tuple fallback, which reports cells too.
-MIXED = [
-    MINTING[0],
-    Tgd(
-        premise=MINTING[1].premise,
-        conclusion=MINTING[1].conclusion,
-        guards=(_OpaqueGuard(next(iter(MINTING[1].frontier))),),
-    ),
-]
 REVERSE = parse_dependencies("P(x, y) -> S(x) | T(x, y); S(x) -> EXISTS z . U(x, z)")
 TARGET = Instance.parse("P(a, b), P(b, c), P(a, c)")
 
@@ -101,7 +88,7 @@ class TestCellsReconcile:
     @pytest.mark.parametrize("kernel", sorted(FORWARD))
     @pytest.mark.parametrize(
         "deps, instance",
-        [(CLOSURE, CHAIN), (MINTING, WITH_NULLS), (MIXED, WITH_NULLS)],
+        [(CLOSURE, CHAIN), (MINTING, WITH_NULLS)],
     )
     def test_forward_cells_match_the_result(self, kernel, deps, instance):
         observer = RecordingObserver()

@@ -123,10 +123,35 @@ class TestTgdValidation:
 class TestCliErrors:
     def test_unreadable_mapping_argument(self, capsys):
         from repro.cli import main
-        from repro.parsing.parser import ParseError
 
-        with pytest.raises(ParseError):
-            main(["chase", "--mapping", "not a mapping @@", "--instance", "P(a)"])
+        code = main(["chase", "--mapping", "not a mapping @@", "--instance", "P(a)"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: in 'not a mapping @@'")
+
+    @pytest.mark.parametrize(
+        "mapping, instance",
+        [
+            ("P(x, y) -> (z, y)", "P(a, b)"),
+            ("P(x, y) & s != x -> Q(x)", "P(a, b)"),
+            ("P(x) -> Q(x); P(x, y) -> Q(x)", "P(a, b)"),
+            ("P(x, y) -> Q(x, y)", "P(a b"),
+            ("P(x, y) -> Q(x, y)", "P(a, b"),
+            ("P(x, y) -> Q(x, y)", "P(a b)"),
+        ],
+    )
+    def test_malformed_input_exits_2_with_one_error_line(
+        self, capsys, mapping, instance
+    ):
+        from repro.cli import main
+
+        code = main([
+            "chase", "--no-registry", "--mapping", mapping, "--instance", instance
+        ])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "Traceback" not in err
 
     def test_compose_error_exit_code(self, capsys):
         from repro.cli import main

@@ -82,7 +82,7 @@ class TestRunBatchIsolated:
 
         plan = FaultPlan.crashes(1)
         payloads = [(i, plan.for_item(i), 1) for i in range(3)]
-        outcomes = run_batch_isolated(payloads, fn, None)
+        outcomes = run_batch_isolated(payloads, fn)
         assert [o.ok for o in outcomes] == [True, False, True]
         assert outcomes[0].value == 0 and outcomes[2].value == 20
         assert isinstance(outcomes[1].error, FaultInjected)
@@ -95,7 +95,7 @@ class TestRunBatchIsolated:
 
         plan = FaultPlan.crashes(1)
         payloads = [(i, plan.for_item(i), 1) for i in range(3)]
-        outcomes = run_batch_isolated(payloads, fn, None, retries=1)
+        outcomes = run_batch_isolated(payloads, fn, retries=1)
         assert all(o.ok for o in outcomes)
         assert outcomes[1].attempts == 2
 
@@ -106,7 +106,7 @@ class TestRunBatchIsolated:
             calls.append(payload)
             raise ValueError("deterministic bug")
 
-        outcomes = run_batch_isolated([(0, None, 1)], fn, None, retries=3)
+        outcomes = run_batch_isolated([(0, None, 1)], fn, retries=3)
         assert not outcomes[0].ok and outcomes[0].attempts == 1
         assert len(calls) == 1
 

@@ -13,7 +13,7 @@ from repro.store.sqlplan import SqlPlanError, compile_tgd
 
 
 class _OpaqueGuard:
-    """A guard kind the SQL dialect does not know: forces the fallback.
+    """A guard kind the SQL dialect does not know: sql_chase rejects it.
 
     Implements the duck-typed guard protocol the tuple chase uses
     (``holds``/``substitute_terms``) but is neither an ``Inequality``
@@ -69,7 +69,8 @@ class TestFragment:
             guards=(_OpaqueGuard(next(iter(dep.frontier))),),
         )
         assert not in_sql_fragment(guarded)
-        assert compile_tgd(guarded, 0, {"P": ("r0", 2), "Q": ("r1", 2)}) is None
+        with pytest.raises(SqlPlanError):
+            compile_tgd(guarded, 0, {"P": ("r0", 2), "Q": ("r1", 2)})
 
     def test_disjunctive_rejected_outright(self):
         dep = parse_dependency("P(x) -> Q(x) | R(x)")
@@ -91,7 +92,7 @@ class TestCompiledExecution:
         source = Instance.parse("P(a, b, c), P(a, b, d), P(e, e, e)")
         store = _load(source)
         result = sql_chase(store, parse_dependencies(text))
-        assert result.compiled == 1 and result.fallback == 0
+        assert result.compiled == 1
         assert result.completed
         assert result.instance.facts == _memory_chase(source, text).facts
 
@@ -166,7 +167,7 @@ class TestConstantGuardCompiled:
         source = Instance.parse("P(a, b), P(N7, c)")
         store = _load(source)
         result = sql_chase(store, parse_dependencies(text))
-        assert result.compiled == 1 and result.fallback == 0
+        assert result.compiled == 1
         assert result.instance.facts == _memory_chase(source, text).facts
         assert fact("Q", "a", "b") in result.instance.facts
         assert fact("Q", "N7", "c") not in result.instance.facts
@@ -181,7 +182,7 @@ class TestConstantGuardCompiled:
         source = Instance.parse("P(a), Q(b, c)")
         store = _load(source)
         result = sql_chase(store, parse_dependencies(text))
-        assert result.compiled == 2 and result.fallback == 0
+        assert result.compiled == 2
         assert fact("S", "c") in result.instance.facts
         # The only other S-fact candidate is the minted null: excluded.
         s_facts = [f for f in result.instance.facts if f.relation == "S"]
@@ -192,7 +193,7 @@ class TestConstantGuardCompiled:
         source = Instance.parse("P(a, a), P(a, b), P(N1, b)")
         store = _load(source)
         result = sql_chase(store, parse_dependencies(text))
-        assert result.compiled == 1 and result.fallback == 0
+        assert result.compiled == 1
         assert result.instance.facts == _memory_chase(source, text).facts
         q_facts = [f for f in result.instance.facts if f.relation == "Q"]
         assert q_facts == [fact("Q", "a", "b")]
@@ -200,6 +201,8 @@ class TestConstantGuardCompiled:
 
 class TestFallback:
     def test_unknown_guard_falls_back_same_result(self):
+        # Outside the fragment: rejected up front, before any table is
+        # touched (the engine runs such mappings on the tuple chase).
         dep = parse_dependency("P(x, y) -> Q(x, y)")
         guarded = Tgd(
             premise=dep.premise,
@@ -208,39 +211,9 @@ class TestFallback:
         )
         source = Instance.parse("P(a, b), P(c, d)")
         store = _load(source)
-        result = sql_chase(store, [guarded])
-        assert result.compiled == 0 and result.fallback == 1
-        assert result.instance.facts == _memory_chase(source, "P(x, y) -> Q(x, y)").facts
-
-    def test_mixed_compiled_and_fallback(self):
-        compiled_dep = parse_dependency("P(x, y) -> Q(x, y)")
-        base = parse_dependency("Q(x, y) -> S(x)")
-        fallback_dep = Tgd(
-            premise=base.premise,
-            conclusion=base.conclusion,
-            guards=(_OpaqueGuard(next(iter(base.frontier))),),
-        )
-        source = Instance.parse("P(a, b), P(c, d)")
-        store = _load(source)
-        result = sql_chase(store, [compiled_dep, fallback_dep])
-        assert result.compiled == 1 and result.fallback == 1
-        assert fact("S", "a") in result.instance.facts
-        assert fact("S", "c") in result.instance.facts
-
-    def test_fallback_nulls_do_not_collide_with_compiled(self):
-        # Both regimes mint from one shared counter.
-        compiled_dep = parse_dependency("P(x, y) -> Q(x, z)")
-        base = parse_dependency("P(x, y) -> R(x, w)")
-        fallback_dep = Tgd(
-            premise=base.premise,
-            conclusion=base.conclusion,
-            guards=(_OpaqueGuard(next(iter(base.frontier))),),
-        )
-        source = Instance.parse("P(a, b)")
-        store = _load(source)
-        result = sql_chase(store, [compiled_dep, fallback_dep])
-        nulls = result.instance.nulls
-        assert len(nulls) == 2  # z-null and w-null stayed distinct
+        with pytest.raises(SqlPlanError):
+            sql_chase(store, [parse_dependency("P(x, y) -> R(x)"), guarded])
+        assert store.as_instance().facts == source.facts
 
     def test_null_prefix_avoids_existing_names(self):
         source = Instance.parse("P(a, N5)")

@@ -188,6 +188,20 @@ class TestRunBatchSupervised:
         finally:
             pool.close(10.0)
 
+    def test_cooperative_pool_never_kills_a_silent_worker(self):
+        # grace=None: no heartbeat cell, no cancel at the job's deadline,
+        # no kill — a silent job past its deadline runs to its end.
+        pool = WorkerPool(_echo_task, workers=1, grace=None)
+        try:
+            silent = (21, None, Fault("hang", 0, seconds=0.5), 1)
+            job = pool.submit(Job(silent, deadline=0.1))
+            assert job.wait(10.0)
+            assert job.value == 42 and job.error is None and not job.killed
+            assert (pool.kills, pool.respawns) == (0, 0)
+            assert all(slot.cell is None for slot in pool.slots)
+        finally:
+            assert pool.close(10.0)
+
 
 class TestBatchStop:
     """How a supervised batch ends early, and what each item reports.
@@ -397,6 +411,78 @@ class TestEngineSupervision:
         assert events[0].batch_index == 1
         assert events[0].kills == 1
         assert events[0].final is True
+
+
+class TestRunnerSelection:
+    """``_run_batch`` picks the serial loop, a cooperative pool, or a
+    supervised pool; all three return the serial answers."""
+
+    RECOVERY = SchemaMapping.from_text("Q(x, y) -> P(x, y) | S(x)")
+
+    @pytest.fixture
+    def graces(self, monkeypatch):
+        """The ``grace`` of every pool batch the engine starts."""
+        import repro.engine.engine as engine_module
+
+        recorded = []
+        real = engine_module.run_batch_supervised
+
+        def recorder(payloads, fn, **kwargs):
+            recorded.append(kwargs["grace"])
+            return real(payloads, fn, **kwargs)
+
+        monkeypatch.setattr(engine_module, "run_batch_supervised", recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool needs > 1
+        return recorded
+
+    def _targets(self):
+        return [Instance.parse(f"Q(a{i}, b{i}), Q(a{i}, c{i})") for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "engine_kw, jobs, limits, pools",
+        [
+            ({}, 4, None, []),
+            ({"process_threshold": 1}, 2, None, [None]),
+            ({}, 2, Limits(deadline=5, grace=0.75), [0.75]),
+        ],
+        ids=["serial-loop", "cooperative-pool", "supervised-pool"],
+    )
+    def test_runner_choice_keeps_the_serial_answers(
+        self, graces, engine_kw, jobs, limits, pools
+    ):
+        serial = ExchangeEngine()
+        expected_chase = serial.chase_many(MAPPING, _instances(4))
+        expected_reverse = serial.reverse_many(self.RECOVERY, self._targets())
+        assert graces == []
+        engine = ExchangeEngine(**engine_kw)
+        chased = engine.chase_many(MAPPING, _instances(4), jobs=jobs, limits=limits)
+        reversed_ = engine.reverse_many(
+            self.RECOVERY, self._targets(), jobs=jobs, limits=limits
+        )
+        assert graces == pools * 2  # one batch each for chase and reverse
+        assert [r.instance for r in chased] == [r.instance for r in expected_chase]
+        assert [r.candidates for r in reversed_] == [
+            r.candidates for r in expected_reverse
+        ]
+
+    def test_cooperative_pool_deadline_never_kills(self, graces):
+        # Four 1 s items on two workers, batch deadline 0.3 s, no grace:
+        # the queued items fail deadline-exhausted, the running ones get
+        # the cooperative cancel and come back partial, nobody is killed.
+        engine = ExchangeEngine(process_threshold=1, on_error="skip")
+        slow = FaultPlan.parse(";".join(f"slow@{i}=1" for i in range(4)))
+        results = engine.chase_many(
+            MAPPING, _instances(4), jobs=2, limits=Limits(deadline=0.3), faults=slow
+        )
+        assert graces == [None]
+        late = [r for r in results if isinstance(r, BatchItemError)]
+        assert late and all(r.diagnosis.resource == "deadline" for r in late)
+        assert all(
+            r.exhausted is not None
+            for r in results
+            if not isinstance(r, BatchItemError)
+        )
+        assert engine.stats()["chase"]["kills"] == 0
 
 
 @pytest.mark.skipif(
