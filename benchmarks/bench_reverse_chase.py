@@ -3,13 +3,15 @@
 Also the D2 ablation (quotient branching vs. none).  Expected shape:
 the branch count before minimization grows with the quotient count —
 Bell-like in the number of target nulls — while the minimized antichain
-stays small; ground targets pay almost nothing.
+stays small; ground targets pay almost nothing.  ``quotients`` is the
+exhaustive count the unminimized chase pays for; ``worlds`` is the
+observable closure the minimized chase actually chases (DESIGN.md D10).
 """
 
 import pytest
 
 from repro.chase.disjunctive import reverse_disjunctive_chase
-from repro.homs.quotient import count_quotients
+from repro.homs.quotient import count_quotients, enumerate_quotients
 from repro.instance import Fact, Instance
 from repro.limits import Limits
 from repro.terms import Const, Null
@@ -46,6 +48,9 @@ def test_reverse_chase_branching(benchmark, null_count):
         benchmark,
         null_count=null_count,
         quotients=count_quotients(len(target.nulls), len(target.constants)),
+        worlds=sum(
+            1 for _ in enumerate_quotients(target, observed_by=REVERSE.dependencies)
+        ),
         minimized_branches=len(branches),
     )
 

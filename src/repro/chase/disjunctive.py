@@ -11,20 +11,30 @@ abstract treatment leaves implicit: distinct labeled nulls may still stand
 for the same unknown value, so both syntactic pattern matching (``P'(x,x)``
 against ``P'(n1, n2)``) and inequality guards must be evaluated *in every
 world of null identifications*.  :func:`reverse_disjunctive_chase`
-therefore first branches over the quotients of the input (see
+therefore first branches over quotients of the input (see
 :mod:`repro.homs.quotient`) and then runs the plain disjunctive chase in
 each world, where matching is syntactic and an inequality between distinct
 values holds.  DESIGN.md (substitution table) explains why this is exactly
 the completion needed for the paper's Theorems 6.2 and 6.5 to hold; the
 tests verify it on the paper's own mappings.
 
+Which worlds: when it minimizes and the dependencies are
+source-to-target (no premise reads a relation a conclusion writes, as
+for every recovery), the reverse chase chases only the *observable
+closure* of the target — the worlds generated by identifying two values
+an inequality guard compares.  Every other world's branches are
+dominated by the closure's, so minimization would drop them anyway
+(DESIGN.md D10).  Otherwise (``minimize=False``, or a premise that reads
+generated facts) it chases every quotient, which keeps the exhaustive
+enumeration as the oracle.
+
 Resource governance matters most here: branching is worst-case
 exponential in both directions (frontier width and per-branch depth),
-and the quotient pre-pass multiplies everything by a Bell number.  Both
-entry points take a :class:`repro.limits.Limits` (or a shared
-:class:`~repro.limits.Budget`); in ``on_exhausted="partial"`` mode an
-exhausted chase stops cleanly and returns the branches explored so far
-(unfinished frontier worlds included, each closed with a
+and the exhaustive quotient pre-pass multiplies everything by a Bell
+number.  Both entry points take a :class:`repro.limits.Limits` (or a
+shared :class:`~repro.limits.Budget`); in ``on_exhausted="partial"``
+mode an exhausted chase stops cleanly and returns the branches explored
+so far (unfinished frontier worlds included, each closed with a
 ``BranchClosed(reason="exhausted")`` event) as a :class:`Branches` list
 tagged with the :class:`~repro.limits.Exhausted` diagnosis.
 """
@@ -41,10 +51,11 @@ from ..instance import Fact, Instance, InstanceBuilder
 from ..limits import Budget, Exhausted, Limits, budget_scope, current_budget
 from ..logic.delta import TriggerIndex, binding_sort_key, match_atoms_delta
 from ..logic.dependencies import Dependency, DisjunctiveTgd, iter_disjunctive
+from ..logic.guards import Inequality
 from ..logic.matching import match_atoms
 from ..obs.observer import ChaseObserver, chase_observer
 from ..obs.tracer import Tracer, current_tracer, maybe_span
-from ..terms import NullFactory
+from ..terms import Const, NullFactory
 from .standard import resolve_budget, resolve_evaluation
 
 #: Per-branch rounds guard when neither rounds nor deadline is bounded.
@@ -542,6 +553,26 @@ def _maps_to(source: tuple, target: tuple) -> bool:
     return len(ground) == len(instance) or is_homomorphic(instance, target[0])
 
 
+def _source_to_target(dtgds: Sequence[DisjunctiveTgd]) -> bool:
+    """No premise reads a relation that some conclusion writes."""
+    read = set().union(*(d.premise_relations() for d in dtgds))
+    return read.isdisjoint(
+        set().union(*(d.conclusion_relations() for d in dtgds))
+    )
+
+
+def _guard_constants(dependencies: Sequence[Dependency]) -> Set[Const]:
+    """The constants named by inequality guards (``x != c``)."""
+    return {
+        term
+        for d in dependencies
+        for g in d.guards
+        if isinstance(g, Inequality)
+        for term in (g.left, g.right)
+        if isinstance(term, Const)
+    }
+
+
 def reverse_disjunctive_chase(
     target_instance: Instance,
     dependencies: Sequence[Dependency],
@@ -556,13 +587,22 @@ def reverse_disjunctive_chase(
 ) -> Branches:
     """Reverse data exchange: chase a target instance back to source worlds.
 
-    Branches first over the quotients of *target_instance* (worlds of null
+    Branches first over quotients of *target_instance* (worlds of null
     identifications), then runs the disjunctive chase in each world.  When
     *result_relations* is given, each branch is restricted to those
     relations (the source schema); otherwise branches keep all facts.
 
-    With a *tracer*, each quotient world becomes a branch-genealogy root
-    named ``q<index>`` and the per-world chases trace under it.
+    Which worlds are chased: with ``minimize=True`` and source-to-target
+    *dependencies*, the observable closure of the target
+    (:func:`~repro.homs.quotient.enumerate_quotients` with
+    ``observed_by``), whose branches dominate every other world's
+    (DESIGN.md D10); otherwise every quotient, anchored also to the
+    constants the inequality guards name.  Either way the candidate
+    antichain is the same up to hom-equivalence.
+
+    With a *tracer*, each chased world becomes a branch-genealogy root
+    named ``q<index>``, *index* counting the chased worlds in order, and
+    the per-world chases trace under it.
 
     One :class:`~repro.limits.Budget` (built from *limits*, or passed in
     directly) spans the whole composite — quotient enumeration and every
@@ -574,20 +614,29 @@ def reverse_disjunctive_chase(
     ``minimize=False`` (the raw set is exponentially redundant).  The
     budget governs minimization too: in partial mode a budget that runs
     out there — or had already run out in the chase — yields the
-    deduplicated, unminimized branch set (still universally faithful,
-    Def. 6.1) tagged with the diagnosis; in raise mode the typed error
-    propagates.
+    deduplicated, unminimized branches of the worlds the call chased,
+    tagged with the diagnosis (universally faithful, Def. 6.1, when the
+    chase itself completed); in raise mode the typed error propagates.
     """
     tracer = tracer or current_tracer()
     # The per-world chases resolve their own observers; this one
     # reports only an exhaustion during minimization.
     observer = chase_observer(tracer, profiler)
     budget = resolve_budget(limits, budget, _LEGACY_LIMITS)
+    dtgds = list(iter_disjunctive(dependencies))
+    if minimize and _source_to_target(dtgds):
+        worlds = enumerate_quotients(
+            target_instance, max_nulls=max_nulls, observed_by=dtgds
+        )
+    else:
+        worlds = enumerate_quotients(
+            target_instance,
+            max_nulls=max_nulls,
+            extra_anchors=_guard_constants(dtgds),
+        )
     collected: List[Instance] = []
     exhausted: Optional[Exhausted] = None
-    for quotient_index, quotient in enumerate(
-        enumerate_quotients(target_instance, max_nulls=max_nulls)
-    ):
+    for quotient_index, quotient in enumerate(worlds):
         branches = disjunctive_chase(
             quotient.instance,
             dependencies,

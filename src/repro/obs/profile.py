@@ -192,7 +192,7 @@ class ChaseProfiler(ChaseObserver):
 
     Consumes the kernels' ``cell`` hook.  One instance may span several
     chase calls (the disjunctive reverse chase profiles every quotient
-    world into the same collector, keyed by branch).  Not thread-safe —
+    world it chases into the same collector, keyed by branch).  Not thread-safe —
     one profiler per operation, like a budget."""
 
     __slots__ = ("_cells", "_texts", "_keys", "_max_round")

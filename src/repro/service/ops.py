@@ -33,7 +33,7 @@ import time
 from contextlib import ExitStack
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import ReproError
+from ..errors import ParseError, ReproError
 from ..instance import Instance
 from ..limits import Limits
 from ..limits.faults import Fault, trip
@@ -66,7 +66,7 @@ def _parse_mapping(body: Dict[str, Any], field: str) -> SchemaMapping:
     text = _require_text(body, field)
     try:
         return SchemaMapping.from_text(text)
-    except Exception as error:
+    except ParseError as error:
         raise ServiceRequestError(f"cannot parse {field!r}: {error}")
 
 
@@ -74,7 +74,7 @@ def _parse_instance(body: Dict[str, Any], field: str) -> Instance:
     text = _require_text(body, field)
     try:
         return Instance.parse(text)
-    except Exception as error:
+    except ParseError as error:
         raise ServiceRequestError(f"cannot parse {field!r}: {error}")
 
 
@@ -191,7 +191,7 @@ def validate_request(
         query_text = _require_text(body, "query")
         try:
             parse_query(query_text)
-        except Exception as error:
+        except ParseError as error:
             raise ServiceRequestError(f"cannot parse 'query': {error}")
         request["query"] = query_text
         request["max_nulls"] = _positive_int(body, "max_nulls", 8)

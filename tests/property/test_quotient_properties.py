@@ -5,7 +5,7 @@ of J — the completeness requirement that makes the reverse disjunctive
 chase (and hence universal-faithfulness) work over nulls.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.homs.quotient import count_quotients, enumerate_quotients
@@ -37,6 +37,15 @@ def test_quotient_count_matches_closed_form(inst):
     actual = sum(1 for _ in enumerate_quotients(inst))
     expected = count_quotients(len(inst.nulls), len(inst.constants))
     assert actual == expected
+
+
+@given(instances(SMALL, max_size=3))
+@example(Instance.parse("P(X, Y), Q(a)"))
+@settings(max_examples=40, deadline=None)
+def test_quotient_substitutions_are_distinct(inst):
+    """Each world comes once: two blocks never anchor to one constant."""
+    substitutions = [q.substitution for q in enumerate_quotients(inst)]
+    assert len(substitutions) == len(set(substitutions))
 
 
 @given(instances(SMALL, max_size=2), instances(SMALL, max_size=2, allow_nulls=False))

@@ -1,5 +1,7 @@
 """Unit tests for the standard and disjunctive chase."""
 
+import importlib
+
 import pytest
 
 from repro.chase.disjunctive import (
@@ -12,10 +14,13 @@ from repro.chase.standard import (
     chase,
     chase_atoms_canonical,
 )
+from repro.engine import ExchangeEngine
+from repro.homs.quotient import count_quotients
 from repro.homs.search import is_hom_equivalent, is_homomorphic
 from repro.instance import Instance
 from repro.limits import Limits
 from repro.logic.atoms import atom
+from repro.mappings.schema_mapping import SchemaMapping
 from repro.parsing.parser import parse_dependencies, parse_dependency
 
 
@@ -228,3 +233,64 @@ class TestReverseDisjunctiveChase:
         assert len(raw) >= len(minimized)
         for kept in minimized:
             assert any(is_homomorphic(kept, branch) for branch in raw)
+
+
+class TestReverseWorldSelection:
+    """Which quotient worlds the reverse chase chases (DESIGN.md D10)."""
+
+    @pytest.fixture
+    def worlds(self, monkeypatch):
+        """Count the worlds the module-level ``enumerate_quotients`` yields."""
+        # ``repro.chase`` the attribute is the chase function, so the
+        # module is looked up by name.
+        module = importlib.import_module("repro.chase.disjunctive")
+        counted = []
+        original = module.enumerate_quotients
+
+        def counting(*args, **kwargs):
+            for quotient in original(*args, **kwargs):
+                counted.append(quotient.substitution)
+                yield quotient
+
+        monkeypatch.setattr(module, "enumerate_quotients", counting)
+        return counted
+
+    TARGET = Instance.parse("P'(N1, N2), P'(N2, a), P'(N3, b)")
+
+    def test_minimized_chase_takes_the_observable_closure(
+        self, worlds, self_join_reverse
+    ):
+        reverse_disjunctive_chase(
+            self.TARGET, self_join_reverse.dependencies, result_relations=["P", "T"]
+        )
+        assert all(null == value for null, value in worlds[0])
+        assert 1 < len(worlds) < count_quotients(3, 2)
+
+    def test_unminimized_chase_takes_every_quotient(self, worlds, self_join_reverse):
+        reverse_disjunctive_chase(
+            self.TARGET,
+            self_join_reverse.dependencies,
+            result_relations=["P", "T"],
+            minimize=False,
+        )
+        assert len(worlds) == count_quotients(3, 2)
+
+    def test_non_source_to_target_set_takes_every_quotient(self, worlds):
+        # The second premise reads P, which the first conclusion writes.
+        dependencies = parse_dependencies(
+            "P'(x, y) & x != y -> P(x, y) | T(x)\nP(x, y) -> T(y)"
+        )
+        reverse_disjunctive_chase(self.TARGET, dependencies)
+        assert len(worlds) == count_quotients(3, 2)
+
+    def test_guard_constant_anchors_a_world(self):
+        # G6 -> 7 is a homomorphic image of the target whose reverse is
+        # empty, and the empty source dominates every other candidate.
+        mapping = SchemaMapping.from_text("R(x, y) & y != 7 -> S(x, y) | T(y)")
+        target = Instance.parse("R(1, G6)")
+        result = ExchangeEngine().reverse(mapping, target, take_core=True)
+        assert list(result.candidates) == [Instance()]
+        exhaustive = reverse_disjunctive_chase(
+            target, mapping.dependencies, mapping.target.names, minimize=False
+        )
+        assert Instance() in exhaustive

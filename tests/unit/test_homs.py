@@ -17,6 +17,7 @@ from repro.homs.search import (
     verify_homomorphism,
 )
 from repro.instance import Instance
+from repro.parsing.parser import parse_dependencies
 from repro.terms import Const, Null
 
 
@@ -187,3 +188,41 @@ class TestQuotients:
         assert count_quotients(1, 0) == 1
         assert count_quotients(1, 2) == 3  # keep null, anchor to c1, or c2
         assert count_quotients(2, 0) == 2  # {X}{Y} or {XY}, no anchors
+
+    def test_blocks_anchor_to_distinct_constants(self):
+        # 4 nulls over 1 constant used to yield 94 substitutions, 52 distinct.
+        inst = Instance.parse("P(A, B, C, D, a)")
+        substitutions = [q.substitution for q in enumerate_quotients(inst)]
+        assert len(substitutions) == len(set(substitutions)) == 52
+        assert count_quotients(4, 1) == 52
+        assert count_quotients(4, 4) == 799
+
+    SIGMA_STAR = parse_dependencies(
+        "P'(x, y) & x != y -> P(x, y)\nP'(x, x) -> T(x) | P(x, x)"
+    )
+
+    def test_observable_closure_follows_inequality_guards(self):
+        inst = Instance.parse("P'(X, Y), P'(Y, a)")
+        worlds = [
+            q.instance for q in enumerate_quotients(inst, observed_by=self.SIGMA_STAR)
+        ]
+        # X and a never meet in one premise match, so X -> a alone is not
+        # generated; Y -> a, X = Y and the world where both are a are
+        # (pairs with a constant side first).
+        assert worlds == [
+            inst,
+            Instance.parse("P'(X, a), P'(a, a)"),
+            Instance.parse("P'(X, X), P'(X, a)"),
+            Instance.parse("P'(a, a)"),
+        ]
+
+    def test_observable_closure_anchors_guard_constants(self):
+        dependencies = parse_dependencies("R(x, y) & y != 7 -> S(y)")
+        inst = Instance.parse("R(1, G)")
+        worlds = [q.instance for q in enumerate_quotients(inst, observed_by=dependencies)]
+        assert worlds == [inst, Instance.parse("R(1, 7)")]
+
+    def test_observable_closure_keeps_the_null_guard(self):
+        inst = Instance.parse("P(A, B, C, D, E, F, G, H, J)")
+        with pytest.raises(QuotientExplosion):
+            list(enumerate_quotients(inst, observed_by=self.SIGMA_STAR))

@@ -29,6 +29,7 @@ from repro import (
     parse_dependency,
 )
 from repro.chase.disjunctive import Branches, reverse_disjunctive_chase
+from repro.homs.quotient import enumerate_quotients
 from repro.homs.search import find_homomorphism
 from repro.limits import Exhausted, resolve_limits
 from repro.obs import ProgressReporter, Tracer, progress_scope
@@ -328,6 +329,28 @@ class TestReverseMinimizationGovernance:
             budget=budget,
         )
 
+    def chased(self, target=TARGET, budget=None):
+        """The deduplicated branch list of the worlds a minimized call chases.
+
+        A minimized call chases the observable closure of the target
+        (DESIGN.md D10), in order, until a world's chase runs out.
+        """
+        dependencies = self.SIGMA_STAR.dependencies
+        branches = []
+        for quotient in enumerate_quotients(target, observed_by=dependencies):
+            world = disjunctive_chase(quotient.instance, dependencies, budget=budget)
+            branches += [branch.restrict(["P", "T"]) for branch in world]
+            if world.exhausted is not None:
+                break
+        return sorted(set(branches), key=lambda inst: (len(inst), str(inst)))
+
+    def assert_dominates(self, branches, raw):
+        """Every raw branch receives a homomorphism from a listed one."""
+        for branch in raw:
+            assert any(
+                find_homomorphism(listed, branch) is not None for listed in branches
+            )
+
     def cancelling_budget(self, on_exhausted):
         token = CancelToken()
         return Budget(
@@ -344,7 +367,8 @@ class TestReverseMinimizationGovernance:
         assert branches.exhausted is not None
         assert branches.exhausted.resource == "cancelled"
         assert branches.exhausted.where == "minimize_branches"
-        assert list(branches) == list(self.reverse(minimize=False))
+        assert list(branches) == self.chased()
+        self.assert_dominates(branches, self.reverse(minimize=False))
 
     def test_raise_mode_raises_typed_error(self):
         with pytest.raises(Cancelled) as info:
@@ -365,18 +389,19 @@ class TestReverseMinimizationGovernance:
         branches = self.reverse(budget)
         assert branches.exhausted.resource == "deadline"
         assert branches.exhausted.where == "minimize_branches"
-        assert list(branches) == list(self.reverse(minimize=False))
+        assert list(branches) == self.chased()
+        self.assert_dominates(branches, self.reverse(minimize=False))
 
     def test_budget_spent_by_the_chase_skips_minimization(self):
         wide = Instance.parse("P'(X, Y), P'(Y, a), P'(a, a)")
 
-        def capped(minimize):
-            budget = Budget(Limits(max_branches=3, on_exhausted="partial"))
-            return self.reverse(budget, minimize, wide)
+        def capped():
+            return Budget(Limits(max_branches=3, on_exhausted="partial"))
 
-        branches = capped(minimize=True)
+        branches = self.reverse(capped(), True, wide)
         assert branches.exhausted.resource == "branches"
-        assert list(branches) == list(capped(minimize=False))
+        assert list(branches) == self.chased(wide, capped())
+        self.assert_dominates(branches, self.reverse(capped(), False, wide))
 
 
 class TestEngineLimits:
