@@ -69,16 +69,13 @@ def _mapping(family):
     return get_scenario(family).mapping
 
 
-def _sql_closure_run(mapping, source, evaluation, jobs=1):
+def _sql_closure_run(mapping, source, evaluation):
     """Run the SQL chase on a fresh in-memory store; return the result."""
     from repro.store import SqliteStore, sql_chase
 
     store = SqliteStore(":memory:")
     store.add_all(source.facts)
-    result = sql_chase(
-        store, mapping.dependencies, evaluation=evaluation, jobs=jobs
-    )
-    return result
+    return sql_chase(store, mapping.dependencies, evaluation=evaluation)
 
 
 def _source(family, size, null_ratio=0.0):

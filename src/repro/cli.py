@@ -83,7 +83,7 @@ import argparse
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .chase.standard import ChaseNonTermination
 from .engine import ExchangeEngine
@@ -202,7 +202,6 @@ def _make_engine(
         registry=RunRegistry(registry_path) if registry_path else None,
         store=getattr(args, "store", None) or "memory",
         sql_chase=getattr(args, "sql_chase", False),
-        sql_jobs=getattr(args, "sql_jobs", None) or 1,
         disk_cache=resolve_cache_dir(getattr(args, "cache_dir", None)),
         profile=getattr(args, "profile", False),
     )
@@ -316,34 +315,6 @@ def _parse_instances(args: argparse.Namespace) -> List[Instance]:
     return loaded
 
 
-def _cmd_chase(args: argparse.Namespace) -> int:
-    engine = _make_engine(args)
-    mapping = _load_mapping(args.mapping)
-    sources = _parse_instances(args)
-    failures = kills = 0
-    try:
-        if len(sources) == 1:
-            result = engine.exchange(mapping, sources[0], variant=args.variant)
-            print(result.instance)
-            _note_partial(result)
-        else:
-            results = engine.chase_many(
-                mapping, sources, jobs=args.jobs, variant=args.variant
-            )
-            for index, result in enumerate(results):
-                if isinstance(result, BatchItemError):
-                    failures += 1
-                    kills += _note_batch_error(result, index)
-                    continue
-                print(f"[{index}] {result.instance}")
-                _note_partial(result, index)
-    except Cancelled as exc:
-        return _cancelled(engine, args, exc)
-    except ChaseNonTermination as exc:
-        return _nonterminating(engine, args, exc)
-    return _finish(engine, args, _batch_exit_code(failures, kills))
-
-
 def _print_candidates(result, prefix: str = "") -> None:
     if len(result.candidates) == 1:
         print(f"{prefix}{result.candidates[0]}")
@@ -352,38 +323,64 @@ def _print_candidates(result, prefix: str = "") -> None:
             print(f"{prefix}[{index}] {candidate}")
 
 
-def _cmd_reverse(args: argparse.Namespace) -> int:
+def _run_exchange(
+    args: argparse.Namespace,
+    single: Callable,
+    many: Callable,
+    show: Callable,
+    **options,
+) -> int:
+    """The body of ``chase`` and ``reverse``: one item, or a batch.
+
+    One ``--instance`` runs ``single(engine, mapping, item, **options)``
+    and prints the result with *show*; several run ``many`` over the
+    batch and print each item under an ``[index]`` prefix, reporting
+    failed items on stderr (exit 5, or 7 when one was killed).
+    """
     engine = _make_engine(args)
     mapping = _load_mapping(args.mapping)
-    targets = _parse_instances(args)
+    items = _parse_instances(args)
     failures = kills = 0
     try:
-        if len(targets) == 1:
-            result = engine.reverse(
-                mapping, targets[0], max_nulls=args.max_nulls, take_core=True
-            )
-            _print_candidates(result)
+        if len(items) == 1:
+            result = single(engine, mapping, items[0], **options)
+            show(result)
             _note_partial(result)
         else:
-            results = engine.reverse_many(
-                mapping,
-                targets,
-                jobs=args.jobs,
-                max_nulls=args.max_nulls,
-                take_core=True,
-            )
+            results = many(engine, mapping, items, jobs=args.jobs, **options)
             for index, result in enumerate(results):
                 if isinstance(result, BatchItemError):
                     failures += 1
                     kills += _note_batch_error(result, index)
                     continue
-                _print_candidates(result, prefix=f"[{index}] ")
+                show(result, prefix=f"[{index}] ")
                 _note_partial(result, index)
     except Cancelled as exc:
         return _cancelled(engine, args, exc)
     except ChaseNonTermination as exc:
         return _nonterminating(engine, args, exc)
     return _finish(engine, args, _batch_exit_code(failures, kills))
+
+
+def _cmd_chase(args: argparse.Namespace) -> int:
+    return _run_exchange(
+        args,
+        ExchangeEngine.exchange,
+        ExchangeEngine.chase_many,
+        lambda result, prefix="": print(f"{prefix}{result.instance}"),
+        variant=args.variant,
+    )
+
+
+def _cmd_reverse(args: argparse.Namespace) -> int:
+    return _run_exchange(
+        args,
+        ExchangeEngine.reverse,
+        ExchangeEngine.reverse_many,
+        _print_candidates,
+        max_nulls=args.max_nulls,
+        take_core=True,
+    )
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -782,7 +779,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "cache_dir": cache_dir,
             "store": args.store or "memory",
             "sql_chase": args.sql_chase,
-            "sql_jobs": getattr(args, "sql_jobs", None) or 1,
         },
         deadline=args.deadline,
         grace=args.grace if args.grace is not None else 2.0,
@@ -888,10 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
              "inside the SQL store backend (a mapping with a dependency "
              "outside the SQL fragment runs tuple-at-a-time; "
              "REPRO_NAIVE_CHASE=1 selects the naive SQL oracle)")
-    engine_flags.add_argument(
-        "--sql-jobs", metavar="N", type=int, default=1,
-        help="shard SQL-chase rounds across N threads (default 1); "
-             "output is fact-for-fact identical to serial")
     engine_flags.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="persistent disk tier under the engine caches: results "
@@ -1086,9 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--sql-chase", action="store_true",
         help="workers compile eligible chases to SQL plans")
-    serve_cmd.add_argument(
-        "--sql-jobs", metavar="N", type=int, default=1,
-        help="shard SQL-chase rounds across N threads per worker")
     serve_cmd.set_defaults(func=_cmd_serve)
     return parser
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, fields, replace as dc_replace
 from threading import Lock
 from typing import (
     Callable,
@@ -55,7 +55,7 @@ from ..obs.registry import RunRegistry
 from ..obs.sinks import OpRecord, OpenMetricsSink, TelemetrySink
 from ..obs.tracer import Tracer, current_tracer, maybe_span
 from ..store import in_sql_fragment, open_store
-from .cache import LRUCache, TieredCache
+from .cache import CacheStats, LRUCache, TieredCache
 from .parallel import (
     ItemOutcome,
     chase_task,
@@ -110,6 +110,15 @@ class _OpCounters:
     errors: int = 0
     error_wall_time: float = 0.0
     kills: int = 0
+
+
+#: Every :class:`_OpCounters` field, in ``stats()`` order.
+_COUNTERS = tuple(counter.name for counter in fields(_OpCounters))
+
+
+def _rounded(value):
+    """A counter as ``stats()`` reports it: times rounded to the microsecond."""
+    return round(value, 6) if isinstance(value, float) else value
 
 
 def _exhausted_tag(exhausted: Optional[Exhausted]) -> Optional[str]:
@@ -196,12 +205,6 @@ class ExchangeEngine:
         are hom-equivalent to the in-memory chase (identical for full
         tgds), so SQL-chased results are cached under a distinct key
         tag.
-    sql_jobs:
-        Shard count for SQL-chase rounds (default 1, serial).  Values
-        above 1 partition each round's trigger queries by
-        ``rowid % sql_jobs`` and evaluate the shards on a thread pool
-        over per-shard reader connections; output is fact-for-fact
-        identical to serial, so results share the same cache entries.
     disk_cache:
         A persistent backing cache layered **under** every in-memory
         LRU: a :class:`repro.service.DiskCache` (or any object with
@@ -240,7 +243,6 @@ class ExchangeEngine:
         registry: Optional[RunRegistry] = None,
         store: str = "memory",
         sql_chase: bool = False,
-        sql_jobs: int = 1,
         disk_cache=None,
         profile: bool = False,
     ) -> None:
@@ -255,8 +257,6 @@ class ExchangeEngine:
                 f"unknown store spec {store!r}; expected 'memory', "
                 "'sqlite[:<path>]', or 'duckdb[:<path>]'"
             )
-        if sql_jobs < 1:
-            raise ValueError(f"sql_jobs must be >= 1, got {sql_jobs!r}")
         size = cache_size if enable_cache else 0
         self.disk_cache = None
         if disk_cache is not None and enable_cache:
@@ -284,7 +284,6 @@ class ExchangeEngine:
         self.registry = registry
         self.store_spec = store
         self.sql_chase = sql_chase
-        self.sql_jobs = sql_jobs
         self.profile = profile
         self.last_profile: Optional[ChaseProfile] = None
         self._clock = time.perf_counter
@@ -309,30 +308,12 @@ class ExchangeEngine:
     # Accounting
     # ------------------------------------------------------------------
 
-    def _record(
-        self,
-        op: str,
-        wall_time: float = 0.0,
-        steps: int = 0,
-        rounds: int = 0,
-        triggers: int = 0,
-        branches: int = 0,
-        calls: int = 1,
-        errors: int = 0,
-        error_wall_time: float = 0.0,
-        kills: int = 0,
-    ) -> None:
+    def _record(self, op: str, calls: int = 1, **counts: float) -> None:
+        """Add *calls* and the named :class:`_OpCounters` *counts* to *op*."""
         with self._ops_lock:
             counters = self._ops[op]
-            counters.calls += calls
-            counters.wall_time += wall_time
-            counters.steps += steps
-            counters.rounds += rounds
-            counters.triggers += triggers
-            counters.branches += branches
-            counters.errors += errors
-            counters.error_wall_time += error_wall_time
-            counters.kills += kills
+            for name, value in dict(counts, calls=calls).items():
+                setattr(counters, name, getattr(counters, name) + value)
 
     @property
     def _telemetry(self) -> bool:
@@ -366,54 +347,95 @@ class ExchangeEngine:
             self.registry.record(record, metrics=metrics)
 
     def _record_error(
-        self, op: str, key: tuple, elapsed: float, error: BaseException, **batch
+        self, op: str, elapsed: float, error: BaseException, **record
     ) -> None:
         """Account one failed computation: the error counters and its record.
 
-        *batch* carries a batch item's ``batch_index``, ``attempts`` and
-        ``kills`` into the :class:`OpRecord`.
+        *record* carries the digests — and a batch item's
+        ``batch_index``, ``attempts`` and ``kills`` — into the
+        :class:`OpRecord`.
         """
         self._record(op, calls=1, errors=1, error_wall_time=elapsed)
         if self._telemetry:
             self._emit(
                 OpRecord(
                     op=op,
-                    mapping_digest=key[1],
-                    instance_digest=key[2],
                     wall_time=elapsed,
                     error=type(error).__name__,
                     exhausted=_exhausted_tag(getattr(error, "diagnosis", None)),
-                    **batch,
+                    **record,
                 )
             )
 
-    def _account(
+    def _serve(
         self,
         op: str,
-        hit: bool,
-        elapsed: float,
-        profile: Optional[ChaseProfile] = None,
-        **record,
-    ) -> None:
-        """Account one served operation: the op counters and its record.
+        key: tuple,
+        compute: Callable,
+        record_fields: Callable[[object], dict] = lambda entry: {},
+        *,
+        span: Optional[dict] = None,
+        profiled: bool = False,
+        **digests: str,
+    ) -> Tuple[bool, object, Optional[Exhausted], float]:
+        """The skeleton behind the six single-item cached operations.
 
-        A cache hit counts as a call only; a computation adds *elapsed*
-        and the :data:`_COUNTED` fields among *record*.  *record* (the
-        digests and metric fields) fills the :class:`OpRecord`, and a
-        *profile* rides the registry row.
+        Probes the *op* cache under *key* and emits the hit/miss event.
+        A miss runs ``compute(tracer, profiler)`` — which returns
+        ``(entry, exhausted)`` — timed, inside the ``engine.<op>`` span
+        (attributes *span*); a failure is accounted with
+        :meth:`_record_error` and re-raised, and a complete entry
+        (``exhausted is None``) is cached.  A *profiled* op (chase,
+        reverse) clears :attr:`last_profile` and, on an engine built with
+        ``profile=True``, hands *compute* a :class:`ChaseProfiler` whose
+        profile becomes the new :attr:`last_profile`.  Every call is then
+        accounted: a hit counts as a call only, a computation adds its
+        time and the :data:`_COUNTED` fields of ``record_fields(entry)``,
+        and the op's :class:`OpRecord` carries *digests* and those fields
+        (the profile rides the registry row).  Returns ``(hit, entry,
+        exhausted, elapsed)``.
         """
-        if hit:
-            self._record(op, calls=1)
-        else:
-            counted = {name: record[name] for name in _COUNTED if name in record}
-            self._record(op, wall_time=elapsed, **counted)
+        tracer = self._tracer()
+        cache = self._caches[op]
+        hit, entry = cache.get(key)
+        self._cache_event(tracer, op, key, hit)
+        exhausted: Optional[Exhausted] = None
+        elapsed = 0.0
+        if profiled:
+            self.last_profile = None
+        if not hit:
+            profiler = ChaseProfiler() if profiled and self.profile else None
+            start = self._clock()
+            try:
+                with maybe_span(tracer, f"engine.{op}", **(span or {})):
+                    entry, exhausted = compute(tracer, profiler)
+            except Exception as error:
+                self._record_error(op, self._clock() - start, error, **digests)
+                raise
+            elapsed = self._clock() - start
+            if exhausted is None:
+                cache.put(key, entry)
+            if profiler is not None:
+                self.last_profile = profiler.profile(total_time=elapsed)
+        fields_ = record_fields(entry)
+        counted = {} if hit else {n: fields_[n] for n in _COUNTED if n in fields_}
+        self._record(op, wall_time=elapsed, **counted)
         if self._telemetry:
+            profile = self.last_profile if profiled else None
             self._emit(
-                OpRecord(op=op, wall_time=elapsed, cache_hit=hit, **record),
+                OpRecord(
+                    op=op,
+                    wall_time=elapsed,
+                    cache_hit=hit,
+                    exhausted=_exhausted_tag(exhausted),
+                    **digests,
+                    **fields_,
+                ),
                 metrics=(
                     {"profile": profile.to_summary()} if profile is not None else None
                 ),
             )
+        return hit, entry, exhausted, elapsed
 
     def close_telemetry(self) -> None:
         """Flush and close the configured sink and registry (idempotent).
@@ -475,49 +497,33 @@ class ExchangeEngine:
         key = ("chase", mapping.digest(), source.digest(), variant)
         if use_sql:
             key = key + ("sql",)
-        tracer = self._tracer()
-        hit, entry = self._caches["chase"].get(key)
-        self._cache_event(tracer, "chase", key, hit)
-        elapsed = 0.0
-        self.last_profile = None
-        profiler = ChaseProfiler() if self.profile and not hit else None
-        if not hit:
-            start = self._clock()
-            try:
-                with maybe_span(tracer, "engine.chase", key=self._key_id(key)):
-                    if use_sql:
-                        result = self._sql_chase_result(
-                            mapping, source, tracer, effective, profiler
-                        )
-                    else:
-                        result = chase(
-                            source,
-                            mapping.dependencies,
-                            variant=variant,
-                            tracer=tracer,
-                            limits=effective,
-                            profiler=profiler,
-                        )
-            except Exception as error:
-                self._record_error("chase", key, self._clock() - start, error)
-                raise
-            restricted = result.restricted_to(mapping.target.names)
-            elapsed = self._clock() - start
-            entry = (result, restricted)
-            if result.exhausted is None:
-                self._caches["chase"].put(key, entry)
-            if profiler is not None:
-                self.last_profile = profiler.profile(total_time=elapsed)
-        result = entry[0]
-        self._account(
+
+        def compute(tracer, profiler):
+            if use_sql:
+                result = self._sql_chase_result(
+                    mapping, source, tracer, effective, profiler
+                )
+            else:
+                result = chase(
+                    source,
+                    mapping.dependencies,
+                    variant=variant,
+                    tracer=tracer,
+                    limits=effective,
+                    profiler=profiler,
+                )
+            entry = (result, result.restricted_to(mapping.target.names))
+            return entry, result.exhausted
+
+        hit, entry, _, elapsed = self._serve(
             "chase",
-            hit,
-            elapsed,
-            self.last_profile,
+            key,
+            compute,
+            lambda entry: _chase_fields(entry[0]),
+            span={"key": self._key_id(key)},
+            profiled=True,
             mapping_digest=key[1],
             instance_digest=key[2],
-            exhausted=_exhausted_tag(result.exhausted),
-            **_chase_fields(result),
         )
         return self._exchange_result(key, entry, hit, elapsed)
 
@@ -573,7 +579,6 @@ class ExchangeEngine:
             mapping.dependencies,
             tracer=tracer,
             limits=effective,
-            jobs=self.sql_jobs,
             profiler=profiler,
         )
         full = sqlres.instance
@@ -768,9 +773,10 @@ class ExchangeEngine:
                     failed[item_key] = outcome
                     self._record_error(
                         op,
-                        item_key,
                         outcome.elapsed,
                         outcome.error,
+                        mapping_digest=item_key[1],
+                        instance_digest=item_key[2],
                         batch_index=first,
                         attempts=max(outcome.attempts, 1),
                         kills=outcome.kills,
@@ -920,49 +926,36 @@ class ExchangeEngine:
             minimize,
             max_branches,
         )
-        tracer = self._tracer()
-        hit, candidates = self._caches["reverse"].get(key)
-        self._cache_event(tracer, "reverse", key, hit)
-        exhausted: Optional[Exhausted] = None
-        elapsed = 0.0
-        triggers = 0
-        self.last_profile = None
-        profiler = ChaseProfiler() if self.profile and not hit else None
-        if not hit:
-            start = self._clock()
-            try:
-                with maybe_span(tracer, "engine.reverse", key=self._key_id(key)):
-                    branches = reverse_disjunctive_chase(
-                        target,
-                        mapping.dependencies,
-                        result_relations=mapping.target.names,
-                        max_nulls=max_nulls,
-                        minimize=minimize,
-                        limits=self._reverse_limits(max_branches, limits),
-                        tracer=tracer,
-                        profiler=profiler,
-                    )
-            except Exception as error:
-                self._record_error("reverse", key, self._clock() - start, error)
-                raise
-            candidates = tuple(branches)
-            exhausted = branches.exhausted
-            elapsed = self._clock() - start
-            if exhausted is None:
-                self._caches["reverse"].put(key, candidates)
-            if profiler is not None:
-                self.last_profile = profiler.profile(total_time=elapsed)
-                triggers = self.last_profile.triggers_considered
-        self._account(
+
+        def compute(tracer, profiler):
+            branches = reverse_disjunctive_chase(
+                target,
+                mapping.dependencies,
+                result_relations=mapping.target.names,
+                max_nulls=max_nulls,
+                minimize=minimize,
+                limits=self._reverse_limits(max_branches, limits),
+                tracer=tracer,
+                profiler=profiler,
+            )
+            return tuple(branches), branches.exhausted
+
+        def record_fields(candidates):
+            profile = self.last_profile
+            return {
+                "branches": len(candidates),
+                "triggers": profile.triggers_considered if profile is not None else 0,
+            }
+
+        hit, candidates, exhausted, _ = self._serve(
             "reverse",
-            hit,
-            elapsed,
-            self.last_profile,
+            key,
+            compute,
+            record_fields,
+            span={"key": self._key_id(key)},
+            profiled=True,
             mapping_digest=key[1],
             instance_digest=key[2],
-            branches=len(candidates),
-            triggers=triggers,
-            exhausted=_exhausted_tag(exhausted),
         )
         return hit, key, candidates, exhausted
 
@@ -1126,19 +1119,13 @@ class ExchangeEngine:
     def is_homomorphic(self, left: Instance, right: Instance) -> bool:
         """Cached homomorphism-existence verdict ``left → right``."""
         key = (left.digest(), right.digest())
-        tracer = self._tracer()
-        hit, verdict = self._caches["hom"].get(key)
-        self._cache_event(tracer, "hom", key, hit)
-        elapsed = 0.0
-        if not hit:
+
+        def compute(_tracer, _profiler):
             from ..homs.search import is_homomorphic
 
-            start = self._clock()
-            with maybe_span(tracer, "engine.hom"):
-                verdict = is_homomorphic(left, right)
-            elapsed = self._clock() - start
-            self._caches["hom"].put(key, verdict)
-        self._account("hom", hit, elapsed, instance_digest=key[0])
+            return is_homomorphic(left, right), None
+
+        _, verdict, _, _ = self._serve("hom", key, compute, instance_digest=key[0])
         return verdict
 
     def is_hom_equivalent(self, left: Instance, right: Instance) -> bool:
@@ -1148,25 +1135,18 @@ class ExchangeEngine:
     def core(self, instance: Instance) -> Instance:
         """The cached core of *instance*."""
         key = (instance.digest(),)
-        tracer = self._tracer()
-        hit, folded = self._caches["core"].get(key)
-        self._cache_event(tracer, "core", key, hit)
-        elapsed = 0.0
-        if not hit:
+
+        def compute(_tracer, _profiler):
             from ..homs.core import core
 
-            start = self._clock()
-            with maybe_span(tracer, "engine.core"):
-                folded = core(instance)
-            elapsed = self._clock() - start
-            self._caches["core"].put(key, folded)
-        self._account(
+            return core(instance), None
+
+        _, folded, _, _ = self._serve(
             "core",
-            hit,
-            elapsed,
+            key,
+            compute,
+            lambda folded: {"facts": len(folded), "nulls": len(folded.nulls)},
             instance_digest=key[0],
-            facts=len(folded),
-            nulls=len(folded.nulls),
         )
         return folded
 
@@ -1186,29 +1166,22 @@ class ExchangeEngine:
             mapping.digest(),
             reverse.digest() if reverse is not None else "",
         )
-        tracer = self._tracer()
-        hit, entry = self._caches["audit"].get(key)
-        self._cache_event(tracer, "audit", key, hit)
-        elapsed = 0.0
-        if not hit:
+
+        def compute(_tracer, _profiler):
             from ..inverses.extended_inverse import (
                 is_chase_inverse,
                 is_extended_invertible,
             )
             from ..inverses.ground import is_invertible
 
-            start = self._clock()
-            with maybe_span(tracer, "engine.audit"):
-                entry = (
-                    is_invertible(mapping),
-                    is_extended_invertible(mapping),
-                    is_chase_inverse(mapping, reverse)
-                    if reverse is not None
-                    else None,
-                )
-            elapsed = self._clock() - start
-            self._caches["audit"].put(key, entry)
-        self._account("audit", hit, elapsed, mapping_digest=key[1])
+            entry = (
+                is_invertible(mapping),
+                is_extended_invertible(mapping),
+                is_chase_inverse(mapping, reverse) if reverse is not None else None,
+            )
+            return entry, None
+
+        hit, entry, _, _ = self._serve("audit", key, compute, mapping_digest=key[1])
         invertible, extended, chase_inverse = entry
         return AuditReport(
             invertible=invertible,
@@ -1240,24 +1213,16 @@ class ExchangeEngine:
             source.digest(),
             max_nulls,
         )
-        tracer = self._tracer()
-        hit, answers = self._caches["answer"].get(key)
-        self._cache_event(tracer, "answer", key, hit)
-        elapsed = 0.0
-        if not hit:
+
+        def compute(_tracer, _profiler):
             from ..logic.queries import certain_answers_over_set
 
-            start = self._clock()
-            with maybe_span(tracer, "engine.answer"):
-                target = self.chase(mapping, source)
-                branches = self.reverse(
-                    recovery, target, max_nulls=max_nulls
-                ).candidates
-                answers = certain_answers_over_set(query, branches)
-            elapsed = self._clock() - start
-            self._caches["answer"].put(key, answers)
-        self._account(
-            "answer", hit, elapsed, mapping_digest=key[1], instance_digest=key[4]
+            target = self.chase(mapping, source)
+            branches = self.reverse(recovery, target, max_nulls=max_nulls).candidates
+            return certain_answers_over_set(query, branches), None
+
+        _, answers, _, _ = self._serve(
+            "answer", key, compute, mapping_digest=key[1], instance_digest=key[4]
         )
         return answers
 
@@ -1276,51 +1241,21 @@ class ExchangeEngine:
         merged in under the ``"tracer"`` key — event counts by kind and
         span duration histograms alongside the cache counters."""
         report: Dict[str, Dict[str, float]] = {}
-        totals = {
-            "calls": 0,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "wall_time": 0.0,
-            "steps": 0,
-            "rounds": 0,
-            "triggers": 0,
-            "branches": 0,
-            "errors": 0,
-            "error_wall_time": 0.0,
-            "kills": 0,
-        }
+        cache_counters = (counter.name for counter in fields(CacheStats))
+        summed = ("calls", *cache_counters, *_COUNTERS[1:])
+        totals: Dict[str, float] = dict.fromkeys(summed, 0)
         for op in _OPS:
             cache = self._caches[op]
-            counters = self._ops[op]
-            row = {
-                "calls": counters.calls,
-                **cache.stats.as_dict(),
+            cache_stats = cache.stats
+            counts = {**asdict(self._ops[op]), **asdict(cache_stats)}
+            report[op] = {
+                "calls": counts["calls"],
+                **cache_stats.as_dict(),
                 "entries": len(cache),
-                "wall_time": round(counters.wall_time, 6),
-                "steps": counters.steps,
-                "rounds": counters.rounds,
-                "triggers": counters.triggers,
-                "branches": counters.branches,
-                "errors": counters.errors,
-                "error_wall_time": round(counters.error_wall_time, 6),
-                "kills": counters.kills,
+                **{name: _rounded(counts[name]) for name in _COUNTERS[1:]},
             }
-            report[op] = row
-            totals["calls"] += counters.calls
-            totals["hits"] += cache.stats.hits
-            totals["misses"] += cache.stats.misses
-            totals["evictions"] += cache.stats.evictions
-            totals["wall_time"] = round(totals["wall_time"] + counters.wall_time, 6)
-            totals["steps"] += counters.steps
-            totals["rounds"] += counters.rounds
-            totals["triggers"] += counters.triggers
-            totals["branches"] += counters.branches
-            totals["errors"] += counters.errors
-            totals["error_wall_time"] = round(
-                totals["error_wall_time"] + counters.error_wall_time, 6
-            )
-            totals["kills"] += counters.kills
+            for name in summed:
+                totals[name] = _rounded(totals[name] + counts[name])
         report["totals"] = totals
         tracer = self._tracer()
         if tracer is not None:

@@ -48,8 +48,8 @@ class _WarmTask:
 
     Each worker process holds its own copy (inherited at fork, pickled
     under spawn) and builds its engine from the picklable *config* —
-    ``cache_dir``/``cache_size``/``store``/``sql_chase``/``sql_jobs`` —
-    once, on its first request.
+    ``cache_dir``/``cache_size``/``store``/``sql_chase`` — once, on its
+    first request.
     """
 
     def __init__(self, config: Dict[str, Any]) -> None:
@@ -66,7 +66,6 @@ class _WarmTask:
                 cache_size=self.config.get("cache_size", 512),
                 store=self.config.get("store", "memory"),
                 sql_chase=self.config.get("sql_chase", False),
-                sql_jobs=self.config.get("sql_jobs", 1),
                 disk_cache=DiskCache(cache_dir) if cache_dir else None,
             )
         return execute_op(self.engine, request)

@@ -16,10 +16,7 @@ differ:
   constraints, not standalone unique indexes;
 * inserted-row counts come from the statement's result row (DuckDB
   reports the change count as a one-row result rather than via the
-  DB-API ``rowcount``, which older versions pin at -1);
-* reader connections for sharded chase rounds are cursors of the main
-  connection — ``conn.cursor()`` in DuckDB is a genuinely independent
-  session onto the same database, safe to use from another thread.
+  DB-API ``rowcount``, which older versions pin at -1).
 
 Everything observable — the tagged cell encoding, set semantics, the
 streaming content digest — is byte-identical to the SQLite and memory
@@ -94,7 +91,3 @@ class DuckDbStore(SqlStoreBase):
 
     def _begin(self) -> None:
         self._conn.execute("BEGIN TRANSACTION")
-
-    def reader_connection(self):
-        """An independent cursor-session onto the same database."""
-        return self._conn.cursor()

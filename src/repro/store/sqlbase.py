@@ -7,8 +7,7 @@ set semantics enforced by a unique constraint over all columns — and
 the same injective tagged-value cell encoding (``i:``/``s:``/``n:``).
 Everything that is plain portable SQL lives here; the per-dialect
 differences (connection construction, DDL idioms, how inserted-row
-counts are obtained, reader connections for sharded chase rounds) are
-narrow hooks the concrete stores override.
+counts are obtained) are narrow hooks the concrete stores override.
 
 The layout invariants every subclass must preserve, because the SQL
 plan compiler (:mod:`repro.store.sqlplan`) compiles against them:
@@ -98,7 +97,6 @@ class SqlStoreBase:
 
     def __init__(self, path: str = ":memory:", *, fresh: bool = False) -> None:
         """Open (or create) the store at *path*."""
-        self._path = path
         self._conn = self._connect(path)
         self._configure()
         if fresh:
@@ -149,24 +147,6 @@ class SqlStoreBase:
 
     def _rollback(self) -> None:
         self._conn.execute("ROLLBACK")
-
-    def reader_connection(self):
-        """A new connection for concurrent *reads* of this database.
-
-        Used by the sharded SQL chase to evaluate shard trigger queries
-        on a thread pool.  Returns ``None`` when the backend cannot
-        provide one (the chase then evaluates shards serially — same
-        result, no parallelism).  Callers own the connection and must
-        :meth:`close_reader` it.
-        """
-        return None
-
-    def close_reader(self, conn) -> None:
-        """Release a connection obtained from :meth:`reader_connection`."""
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover - close is best-effort
-            pass
 
     # ------------------------------------------------------------------
     # Schema management

@@ -20,28 +20,21 @@ backend; this module adds only what is SQLite-specific:
   ``journal_mode=MEMORY``) on an autocommit connection;
 * per-relation-table DDL: a unique *index* over all columns (the
   ``INSERT OR IGNORE`` dedup target) plus a secondary index per
-  non-leading column for the ``tuples_at`` candidate lookups;
-* reader connections for the sharded SQL chase.  On-disk stores just
-  open the path again; ``:memory:`` stores are backed by a uniquely
-  named shared-cache database (``file:...?mode=memory&cache=shared``)
-  so that additional connections can see the same data — without the
-  URI, every ``:memory:`` connection is a separate database.
+  non-leading column for the ``tuples_at`` candidate lookups.
+
+The store's connection is its only one: a ``:memory:`` store is a
+private database, so two in-memory stores in one process never see
+each other's facts.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import sqlite3
-from typing import List, Optional
+from typing import List
 
 from .sqlbase import SqlStoreBase, decode_value, encode_value
 
 __all__ = ["SqliteStore", "decode_value", "encode_value"]
-
-#: Distinguishes the shared-cache databases of in-memory stores living
-#: in the same process (the URI *is* the database identity).
-_MEM_IDS = itertools.count()
 
 
 class SqliteStore(SqlStoreBase):
@@ -55,30 +48,8 @@ class SqliteStore(SqlStoreBase):
 
     dialect = "sqlite"
 
-    def __init__(self, path: str = ":memory:", *, fresh: bool = False) -> None:
-        """Open (or create) the store at *path*."""
-        self._memory_uri: Optional[str] = None
-        if path == ":memory:":
-            self._memory_uri = (
-                f"file:repro-store-{os.getpid()}-{next(_MEM_IDS)}"
-                "?mode=memory&cache=shared"
-            )
-        super().__init__(path, fresh=fresh)
-
     def _connect(self, path: str) -> sqlite3.Connection:
-        if self._memory_uri is not None:
-            try:
-                conn = sqlite3.connect(
-                    self._memory_uri, uri=True, check_same_thread=False
-                )
-            except sqlite3.Error:
-                # Shared-cache support can be compiled out; fall back to
-                # a plain private in-memory database (reader connections
-                # are then unavailable and sharded rounds run serially).
-                self._memory_uri = None
-                conn = sqlite3.connect(path, check_same_thread=False)
-        else:
-            conn = sqlite3.connect(path, check_same_thread=False)
+        conn = sqlite3.connect(path, check_same_thread=False)
         conn.isolation_level = None  # autocommit; bulk ops BEGIN explicitly
         return conn
 
@@ -103,22 +74,3 @@ class SqliteStore(SqlStoreBase):
         )
         for i in range(1, arity):
             self._conn.execute(f"CREATE INDEX {tbl}_c{i} ON {tbl} (c{i})")
-
-    def reader_connection(self) -> Optional[sqlite3.Connection]:
-        """A second connection onto the same database, for shard reads.
-
-        ``None`` for plain private ``:memory:`` stores (nothing else can
-        attach to those) — the sharded chase then evaluates its shards
-        serially on the main connection.
-        """
-        if self._memory_uri is not None:
-            conn = sqlite3.connect(
-                self._memory_uri, uri=True, check_same_thread=False
-            )
-        elif self._path != ":memory:":
-            conn = sqlite3.connect(self._path, check_same_thread=False)
-        else:
-            return None
-        conn.isolation_level = None
-        conn.execute("PRAGMA query_only=ON")
-        return conn

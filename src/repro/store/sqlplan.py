@@ -44,13 +44,6 @@ survives as a byte-identical differential oracle — same triggers, same
 null numbering, same rounds, same digests, only the per-round join work
 (``triggers_considered``) differs.
 
-Rounds can additionally be **sharded** (``jobs > 1``): each trigger
-query is partitioned by ``t0.rowid % jobs`` and the shards are
-evaluated on a thread pool over per-shard reader connections, then
-merged in Python by sorted-set union and renumbered — the merged
-trigger table is identical to the serial ``ROW_NUMBER`` ordering, so
-sharded output is fact-for-fact identical to serial (see D6).
-
 Dependencies outside the fragment are rejected up front with
 :class:`SqlPlanError`, and so are disjunctive tgds, mirroring
 :func:`repro.chase.standard.chase`; the engine runs such mappings on
@@ -65,7 +58,6 @@ that is what CI's store-smoke diff pins.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,10 +85,6 @@ TRIGGER_TABLE = "_sqlchase_trig"
 #: Param-plan sentinels, replaced at execution time (see CompiledTgd).
 PREFIX = object()
 BASE = object()
-
-#: Appended to a trigger/count query to restrict it to one shard; binds
-#: two extra parameters, ``(jobs, shard)``.
-SHARD_CLAUSE = " AND t0.rowid % ? = ?"
 
 
 class SqlPlanError(ReproError):
@@ -409,7 +397,6 @@ class SqlChaseResult:
     delta_sizes: Tuple[int, ...] = ()
     triggers_considered: int = 0
     evaluation: str = "delta"
-    jobs: int = 1
 
     @property
     def completed(self) -> bool:
@@ -437,7 +424,6 @@ def _resolve_params(
     params: Tuple[object, ...],
     wm_old: Dict[str, int],
     wm_new: Dict[str, int],
-    extra: Tuple[object, ...] = (),
 ) -> Tuple[object, ...]:
     """Replace :class:`Watermark` sentinels with the round's snapshots."""
     out: List[object] = []
@@ -446,18 +432,17 @@ def _resolve_params(
             out.append(wm_old[p.relation] if p.bound == "old" else wm_new[p.relation])
         else:
             out.append(p)
-    out.extend(extra)
     return tuple(out)
 
 
-def _build_triggers_serial(
+def _build_triggers(
     conn,
     plan: CompiledTgd,
     queries: Sequence[TriggerQuery],
     wm_old: Dict[str, int],
     wm_new: Dict[str, int],
 ) -> Tuple[int, int]:
-    """Materialize the trigger table on the main connection.
+    """Materialize the round's trigger table for one compiled tgd.
 
     The candidate rows (naive query, or the UNION of the delta
     variants — UNION also deduplicates frontier rows reachable through
@@ -487,75 +472,6 @@ def _build_triggers_serial(
     return n, considered
 
 
-def _build_triggers_sharded(
-    conn,
-    plan: CompiledTgd,
-    queries: Sequence[TriggerQuery],
-    wm_old: Dict[str, int],
-    wm_new: Dict[str, int],
-    jobs: int,
-    executor: Optional[ThreadPoolExecutor],
-    readers: Sequence[object],
-) -> Tuple[int, int]:
-    """Materialize the trigger table from ``jobs`` frontier shards.
-
-    Each shard evaluates every variant restricted to
-    ``t0.rowid % jobs = shard`` — a partition of the candidate rows'
-    *derivations* (a frontier row may surface in several shards; the
-    merge deduplicates).  Shards run on the thread pool over reader
-    connections when available, serially on the main connection
-    otherwise — either way the merged rows are sorted in Python (the
-    encoded cells are text; Python's code-point order equals SQL's
-    binary collation on their UTF-8 bytes) and numbered 1..n, exactly
-    reproducing the serial ``ROW_NUMBER`` ordering.  Returns
-    ``(trigger_count, joins_considered)``.
-    """
-
-    def run_shard(reader, shard: int):
-        rows: List[Tuple[object, ...]] = []
-        considered = 0
-        for q in queries:
-            rows.extend(
-                tuple(r)
-                for r in reader.execute(
-                    q.sql + SHARD_CLAUSE,
-                    _resolve_params(q.params, wm_old, wm_new, (jobs, shard)),
-                ).fetchall()
-            )
-            (c,) = reader.execute(
-                q.count_sql + SHARD_CLAUSE,
-                _resolve_params(q.count_params, wm_old, wm_new, (jobs, shard)),
-            ).fetchone()
-            considered += c
-        return rows, considered
-
-    if executor is not None:
-        parts = list(executor.map(run_shard, readers, range(jobs)))
-    else:
-        parts = [run_shard(conn, shard) for shard in range(jobs)]
-
-    merged: List[Tuple[object, ...]] = sorted(
-        {row for rows, _ in parts for row in rows}
-    )
-    considered = sum(c for _, c in parts)
-
-    if plan.frontier:
-        col_defs = ", ".join(f"f{i} TEXT" for i in range(len(plan.frontier)))
-    else:
-        col_defs = "f_dummy INTEGER"
-    conn.execute(
-        f"CREATE TEMP TABLE {TRIGGER_TABLE} ({col_defs}, trig_n INTEGER)"
-    )
-    if merged:
-        width = len(merged[0]) + 1
-        placeholders = ", ".join("?" for _ in range(width))
-        conn.executemany(
-            f"INSERT INTO {TRIGGER_TABLE} VALUES ({placeholders})",
-            [row + (i + 1,) for i, row in enumerate(merged)],
-        )
-    return len(merged), considered
-
-
 def sql_chase(
     store: SqlStoreBase,
     dependencies: Sequence[Dependency],
@@ -565,7 +481,6 @@ def sql_chase(
     limits=None,
     budget=None,
     evaluation: Optional[str] = None,
-    jobs: Optional[int] = None,
     profiler=None,
 ) -> SqlChaseResult:
     """Run the restricted chase set-at-a-time inside *store*.
@@ -578,8 +493,6 @@ def sql_chase(
     :func:`repro.chase.standard.resolve_evaluation` (explicit argument >
     ``REPRO_NAIVE_CHASE=1`` > delta), and the two modes are
     byte-identical in everything but ``triggers_considered``.
-    *jobs* > 1 shards each round's trigger queries across a thread pool
-    (fact-for-fact identical to serial; see module docstring).
 
     Resource governance matches :func:`repro.chase.standard.chase`:
     pass ``limits`` or a shared ``budget``; with neither, the ambient
@@ -636,7 +549,6 @@ def sql_chase(
         limits, budget, _LEGACY_LIMITS, fallback_rounds=DEFAULT_MAX_ROUNDS
     )
     evaluation = resolve_evaluation(evaluation)
-    jobs = 1 if jobs is None else max(int(jobs), 1)
 
     resolve: Dict[str, Tuple[str, int]] = {}
     for tgd in tgds:
@@ -657,18 +569,6 @@ def sql_chase(
     delta_sizes: List[int] = []
     exhausted = None
 
-    executor: Optional[ThreadPoolExecutor] = None
-    readers: List[object] = []
-    if jobs > 1 and compiled:
-        readers = [store.reader_connection() for _ in range(jobs)]
-        if any(r is None for r in readers):
-            for r in readers:
-                if r is not None:
-                    store.close_reader(r)
-            readers = []  # shards run serially on the main connection
-        else:
-            executor = ThreadPoolExecutor(max_workers=jobs)
-
     # Per-relation rowid watermarks: wm_visible is this round's premise
     # visibility bound W, wm_old the previous round's (so (old, new] is
     # the delta window).  Facts inserted mid-round get larger rowids and
@@ -676,94 +576,76 @@ def sql_chase(
     # TriggerIndex.begin_round() rotation.
     wm_visible: Dict[str, int] = {rel: 0 for rel in resolve}
 
-    try:
-        with maybe_span(
-            tracer,
-            "sql_chase",
-            compiled=len(compiled),
-            evaluation=evaluation,
-            jobs=jobs,
-        ):
-            while exhausted is None:
-                rounds += 1
-                exhausted = budget.start_round("sql_chase")
-                if exhausted is not None:
-                    rounds -= 1
-                    break
-                wm_old = wm_visible
-                wm_visible = {
-                    rel: store.max_rowid(resolve[rel][0]) for rel in resolve
-                }
-                delta_sizes.append(
-                    sum(
-                        wm_visible[rel] - wm_old[rel] for rel in resolve
-                    )
-                )
-                progressed = False
-                for plan in compiled:
-                    if observer is not None:
-                        started = time.perf_counter()
-                    queries = (
-                        plan.deltas if evaluation == "delta" else (plan.naive,)
-                    )
-                    conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
-                    if jobs > 1:
-                        n, considered = _build_triggers_sharded(
-                            conn, plan, queries, wm_old, wm_visible,
-                            jobs, executor, readers,
-                        )
-                    else:
-                        n, considered = _build_triggers_serial(
-                            conn, plan, queries, wm_old, wm_visible
-                        )
-                    considered_total += considered
-                    stride = len(plan.existentials)
-                    added = 0
-                    if n:
-                        for insert_sql, param_plan in plan.inserts:
-                            params = tuple(
-                                null_prefix
-                                if p is PREFIX
-                                else next_null
-                                if p is BASE
-                                else p
-                                for p in param_plan
-                            )
-                            added += store._exec_insert(insert_sql, params)
-                        next_null += n * stride
-                        minted_total += n * stride
-                        steps += n
-                        added_total += added
-                        progressed = True
-                        store._count = None  # inserts bypassed the add() counter
-                        exhausted = budget.charge(
-                            "sql_chase", facts=len(store), nulls=minted_total
-                        )
-                    if observer is not None:
-                        observer.cell(
-                            plan.tgd,
-                            rounds,
-                            time.perf_counter() - started,
-                            considered,
-                            n,
-                            added,
-                            n * stride,
-                        )
-                    if exhausted is not None:
-                        break
-                if not progressed and exhausted is None:
-                    break
-            conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
+    with maybe_span(
+        tracer, "sql_chase", compiled=len(compiled), evaluation=evaluation
+    ):
+        while exhausted is None:
+            rounds += 1
+            exhausted = budget.start_round("sql_chase")
             if exhausted is not None:
+                rounds -= 1
+                break
+            wm_old = wm_visible
+            wm_visible = {
+                rel: store.max_rowid(resolve[rel][0]) for rel in resolve
+            }
+            delta_sizes.append(
+                sum(wm_visible[rel] - wm_old[rel] for rel in resolve)
+            )
+            progressed = False
+            for plan in compiled:
                 if observer is not None:
-                    observer.exhausted(exhausted)
-                if budget.limits.raises:
-                    budget.raise_exhausted()
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-        for r in readers:
-            store.close_reader(r)
+                    started = time.perf_counter()
+                queries = (
+                    plan.deltas if evaluation == "delta" else (plan.naive,)
+                )
+                conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
+                n, considered = _build_triggers(
+                    conn, plan, queries, wm_old, wm_visible
+                )
+                considered_total += considered
+                stride = len(plan.existentials)
+                added = 0
+                if n:
+                    for insert_sql, param_plan in plan.inserts:
+                        params = tuple(
+                            null_prefix
+                            if p is PREFIX
+                            else next_null
+                            if p is BASE
+                            else p
+                            for p in param_plan
+                        )
+                        added += store._exec_insert(insert_sql, params)
+                    next_null += n * stride
+                    minted_total += n * stride
+                    steps += n
+                    added_total += added
+                    progressed = True
+                    store._count = None  # inserts bypassed the add() counter
+                    exhausted = budget.charge(
+                        "sql_chase", facts=len(store), nulls=minted_total
+                    )
+                if observer is not None:
+                    observer.cell(
+                        plan.tgd,
+                        rounds,
+                        time.perf_counter() - started,
+                        considered,
+                        n,
+                        added,
+                        n * stride,
+                    )
+                if exhausted is not None:
+                    break
+            if not progressed and exhausted is None:
+                break
+        conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
+        if exhausted is not None:
+            if observer is not None:
+                observer.exhausted(exhausted)
+            if budget.limits.raises:
+                budget.raise_exhausted()
 
     return SqlChaseResult(
         store=store,
@@ -775,5 +657,4 @@ def sql_chase(
         delta_sizes=tuple(delta_sizes),
         triggers_considered=considered_total,
         evaluation=evaluation,
-        jobs=jobs,
     )

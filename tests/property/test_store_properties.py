@@ -5,7 +5,7 @@ equal the MemoryStore results *fact for fact* on generated scenarios —
 plus digest agreement, SQL-chase hom-equivalence on the compiled
 fragment, and the semi-naive equivalences: sql-delta ≡ sql-naive is
 byte-identical (null names included, truncation prefixes included,
-across serial/sharded execution and every SQL backend), sql ≡ tuple is
+across every SQL backend), sql ≡ tuple is
 fact-for-fact on full tgds and hom-equivalent when existentials mint
 nulls (the tuple chase's depth-first enumeration order cannot — and
 need not — be reproduced by set-at-a-time SQL naming).
@@ -129,17 +129,14 @@ def _sql_run(inst, make_store, **kw):
 
 @given(instances(E2, max_size=6))
 @settings(max_examples=30, deadline=None)
-def test_sql_delta_naive_sharded_byte_identical(inst):
-    # One (digest, steps, rounds) outcome across evaluation mode, shard
-    # count, and SQL backend — null names included.
+def test_sql_delta_naive_byte_identical(inst):
+    # One (digest, steps, rounds) outcome across evaluation mode and SQL
+    # backend — null names included.
     outcomes = set()
     for make_store in _SQL_BACKENDS:
         for evaluation in ("delta", "naive"):
-            for jobs in (1, 3):
-                result, digest = _sql_run(
-                    inst, make_store, evaluation=evaluation, jobs=jobs
-                )
-                outcomes.add((digest, result.steps, result.rounds))
+            result, digest = _sql_run(inst, make_store, evaluation=evaluation)
+            outcomes.add((digest, result.steps, result.rounds))
     assert len(outcomes) == 1
 
 
@@ -152,17 +149,10 @@ def test_sql_truncation_prefixes_byte_identical(inst):
     outcomes = set()
     for make_store in _SQL_BACKENDS:
         for evaluation in ("delta", "naive"):
-            for jobs in (1, 2):
-                result, digest = _sql_run(
-                    inst,
-                    make_store,
-                    evaluation=evaluation,
-                    jobs=jobs,
-                    limits=limits,
-                )
-                outcomes.add(
-                    (digest, result.steps, result.rounds, result.completed)
-                )
+            result, digest = _sql_run(
+                inst, make_store, evaluation=evaluation, limits=limits
+            )
+            outcomes.add((digest, result.steps, result.rounds, result.completed))
     assert len(outcomes) == 1
 
 

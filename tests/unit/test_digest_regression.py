@@ -14,7 +14,7 @@ dependent in their null names and must never be pinned directly — but
 raw *SQL* chase outputs are pinnable even with existentials, because
 SQL-minted null names come from the deterministic trigger numbering
 (``base + (trig_n-1)*stride + j``), and the pin must hold across
-evaluation modes (delta/naive), shard counts, and SQL backends.
+evaluation modes (delta/naive) and SQL backends.
 """
 
 import pytest
@@ -122,17 +122,10 @@ def test_sql_chase_digest_pinned(evaluation):
     assert _sql_chase_digest(store, evaluation=evaluation) == SQL_CHASE_DIGEST
 
 
-@pytest.mark.parametrize("jobs", [2, 5])
-def test_sharded_sql_chase_digest_pinned(jobs):
-    store = SqliteStore(":memory:")
-    assert _sql_chase_digest(store, jobs=jobs) == SQL_CHASE_DIGEST
-
-
 @pytest.mark.skipif(not duckdb_available(), reason="duckdb wheel not installed")
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_duckdb_sql_chase_digest_pinned(jobs):
+def test_duckdb_sql_chase_digest_pinned():
     store = DuckDbStore(":memory:")
-    assert _sql_chase_digest(store, jobs=jobs) == SQL_CHASE_DIGEST
+    assert _sql_chase_digest(store) == SQL_CHASE_DIGEST
 
 
 @pytest.mark.skipif(not duckdb_available(), reason="duckdb wheel not installed")

@@ -2,8 +2,8 @@
 
 Covers the ``render_stats`` regression (ops with zero recorded calls
 used to divide by zero / misalign the table), the tracer merge across
-batch fan-out, and the removal of the deprecated ``ExchangeResult``
-alias.
+batch fan-out, error accounting for every single-item op, and the
+removal of the deprecated ``ExchangeResult`` alias.
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro import ExchangeEngine, Instance, SchemaMapping, Tracer, tracing
+from repro.errors import Cancelled
+from repro.limits import CancelToken, cancel_scope
+from repro.obs.registry import RunRegistry
+from repro.parsing.parser import parse_query
 
 DECOMP = SchemaMapping.from_text("P(x, y, z) -> Q(x, y) & R(y, z)")
 PABC = Instance.parse("P(a, b, c)")
@@ -151,6 +155,38 @@ class TestBatchTraceMerging:
         assert all(len(r.candidates) >= 1 for r in results)
         branches = engine.tracer.provenance.branches
         assert any(node.closed == "finished" for node in branches.values())
+
+
+class TestErrorAccounting:
+    @pytest.mark.parametrize("op", ["answer", "audit"])
+    def test_cancelled_op_counts_one_error_and_one_row(self, op, tmp_path):
+        # Every single-item op accounts a failed computation like
+        # exchange does: one error in stats(), one registry row.  The
+        # relation names are unique to this test, so no cache anywhere
+        # (the audit's inner chases use the default engine) can answer
+        # before the cancelled budget is checked.
+        registry = RunRegistry(str(tmp_path / "runs.db"))
+        engine = ExchangeEngine(registry=registry)
+        copy = SchemaMapping.from_text("Cx(x, y) -> Cy(x, y)")
+        recovery = SchemaMapping.from_text("Cy(x, y) -> Cx(x, y)")
+        calls = {
+            "answer": lambda: engine.answer(
+                copy,
+                recovery,
+                parse_query("q(x) :- Cx(x, y)"),
+                Instance.parse("Cx(a, b)"),
+            ),
+            "audit": lambda: engine.audit(copy),
+        }
+        token = CancelToken()
+        token.cancel("test")
+        with cancel_scope(token), pytest.raises(Cancelled):
+            calls[op]()
+        stats = engine.stats()[op]
+        assert (stats["calls"], stats["errors"]) == (1, 1)
+        rows = registry.list_runs(op=op)
+        assert [row.error for row in rows] == ["Cancelled"]
+        assert rows[0].mapping_digest == copy.digest()
 
 
 class TestDeprecatedAlias:

@@ -225,7 +225,7 @@ class TestFallback:
 
 
 class TestSemiNaive:
-    """The delta-join union vs. the naive oracle, and sharded rounds."""
+    """The delta-join union vs. the naive oracle."""
 
     CLOSURE = "P(x, y) & E(y, z) -> P(x, z)\nE(x, y) -> P(x, y)"
 
@@ -295,45 +295,16 @@ class TestSemiNaive:
         assert sum(result.delta_sizes) <= len(result.store)
 
 
-class TestShardedRounds:
-    CLOSURE = TestSemiNaive.CLOSURE
-
-    def _chain(self, n):
-        return TestSemiNaive()._chain(n)
-
-    @pytest.mark.parametrize("jobs", [2, 3, 7])
-    def test_sharded_fact_for_fact_identical(self, jobs):
-        source = self._chain(12)
-        serial_store = _load(source)
-        serial = sql_chase(serial_store, parse_dependencies(self.CLOSURE))
-        sharded_store = _load(source)
-        sharded = sql_chase(
-            sharded_store, parse_dependencies(self.CLOSURE), jobs=jobs
-        )
-        assert sharded.jobs == jobs
-        assert sharded_store.digest() == serial_store.digest()
-        assert sharded.steps == serial.steps
-        assert sharded.rounds == serial.rounds
-        assert sharded.triggers_considered == serial.triggers_considered
-
-    def test_sharded_existentials_identical(self):
-        text = "E(x, y) -> P(x, y)\nP(x, y) -> H(y, w)"
-        source = self._chain(9)
-        digests = set()
-        for jobs in (1, 4):
-            store = _load(source)
-            sql_chase(store, parse_dependencies(text), jobs=jobs)
-            digests.add(store.digest())
-        assert len(digests) == 1
-
-    def test_sharded_on_file_store(self, tmp_path):
-        source = self._chain(10)
-        serial_store = _load(source)
-        sql_chase(serial_store, parse_dependencies(self.CLOSURE))
-        file_store = SqliteStore(str(tmp_path / "shard.db"))
+class TestFileBackedStore:
+    def test_file_store_identical_to_memory_store(self, tmp_path):
+        source = TestSemiNaive()._chain(10)
+        closure = parse_dependencies(TestSemiNaive.CLOSURE)
+        memory_store = _load(source)
+        sql_chase(memory_store, closure)
+        file_store = SqliteStore(str(tmp_path / "chase.db"))
         file_store.add_all(source.facts)
-        sql_chase(file_store, parse_dependencies(self.CLOSURE), jobs=3)
-        assert file_store.digest() == serial_store.digest()
+        sql_chase(file_store, closure)
+        assert file_store.digest() == memory_store.digest()
 
 
 class TestGovernance:

@@ -373,38 +373,17 @@ class TestDuckDbSpecifics:
         assert duck.digest() == lite.digest()
 
 
-class TestReaderConnections:
-    def test_sqlite_memory_reader_sees_data(self):
-        store = SqliteStore(":memory:")
-        store.add_all(FACTS)
-        reader = store.reader_connection()
-        if reader is None:  # shared-cache compiled out: serial fallback
-            return
-        tbl, _ = store.table_for("P")
-        (n,) = reader.execute(f"SELECT COUNT(*) FROM {tbl}").fetchone()
-        assert n == 3
-        store.close_reader(reader)
-
-    def test_sqlite_file_reader_sees_data(self, tmp_path):
-        store = SqliteStore(str(tmp_path / "r.db"))
-        store.add_all(FACTS)
-        reader = store.reader_connection()
-        assert reader is not None
-        tbl, _ = store.table_for("Q")
-        (n,) = reader.execute(f"SELECT COUNT(*) FROM {tbl}").fetchone()
-        assert n == 1
-        store.close_reader(reader)
-
-    @needs_duckdb
-    def test_duckdb_reader_sees_data(self):
-        store = DuckDbStore(":memory:")
-        store.add_all(FACTS)
-        reader = store.reader_connection()
-        assert reader is not None
-        tbl, _ = store.table_for("P")
-        (n,) = reader.execute(f"SELECT COUNT(*) FROM {tbl}").fetchone()
-        assert n == 3
-        store.close_reader(reader)
+class TestMemoryIsolation:
+    def test_in_memory_sqlite_stores_are_independent(self):
+        first, second = SqliteStore(), SqliteStore()
+        first.add_all(FACTS)
+        assert len(second) == 0 and second.relation_names() == ()
+        extra = fact("S", "z")
+        second.add(extra)
+        assert extra not in first.fact_set() and "S" not in first.relation_names()
+        first.close()
+        assert second.fact_set() == {extra}
+        second.close()
 
 
 class TestOpenStore:
