@@ -176,7 +176,7 @@ def disjunctive_chase(
     checked against the branch's live index (by fact membership when a
     disjunct has no existential variable), and the last disjunct's
     child inherits the parent's index and agendas instead of forking
-    them.  ``evaluation="naive"`` (or ``REPRO_NAIVE_CHASE=1``) rebuilds
+    them.  ``evaluation="naive"`` rebuilds
     every world fact by fact and re-matches it from scratch; both
     modes fire identical triggers and build identical branch trees.
 

@@ -27,8 +27,7 @@ fact new in round ``k-1`` (:func:`~repro.logic.delta.match_atoms_delta`)
 instead of re-matching the whole instance.  The firing sequence — and
 therefore every null name, budget truncation point, and tracer event —
 is identical to the naive loop's, which remains available as
-``evaluation="naive"`` or via the ``REPRO_NAIVE_CHASE=1`` environment
-escape hatch.  Resource governance goes through
+``evaluation="naive"``.  Resource governance goes through
 :class:`repro.limits.Limits`: the chase checks a cooperative
 :class:`~repro.limits.Budget` (wall-clock deadline, fixpoint rounds,
 total facts, minted nulls, cancellation) inside the fixpoint loop, and
@@ -43,7 +42,6 @@ non-termination guard applies (raising :class:`ChaseNonTermination`).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -187,16 +185,16 @@ def resolve_budget(
 
 
 def resolve_evaluation(evaluation: Optional[str]) -> str:
-    """The effective evaluation mode: explicit > environment > delta.
+    """The effective evaluation mode: *evaluation*, else delta.
 
     ``"delta"`` (semi-naive, the default) enumerates only bindings that
     touch facts new in the previous round; ``"naive"`` re-matches the
     whole instance each round.  Both produce fact-for-fact identical
-    results; naive survives as a differential-testing oracle, reachable
-    fleet-wide through ``REPRO_NAIVE_CHASE=1``.
+    results; naive survives as the in-process differential-testing
+    oracle (``tests/differential/``).
     """
     if evaluation is None:
-        evaluation = "naive" if os.environ.get("REPRO_NAIVE_CHASE") else "delta"
+        evaluation = "delta"
     if evaluation not in ("delta", "naive"):
         raise ValueError(f"unknown chase evaluation {evaluation!r}")
     return evaluation

@@ -880,10 +880,10 @@ def build_parser() -> argparse.ArgumentParser:
              "chase uses it as scratch space")
     engine_flags.add_argument(
         "--sql-chase", action="store_true",
-        help="compile restricted chases to semi-naive SQL plans run "
-             "inside the SQL store backend (a mapping with a dependency "
-             "outside the SQL fragment runs tuple-at-a-time; "
-             "REPRO_NAIVE_CHASE=1 selects the naive SQL oracle)")
+        help="compile restricted chases, single and batched, to "
+             "semi-naive SQL plans run inside the SQL store backend (a "
+             "mapping with a dependency outside the SQL fragment runs "
+             "tuple-at-a-time)")
     engine_flags.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="persistent disk tier under the engine caches: results "

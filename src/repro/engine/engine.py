@@ -137,6 +137,55 @@ def _chase_fields(result: ChaseResult) -> Dict[str, int]:
     }
 
 
+def run_chase(
+    mapping: SchemaMapping,
+    source: Instance,
+    variant: str,
+    scratch: Optional[str],
+    tracer: Optional[Tracer] = None,
+    limits: Optional[Limits] = None,
+    profiler: Optional[ChaseProfiler] = None,
+) -> ChaseResult:
+    """One chase of *source* on the kernel :meth:`ExchangeEngine._scratch` chose.
+
+    ``scratch=None`` runs the tuple chase; a store spec runs the
+    set-at-a-time SQL chase inside a fresh store opened at it, adapted
+    to a :class:`ChaseResult` over an in-memory snapshot: results are
+    cached and outlive the scratch store, which the next chase at the
+    same spec recreates.  Single chases and batch items (in this
+    process or a pool worker) all run through here.
+    """
+    if scratch is None:
+        return chase(
+            source,
+            mapping.dependencies,
+            variant=variant,
+            tracer=tracer,
+            limits=limits,
+            profiler=profiler,
+        )
+    from ..store.sqlplan import sql_chase
+
+    store = open_store(scratch, fresh=True)
+    try:
+        store.add_all(source.facts)
+        sqlres = sql_chase(
+            store, mapping.dependencies, tracer=tracer, limits=limits, profiler=profiler
+        )
+        full = store.snapshot()
+    finally:
+        store.close()
+    return ChaseResult(
+        instance=full,
+        generated=frozenset(full.facts - source.facts),
+        steps=sqlres.steps,
+        rounds=sqlres.rounds,
+        exhausted=sqlres.exhausted,
+        delta_sizes=sqlres.delta_sizes,
+        triggers_considered=sqlres.triggers_considered,
+    )
+
+
 class ExchangeEngine:
     """A session object for exchange operations with caching and fan-out.
 
@@ -197,14 +246,16 @@ class ExchangeEngine:
         disk.  A path-based store is scratch space: it is recreated
         (``fresh=True``) for every operation that uses it.
     sql_chase:
-        ``True`` switches :meth:`exchange` to the set-at-a-time SQL
-        plan compiler (:func:`repro.store.sql_chase`) whenever every
-        dependency is in the compilable fragment
-        (:func:`repro.store.in_sql_fragment`) and the variant is
-        ``restricted``; other mappings run on the tuple chase.  Results
-        are hom-equivalent to the in-memory chase (identical for full
-        tgds), so SQL-chased results are cached under a distinct key
-        tag.
+        ``True`` switches every chase — :meth:`exchange`, each
+        :meth:`chase_many` item, and the plain-tgd reverses that route
+        through them — to the set-at-a-time SQL plan compiler
+        (:func:`repro.store.sql_chase`) whenever every dependency is in
+        the compilable fragment (:func:`repro.store.in_sql_fragment`)
+        and the variant is ``restricted``; other mappings run on the
+        tuple chase.  A single call and a batch item give the same
+        result.  Results are hom-equivalent to the in-memory chase
+        (identical for full tgds), so SQL-chased results are cached
+        under a distinct key tag.
     disk_cache:
         A persistent backing cache layered **under** every in-memory
         LRU: a :class:`repro.service.DiskCache` (or any object with
@@ -489,29 +540,13 @@ class ExchangeEngine:
         results.
         """
         effective = resolve_limits(limits, self.limits)
-        use_sql = (
-            self.sql_chase
-            and variant == "restricted"
-            and all(in_sql_fragment(dep) for dep in mapping.dependencies)
-        )
-        key = ("chase", mapping.digest(), source.digest(), variant)
-        if use_sql:
-            key = key + ("sql",)
+        scratch = self._scratch(mapping, variant)
+        key = self._chase_key(mapping, source, variant, scratch)
 
         def compute(tracer, profiler):
-            if use_sql:
-                result = self._sql_chase_result(
-                    mapping, source, tracer, effective, profiler
-                )
-            else:
-                result = chase(
-                    source,
-                    mapping.dependencies,
-                    variant=variant,
-                    tracer=tracer,
-                    limits=effective,
-                    profiler=profiler,
-                )
+            result = run_chase(
+                mapping, source, variant, scratch, tracer, effective, profiler
+            )
             entry = (result, result.restricted_to(mapping.target.names))
             return entry, result.exhausted
 
@@ -547,50 +582,42 @@ class ExchangeEngine:
             exhausted=result.exhausted,
         )
 
-    def _sql_chase_result(
-        self,
-        mapping: SchemaMapping,
-        source: Instance,
-        tracer: Optional[Tracer],
-        effective: Limits,
-        profiler: Optional[ChaseProfiler] = None,
-    ) -> ChaseResult:
-        """Run the set-at-a-time SQL chase and adapt it to a ChaseResult.
+    def _scratch(
+        self, mapping: SchemaMapping, variant: str, index: Optional[int] = None
+    ) -> Optional[str]:
+        """The kernel choice for one chase: a SQL scratch store spec, or
+        ``None`` for the tuple chase.
 
-        The working store is scratch state: a ``memory`` engine spec
-        still chases inside an in-memory SQLite database (the compiler
-        needs SQL), and path-based specs get a ``.chase`` scratch
-        suffix recreated fresh per operation — the input instances may
-        live at the spec path itself, and ``fresh=True`` drops tables.
+        The SQL kernel runs when the engine has ``sql_chase=True``, the
+        *variant* is ``restricted`` and every dependency is in the SQL
+        fragment.  Its working store is scratch state: a ``memory``
+        engine spec still chases inside an in-memory SQLite database
+        (the compiler needs SQL), and a path-based spec gets a
+        ``.chase`` suffix — plus ``.<index>`` for batch item *index*,
+        so pool workers never share a file — because the input
+        instances may live at the spec path itself and the scratch
+        store is recreated fresh per chase.
         """
-        from ..store.sqlplan import sql_chase
-
-        spec = self.store_spec
-        backend, _, path = spec.partition(":")
+        if not (
+            self.sql_chase
+            and variant == "restricted"
+            and all(in_sql_fragment(dep) for dep in mapping.dependencies)
+        ):
+            return None
+        backend, _, path = self.store_spec.partition(":")
         if backend == "memory":
             backend = "sqlite"
-        if path:
-            store = open_store(f"{backend}:{path}.chase", fresh=True)
-        else:
-            store = open_store(backend)
-        store.add_all(source.facts)
-        sqlres = sql_chase(
-            store,
-            mapping.dependencies,
-            tracer=tracer,
-            limits=effective,
-            profiler=profiler,
-        )
-        full = sqlres.instance
-        return ChaseResult(
-            instance=full,
-            generated=frozenset(full.facts - source.facts),
-            steps=sqlres.steps,
-            rounds=sqlres.rounds,
-            exhausted=sqlres.exhausted,
-            delta_sizes=sqlres.delta_sizes,
-            triggers_considered=sqlres.triggers_considered,
-        )
+        if not path:
+            return backend
+        return f"{backend}:{path}.chase" + ("" if index is None else f".{index}")
+
+    @staticmethod
+    def _chase_key(
+        mapping: SchemaMapping, source: Instance, variant: str, scratch: Optional[str]
+    ) -> tuple:
+        """The chase cache key; SQL-chased results carry a ``"sql"`` tag."""
+        key = ("chase", mapping.digest(), source.digest(), variant)
+        return key if scratch is None else key + ("sql",)
 
     def chase(
         self,
@@ -708,8 +735,9 @@ class ExchangeEngine:
         """The batch skeleton behind :meth:`chase_many`/:meth:`reverse_many`.
 
         Dedups *items* on their cache *key*, probes the *op* cache, runs
-        the misses through :meth:`_run_batch` — payload ``payload(item)
-        + (ctx, limits, fault, 1)``, task ``tasks[1]`` (the traced one)
+        the misses through :meth:`_run_batch` — payload ``payload(item,
+        index) + (ctx, limits, fault, 1)``, *index* the item's first
+        position, task ``tasks[1]`` (the traced one)
         when a tracer is active, else ``tasks[0]`` — and accounts every
         outcome: kill notes, one ``OpRecord`` per computed item, the
         cache put for complete results, and a
@@ -749,7 +777,7 @@ class ExchangeEngine:
             context = current_context()
             ctx = context.to_dict() if context is not None else None
             payloads = [
-                payload(item)
+                payload(item, first)
                 + (ctx, limits, plan.for_item(first) if plan else None, 1)
                 for _, (item, first) in todo
             ]
@@ -872,7 +900,7 @@ class ExchangeEngine:
         plan) injects deterministic failures by batch index for tests —
         deduplicated items take the fault of their first occurrence.
         """
-        digest = mapping.digest()
+        scratch = self._scratch(mapping, variant)
 
         def settle(result: ChaseResult):
             restricted = result.restricted_to(mapping.target.names)
@@ -881,8 +909,10 @@ class ExchangeEngine:
         return self._batch(
             "chase",
             instances,
-            key=lambda inst: ("chase", digest, inst.digest(), variant),
-            payload=lambda inst: (mapping, inst, variant),
+            key=lambda inst: self._chase_key(mapping, inst, variant, scratch),
+            payload=lambda inst, index: (
+                mapping, inst, variant, self._scratch(mapping, variant, index)
+            ),
             tasks=(chase_task, chase_task_traced),
             limits=resolve_limits(limits, self.limits),
             settle=settle,
@@ -982,17 +1012,12 @@ class ExchangeEngine:
             hit, key, candidates, exhausted = self._reverse_branches(
                 reverse_mapping, target, max_nulls, minimize, max_branches, limits
             )
+            provenance = CacheProvenance(self._key_id(key), hit)
         else:
             forward = self.exchange(reverse_mapping, target, limits=limits)
-            hit, key, candidates, exhausted = (
-                forward.cached,
-                ("chase", reverse_mapping.digest(), target.digest(), "restricted"),
-                (forward.instance,),
-                forward.exhausted,
-            )
-        return self._reverse_result(
-            candidates, CacheProvenance(self._key_id(key), hit), exhausted, take_core
-        )
+            candidates = (forward.instance,)
+            provenance, exhausted = forward.provenance, forward.exhausted
+        return self._reverse_result(candidates, provenance, exhausted, take_core)
 
     def _reverse_result(
         self,
@@ -1096,7 +1121,7 @@ class ExchangeEngine:
             key=lambda t: (
                 "reverse", digest, t.digest(), max_nulls, minimize, max_branches
             ),
-            payload=lambda t: (reverse_mapping, t, max_nulls, minimize),
+            payload=lambda t, _index: (reverse_mapping, t, max_nulls, minimize),
             tasks=(reverse_task, reverse_task_traced),
             limits=self._reverse_limits(max_branches, limits),
             settle=settle,

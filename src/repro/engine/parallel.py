@@ -29,7 +29,11 @@ element bumped.  The element *before* the trailing triple is ``ctx``,
 the caller's serialized :class:`repro.obs.context.TraceContext` (a
 plain dict, or ``None`` outside a request): task functions restore it
 as the worker's ambient context so spans and records produced in the
-worker carry the originating request's ids."""
+worker carry the originating request's ids.  A chase payload opens with
+``(mapping, instance, variant, scratch)``: *scratch* is the engine's
+kernel choice for the item (``None`` for the tuple chase, else the SQL
+chase's scratch store spec, one per item), so a batch item runs on the
+same kernel as a single :meth:`~repro.engine.ExchangeEngine.exchange`."""
 
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..chase.disjunctive import Branches, reverse_disjunctive_chase
-from ..chase.standard import ChaseResult, chase
+from ..chase.standard import ChaseResult
 from ..errors import BudgetExhausted, FaultInjected
 from ..instance import Instance
 from ..limits import Exhausted, Fault, Limits, trip
@@ -121,13 +125,13 @@ def _scope(ctx: Optional[dict]):
 
 
 def _chase_body(payload: tuple, tracer: Optional[Tracer]) -> ChaseResult:
-    """Chase one instance; *tracer* goes to the kernel as given."""
-    mapping, instance, variant, ctx, limits, fault, attempt = payload
+    """Chase one instance on the payload's kernel; *tracer* goes to it as given."""
+    from .engine import run_chase  # the engine module imports this one
+
+    mapping, instance, variant, scratch, ctx, limits, fault, attempt = payload
     trip(fault, attempt)
     with _scope(ctx):
-        return chase(
-            instance, mapping.dependencies, variant=variant, tracer=tracer, limits=limits
-        )
+        return run_chase(mapping, instance, variant, scratch, tracer, limits)
 
 
 def _reverse_body(payload: tuple, tracer: Optional[Tracer]) -> Branches:
@@ -152,7 +156,8 @@ def _reverse_body(payload: tuple, tracer: Optional[Tracer]) -> Branches:
 
 def chase_task(
     payload: Tuple[
-        SchemaMapping, Instance, str, Optional[dict], Optional[Limits], Optional[Fault], int
+        SchemaMapping, Instance, str, Optional[str], Optional[dict],
+        Optional[Limits], Optional[Fault], int,
     ]
 ) -> ChaseResult:
     """Chase one instance (runs inside a worker; must stay picklable)."""
@@ -161,7 +166,8 @@ def chase_task(
 
 def chase_task_traced(
     payload: Tuple[
-        SchemaMapping, Instance, str, Optional[dict], Optional[Limits], Optional[Fault], int
+        SchemaMapping, Instance, str, Optional[str], Optional[dict],
+        Optional[Limits], Optional[Fault], int,
     ]
 ) -> Tuple[ChaseResult, TraceState]:
     """Chase one instance under a private tracer; ship the trace back.

@@ -28,6 +28,7 @@ pool supervisor kill and respawn it.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import ExitStack
@@ -78,6 +79,20 @@ def _parse_instance(body: Dict[str, Any], field: str) -> Instance:
         raise ServiceRequestError(f"cannot parse {field!r}: {error}")
 
 
+def _finite_number(value: Any) -> bool:
+    """Is *value* a JSON number within float range?
+
+    ``json`` parses the literals ``NaN``, ``Infinity`` and
+    ``-Infinity``, and integers too large for a float.
+    """
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _parse_limits(body: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """The request's ``limits`` object, validated, as plain values."""
     raw = body.get("limits")
@@ -95,12 +110,14 @@ def _parse_limits(body: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         value = raw.get(name)
         if value is None:
             continue
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ServiceRequestError(f"limits.{name} must be a positive number")
+        if not _finite_number(value) or value <= 0:
+            raise ServiceRequestError(
+                f"limits.{name} must be a finite positive number"
+            )
         values[name] = value
     try:
         Limits(**values)  # validation only; workers rebuild from values
-    except Exception as error:
+    except (TypeError, ValueError) as error:
         raise ServiceRequestError(f"invalid limits: {error}")
     return values or None
 
@@ -118,13 +135,15 @@ def _parse_fault(body: Dict[str, Any], allow_faults: bool) -> Optional[dict]:
         raw = {"kind": raw}
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ServiceRequestError("'fault' must be a kind string or object")
+    seconds = raw.get("seconds", 0.0)
+    if not _finite_number(seconds):
+        raise ServiceRequestError("fault.seconds must be a finite number")
+    seconds = float(seconds)
     try:
-        Fault(
-            kind=raw["kind"], item=0, seconds=float(raw.get("seconds", 0.0))
-        )
-    except Exception as error:
+        Fault(kind=raw["kind"], item=0, seconds=seconds)
+    except (TypeError, ValueError) as error:
         raise ServiceRequestError(f"invalid fault: {error}")
-    return {"kind": raw["kind"], "seconds": float(raw.get("seconds", 0.0))}
+    return {"kind": raw["kind"], "seconds": seconds}
 
 
 def _positive_int(body: Dict[str, Any], field: str, default: int) -> int:

@@ -118,11 +118,12 @@ class WarmPool:
         ``cache_dir``/``cache_size``/``store``/``sql_chase`` (see
         :class:`_WarmTask`).
     deadline:
-        Default per-request cooperative deadline, seconds (a request's
-        own ``limits.deadline`` wins when smaller is desired — the pool
-        uses the *pool* deadline for escalation regardless, since a
-        request that lies about its budget is exactly the one the
-        supervisor exists for).
+        Per-request cooperative deadline, seconds.  A request's own
+        ``limits.deadline`` can only lower it: the job runs under the
+        smaller of the two, so a request asking for more time than the
+        server allows is still cancelled — and, after ``grace``, killed
+        — at the server's deadline.  Non-finite limits never reach the
+        pool: validation answers them with a 400.
     grace:
         Heartbeat staleness past the deadline that triggers the kill,
         exactly as in :mod:`repro.engine.supervisor`.
@@ -166,6 +167,10 @@ class WarmPool:
     ) -> PoolJob:
         """Queue one normalized request; returns its :class:`PoolJob`.
 
+        The job's deadline is the smaller of *deadline* (the request's
+        own ``limits.deadline``) and the pool's: a request can lower
+        the server's deadline, never lift it.
+
         Raises :class:`PoolDraining` once :meth:`drain` has begun and
         :class:`PoolSaturated` when admitting the request would push the
         pending count past ``max_pending``.
@@ -181,11 +186,9 @@ class WarmPool:
                 )
             self._pending += 1
             self._counts["submitted"] += 1
+        deadlines = [d for d in (deadline, self.deadline) if d is not None]
         job = PoolJob(
-            next(self._task_ids),
-            request,
-            deadline if deadline is not None else self.deadline,
-            on_done=self._finish,
+            next(self._task_ids), request, min(deadlines, default=None), on_done=self._finish
         )
         self._pool.submit(job)
         return job

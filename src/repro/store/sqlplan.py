@@ -39,10 +39,10 @@ the **live** tables (decision D5), which is what makes the delta and
 naive trigger sets provably identical per round: an all-old frontier
 row was enumerated the round before and is therefore satisfied now.
 Premise matching in *both* modes is confined to the round-start
-watermark, so ``evaluation="naive"`` (or ``REPRO_NAIVE_CHASE=1``)
-survives as a byte-identical differential oracle — same triggers, same
-null numbering, same rounds, same digests, only the per-round join work
-(``triggers_considered``) differs.
+watermark, so ``evaluation="naive"`` survives as a byte-identical
+differential oracle — same triggers, same null numbering, same rounds,
+same digests, only the per-round join work (``triggers_considered``)
+differs.
 
 Dependencies outside the fragment are rejected up front with
 :class:`SqlPlanError`, and so are disjunctive tgds, mirroring
@@ -52,7 +52,7 @@ the tuple chase instead (:func:`in_sql_fragment` decides).
 Result caveat: a SQL chase reaches the same fixpoint as the in-memory
 restricted chase *up to null renaming* (hom-equivalent); for **full**
 tgds no nulls are minted and the result is fact-for-fact identical —
-that is what CI's store-smoke diff pins.
+``tests/differential/`` checks both.
 """
 
 from __future__ import annotations
@@ -489,10 +489,9 @@ def sql_chase(
     outside the fragment (:func:`in_sql_fragment`) raises
     :class:`SqlPlanError` before anything runs.  *evaluation* selects
     semi-naive delta joins (``"delta"``, the default) or the full-join
-    oracle (``"naive"``); resolution follows
-    :func:`repro.chase.standard.resolve_evaluation` (explicit argument >
-    ``REPRO_NAIVE_CHASE=1`` > delta), and the two modes are
-    byte-identical in everything but ``triggers_considered``.
+    oracle (``"naive"``); ``None`` resolves to delta
+    (:func:`repro.chase.standard.resolve_evaluation`), and the two modes
+    are byte-identical in everything but ``triggers_considered``.
 
     Resource governance matches :func:`repro.chase.standard.chase`:
     pass ``limits`` or a shared ``budget``; with neither, the ambient

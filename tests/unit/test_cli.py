@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.instance import Instance
 
 
 def run_cli(capsys, *argv):
@@ -358,3 +359,21 @@ class TestGovernanceFlags:
         )
         assert code == 0
         assert "partial:" in err and "branches" in err
+
+
+def test_cli_parse_instances_loads_selected_backend(tmp_path):
+    import argparse
+
+    from repro.cli import _parse_instances
+
+    args = argparse.Namespace(
+        instance=["P(a, b), Q(c)", "R(x, 1)"],
+        store=f"sqlite:{tmp_path / 'cli.db'}",
+    )
+    loaded = _parse_instances(args)
+    assert [type(inst.store).__name__ for inst in loaded] == [
+        "SqliteStore",
+        "SqliteStore",
+    ]
+    assert loaded[0] == Instance.parse("P(a, b), Q(c)")
+    assert loaded[1] == Instance.parse("R(x, 1)")

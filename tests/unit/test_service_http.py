@@ -99,6 +99,27 @@ class TestValidation:
         with pytest.raises(ServiceRequestError):
             validate_request("chase", _body(limits={"nope": 1}))
 
+    @pytest.mark.parametrize(
+        "field", ["deadline", "max_rounds", "max_facts", "max_nulls", "max_branches"]
+    )
+    def test_non_finite_limits_are_400(self, tmp_path, field):
+        service = _service(tmp_path)
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            limits = json.loads(f'{{"{field}": {literal}}}')
+            status, response = service.handle("chase", _body(limits=limits))
+            assert status == 400, (field, literal)
+            assert response["error"]["kind"] == "invalid"
+
+    def test_unexpected_limits_error_is_not_a_400(self, monkeypatch):
+        from repro.limits import Limits
+
+        def broken(self):
+            raise RuntimeError("bug in Limits")
+
+        monkeypatch.setattr(Limits, "__post_init__", broken)
+        with pytest.raises(RuntimeError, match="bug in Limits"):
+            validate_request("chase", _body(limits={"deadline": 5}))
+
     def test_fault_needs_opt_in(self):
         with pytest.raises(ServiceRequestError):
             validate_request("chase", _body(fault={"kind": "hang"}))

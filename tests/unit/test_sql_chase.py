@@ -256,11 +256,6 @@ class TestSemiNaive:
         r_naive, _ = self._run(source, self.CLOSURE, evaluation="naive")
         assert 0 < r_delta.triggers_considered < r_naive.triggers_considered
 
-    def test_env_escape_hatch_selects_naive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NAIVE_CHASE", "1")
-        result, _ = self._run(self._chain(4), self.CLOSURE)
-        assert result.evaluation == "naive"
-
     def test_existential_null_numbering_identical(self):
         # Byte identity must survive null minting, not just full tgds.
         text = "P(x, y) & E(y, z) -> P(x, z)\nE(x, y) -> P(x, y)\nP(x, y) -> H(y, w)"

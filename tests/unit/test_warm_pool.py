@@ -196,6 +196,22 @@ class TestAdmission:
         assert pids  # sanity: there were workers to stop
 
 
+class TestServerDeadline:
+    def test_request_cannot_lift_the_pool_deadline(self):
+        from repro.service.http import ExchangeService
+
+        pool = WarmPool(workers=1, deadline=0.5, grace=0.5)
+        body = {"mapping": MAPPING, "instance": "P(long)", "limits": {"deadline": 1000}}
+        body["fault"] = {"kind": "hang", "seconds": 4}
+        started = time.monotonic()
+        try:
+            status, response = ExchangeService(pool, allow_faults=True).handle("chase", body)
+        finally:
+            pool.drain(timeout=30)
+        assert status == 500 and response["error"]["kind"] == "killed"
+        assert time.monotonic() - started < 3.0
+
+
 class TestResultTimeout:
     def test_result_timeout_raises(self, pool):
         hang = _request("P(t1)", fault={"kind": "hang", "seconds": 30}, limits=None)
