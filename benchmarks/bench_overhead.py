@@ -60,7 +60,6 @@ from repro.obs import (
     ChaseObserver,
     ChaseProfiler,
     JsonlSink,
-    OpenMetricsSink,
     ProgressReporter,
     Tracer,
     current_tracer,
@@ -200,28 +199,6 @@ def test_engine_jsonl_sink(benchmark):
         engine = _engine(sink=JsonlSink(os.path.join(tmp, "ops.jsonl")))
         benchmark(engine.exchange, mapping, source)
         record_metric(benchmark, records=engine.sink.records)
-
-
-def test_engine_openmetrics_sink(benchmark):
-    """For scale: aggregation + periodic OpenMetrics rewrite."""
-    mapping, source = _workload()
-    with tempfile.TemporaryDirectory() as tmp:
-        sink = OpenMetricsSink(os.path.join(tmp, "m.prom"), write_every=100)
-        benchmark(_engine(sink=sink).exchange, mapping, source)
-        record_metric(benchmark, records=sink.records)
-
-
-def test_engine_openmetrics_sink_eager_throttled(benchmark):
-    """For scale: ``write_every=1`` tamed by ``min_interval`` — the
-    configuration hot batch loops should use.  The first record pays a
-    file rewrite; every later one is aggregation only."""
-    mapping, source = _workload()
-    with tempfile.TemporaryDirectory() as tmp:
-        sink = OpenMetricsSink(
-            os.path.join(tmp, "m.prom"), write_every=1, min_interval=5.0
-        )
-        benchmark(_engine(sink=sink).exchange, mapping, source)
-        record_metric(benchmark, records=sink.records, writes=sink.writes)
 
 
 # ----------------------------------------------------------------------

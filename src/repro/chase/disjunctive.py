@@ -48,7 +48,14 @@ from ..errors import BudgetExhausted, ChaseNonTermination
 from ..homs.quotient import enumerate_quotients
 from ..homs.search import is_homomorphic
 from ..instance import Fact, Instance, InstanceBuilder
-from ..limits import Budget, Exhausted, Limits, budget_scope, current_budget
+from ..limits import (
+    Budget,
+    Exhausted,
+    Limits,
+    budget_scope,
+    current_budget,
+    resolve_guards,
+)
 from ..logic.delta import TriggerIndex, binding_sort_key, match_atoms_delta
 from ..logic.dependencies import Dependency, DisjunctiveTgd, iter_disjunctive
 from ..logic.guards import Inequality
@@ -56,20 +63,7 @@ from ..logic.matching import match_atoms
 from ..obs.observer import ChaseObserver, chase_observer
 from ..obs.tracer import Tracer, current_tracer, maybe_span
 from ..terms import Const, NullFactory
-from .standard import resolve_budget, resolve_evaluation
-
-#: Per-branch rounds guard when neither rounds nor deadline is bounded.
-DEFAULT_MAX_ROUNDS = 32
-
-#: Frontier-width guard when neither branches nor deadline is bounded.
-DEFAULT_MAX_BRANCHES = 10_000
-
-#: The pre-``Limits`` behavior of both entry points.
-_LEGACY_LIMITS = Limits(
-    max_rounds=DEFAULT_MAX_ROUNDS,
-    max_branches=DEFAULT_MAX_BRANCHES,
-    on_exhausted="raise",
-)
+from .standard import resolve_evaluation
 
 
 class Branches(List[Instance]):
@@ -136,13 +130,6 @@ def _witnessed(plan: List[tuple], binding: dict, index: TriggerIndex) -> bool:
     return False
 
 
-def _guard(bound: Optional[int], deadline: Optional[float], default: int):
-    """A fallback bound: applied only when nothing else limits the run."""
-    if bound is not None:
-        return bound
-    return default if deadline is None else None
-
-
 def disjunctive_chase(
     instance: Instance,
     dependencies: Sequence[Dependency],
@@ -188,8 +175,11 @@ def disjunctive_chase(
     for the tracer and the budget's progress reporter alike.
 
     Resource governance: pass ``limits`` / ``budget`` as for
-    :func:`repro.chase.standard.chase`.  In the raise mode (the default
-    without limits) a branch exceeding the round bound raises
+    :func:`repro.chase.standard.chase`.  Limits that set neither a
+    round bound nor a deadline get 32 rounds per branch, and neither a
+    branch bound nor a deadline 10,000 branches
+    (:func:`repro.limits.resolve_guards`).  In the raise mode (the
+    default without limits) a branch exceeding the round bound raises
     :class:`ChaseNonTermination` and frontier explosion raises
     :class:`repro.errors.BudgetExhausted` (a ``RuntimeError``); in
     partial mode the chase stops and returns the worlds explored so far,
@@ -208,11 +198,11 @@ def disjunctive_chase(
     dtgds: List[DisjunctiveTgd] = list(iter_disjunctive(dependencies))
     tracer = tracer or current_tracer()
     evaluation = resolve_evaluation(evaluation)
-    budget = resolve_budget(limits, budget, _LEGACY_LIMITS)
+    budget, guard_rounds, guard_branches = resolve_guards(
+        "disjunctive_chase", limits, budget
+    )
     observer = chase_observer(tracer, profiler, budget.reporter)
     lim = budget.limits
-    guard_rounds = _guard(lim.max_rounds, lim.deadline, DEFAULT_MAX_ROUNDS)
-    guard_branches = _guard(lim.max_branches, lim.deadline, DEFAULT_MAX_BRANCHES)
 
     # Each disjunct's existential variables, in minting order.
     existentials = [
@@ -613,16 +603,17 @@ def reverse_disjunctive_chase(
     Returns a hom-minimal antichain of branch instances unless
     ``minimize=False`` (the raw set is exponentially redundant).  The
     budget governs minimization too: in partial mode a budget that runs
-    out there — or had already run out in the chase — yields the
-    deduplicated, unminimized branches of the worlds the call chased,
-    tagged with the diagnosis (universally faithful, Def. 6.1, when the
-    chase itself completed); in raise mode the typed error propagates.
+    out there — or had already run out in the chase, in which case
+    minimization is skipped — yields the deduplicated, unminimized
+    branches of the worlds the call chased, tagged with the diagnosis
+    (universally faithful, Def. 6.1, when the chase itself completed);
+    in raise mode the typed error propagates.
     """
     tracer = tracer or current_tracer()
     # The per-world chases resolve their own observers; this one
     # reports only an exhaustion during minimization.
     observer = chase_observer(tracer, profiler)
-    budget = resolve_budget(limits, budget, _LEGACY_LIMITS)
+    budget = resolve_guards("disjunctive_chase", limits, budget).budget
     dtgds = list(iter_disjunctive(dependencies))
     if minimize and _source_to_target(dtgds):
         worlds = enumerate_quotients(
@@ -654,17 +645,16 @@ def reverse_disjunctive_chase(
             exhausted = branches.exhausted
             break
     result = None
-    if minimize:
+    if minimize and exhausted is None:
         try:
             with budget_scope(budget):
                 result = Branches(minimize_branches(collected))
         except BudgetExhausted:
             if budget.limits.raises or budget.exhausted is None:
                 raise
-            if exhausted is None:
-                exhausted = budget.exhausted
-                if observer is not None:
-                    observer.exhausted(exhausted)
+            exhausted = budget.exhausted
+            if observer is not None:
+                observer.exhausted(exhausted)
     if result is None:
         result = Branches(_deduplicated(collected))
     result.exhausted = exhausted

@@ -36,8 +36,9 @@ behavior) or returns the work done so far as a *partial result* tagged
 with an :class:`~repro.limits.Exhausted` diagnosis.  Because the chase
 is deterministic and truncation only drops a suffix of the firing
 sequence, a partial instance is always a sound sub-instance of the full
-chase result.  With no limits configured a default 64-round
-non-termination guard applies (raising :class:`ChaseNonTermination`).
+chase result.  Limits that bound neither rounds nor time get a 64-round
+fallback, and with no limits at all it raises
+:class:`ChaseNonTermination` (:func:`repro.limits.resolve_guards`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ChaseNonTermination
 from ..instance import Instance
-from ..limits import Budget, Exhausted, Limits, current_budget
+from ..limits import Budget, Exhausted, Limits, resolve_guards
 from ..logic.atoms import Atom
 from ..logic.delta import TriggerIndex, match_atoms_delta
 from ..logic.dependencies import Dependency, Tgd
@@ -64,14 +65,6 @@ __all__ = [
     "chase_atoms_canonical",
     "resolve_evaluation",
 ]
-
-#: Rounds guard applied when the caller sets neither rounds nor deadline
-#: (non-termination must stay an error, never a hang).
-DEFAULT_MAX_ROUNDS = 64
-
-#: The pre-``Limits`` behavior: 64 rounds, raise on exhaustion.
-_LEGACY_LIMITS = Limits(max_rounds=DEFAULT_MAX_ROUNDS, on_exhausted="raise")
-
 
 @dataclass(frozen=True)
 class ChaseResult:
@@ -154,36 +147,6 @@ def _fire(
     return len(added)
 
 
-def resolve_budget(
-    limits: Optional[Limits],
-    budget: Optional[Budget],
-    legacy: Limits,
-    fallback_rounds: Optional[int] = None,
-) -> Budget:
-    """The effective budget for one chase call.
-
-    Priority: an explicit *budget* (shared accounting, honored as-is) >
-    explicit *limits* > the thread's ambient budget > *legacy* defaults.
-    A fresh budget built from limits that bound neither rounds nor time
-    gets *fallback_rounds* imposed so unbounded recursion stays an error
-    rather than a hang.
-    """
-    if budget is not None:
-        return budget
-    if limits is None:
-        ambient = current_budget()
-        if ambient is not None:
-            return ambient
-        return Budget(legacy)
-    if (
-        fallback_rounds is not None
-        and limits.max_rounds is None
-        and limits.deadline is None
-    ):
-        limits = limits.replace(max_rounds=fallback_rounds)
-    return Budget(limits)
-
-
 def resolve_evaluation(evaluation: Optional[str]) -> str:
     """The effective evaluation mode: *evaluation*, else delta.
 
@@ -231,7 +194,9 @@ def chase(
     returns the tagged partial result instead of raising.  A shared
     ``budget`` (:class:`repro.limits.Budget`) may be passed instead for
     composite operations; otherwise the thread's ambient budget
-    (:func:`repro.limits.budget_scope`) applies.
+    (:func:`repro.limits.budget_scope`) applies.  Whatever the budget's
+    source, one that bounds neither rounds nor time gets a 64-round
+    fallback (:func:`repro.limits.resolve_guards`).
 
     With a *tracer* (explicit, or the ambient one from
     :func:`repro.obs.tracing`) every trigger firing and minted null is
@@ -264,9 +229,8 @@ def chase(
     evaluation = resolve_evaluation(evaluation)
     tracer = tracer or current_tracer()
     observer = chase_observer(tracer, profiler)
-    budget = resolve_budget(
-        limits, budget, _LEGACY_LIMITS, fallback_rounds=DEFAULT_MAX_ROUNDS
-    )
+    guards = resolve_guards("chase", limits, budget)
+    budget = guards.budget
 
     index = TriggerIndex(instance)
     factory = NullFactory.avoiding(instance.active_domain, prefix=null_prefix)
@@ -281,7 +245,7 @@ def chase(
     with maybe_span(tracer, "chase", variant=variant, input_facts=len(instance)):
         while exhausted is None:
             rounds += 1
-            exhausted = budget.start_round("chase")
+            exhausted = guards.start_round("chase", rounds)
             if exhausted is not None:
                 rounds -= 1  # the exhausted round never ran
                 break

@@ -80,10 +80,6 @@ _ON_ERROR = ("raise", "skip")
 #: The OpRecord fields that also feed the per-operation counters.
 _COUNTED = ("steps", "rounds", "triggers", "branches")
 
-#: The disjunctive reverse chase's historical guards, as a ``Limits``
-#: base layer (per-call/engine limits are merged on top of it).
-_LEGACY_REVERSE = Limits(max_rounds=32, on_exhausted="raise")
-
 
 @dataclass
 class _OpCounters:
@@ -341,9 +337,7 @@ class ExchangeEngine:
 
     def _tracer(self) -> Optional[Tracer]:
         """The effective tracer for this call (own, else ambient)."""
-        if self.tracer is not None:
-            return self.tracer if self.tracer.enabled else None
-        return current_tracer()
+        return self.tracer if self.tracer is not None else current_tracer()
 
     @staticmethod
     def _cache_event(
@@ -929,33 +923,17 @@ class ExchangeEngine:
     # Reverse exchange
     # ------------------------------------------------------------------
 
-    def _reverse_limits(
-        self, max_branches: int, limits: Optional[Limits]
-    ) -> Limits:
-        """The disjunctive reverse chase's effective limits: the legacy
-        guards (32 rounds/branch, *max_branches* worlds, raise) as the
-        base, engine-level and per-call limits layered on top."""
-        base = _LEGACY_REVERSE.replace(max_branches=max_branches)
-        return base.merge(resolve_limits(limits, self.limits))
-
     def _reverse_branches(
         self,
         mapping: SchemaMapping,
         target: Instance,
         max_nulls: int,
         minimize: bool,
-        max_branches: int,
         limits: Optional[Limits] = None,
     ) -> Tuple[bool, tuple, Tuple[Instance, ...], Optional[Exhausted]]:
         """The cached disjunctive-chase branch set of one target."""
-        key = (
-            "reverse",
-            mapping.digest(),
-            target.digest(),
-            max_nulls,
-            minimize,
-            max_branches,
-        )
+        key = ("reverse", mapping.digest(), target.digest(), max_nulls, minimize)
+        effective = resolve_limits(limits, self.limits)
 
         def compute(tracer, profiler):
             branches = reverse_disjunctive_chase(
@@ -964,7 +942,7 @@ class ExchangeEngine:
                 result_relations=mapping.target.names,
                 max_nulls=max_nulls,
                 minimize=minimize,
-                limits=self._reverse_limits(max_branches, limits),
+                limits=effective,
                 tracer=tracer,
                 profiler=profiler,
             )
@@ -995,7 +973,6 @@ class ExchangeEngine:
         target: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         take_core: bool = False,
         limits: Optional[Limits] = None,
     ) -> ReverseResult:
@@ -1005,12 +982,14 @@ class ExchangeEngine:
         candidate; disjunctive ones use the (cached) quotient-branching
         reverse chase.  With *take_core* every candidate is folded to
         its core through the core cache.  *limits* governs the run as in
-        :meth:`exchange`; a truncated branch enumeration comes back
-        tagged (``result.exhausted``) and uncached.
+        :meth:`exchange` (the kernel's fallback bounds and the ambient
+        budget follow :func:`repro.limits.resolve_guards`); a truncated
+        branch enumeration comes back tagged (``result.exhausted``) and
+        uncached.
         """
         if reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality():
             hit, key, candidates, exhausted = self._reverse_branches(
-                reverse_mapping, target, max_nulls, minimize, max_branches, limits
+                reverse_mapping, target, max_nulls, minimize, limits
             )
             provenance = CacheProvenance(self._key_id(key), hit)
         else:
@@ -1045,7 +1024,6 @@ class ExchangeEngine:
         target: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         limits: Optional[Limits] = None,
     ) -> List[Instance]:
         """Deprecated alias shape returning the raw branch list.
@@ -1053,7 +1031,7 @@ class ExchangeEngine:
         Exactly what ``SchemaMapping.reverse_chase`` returned: the
         disjunctive chase's candidates, no result wrapper."""
         _, _, candidates, _ = self._reverse_branches(
-            mapping, target, max_nulls, minimize, max_branches, limits
+            mapping, target, max_nulls, minimize, limits
         )
         return list(candidates)
 
@@ -1064,7 +1042,6 @@ class ExchangeEngine:
         jobs: Optional[int] = None,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         take_core: bool = False,
         limits: Optional[Limits] = None,
         on_error: Optional[str] = None,
@@ -1118,12 +1095,10 @@ class ExchangeEngine:
         return self._batch(
             "reverse",
             targets,
-            key=lambda t: (
-                "reverse", digest, t.digest(), max_nulls, minimize, max_branches
-            ),
+            key=lambda t: ("reverse", digest, t.digest(), max_nulls, minimize),
             payload=lambda t, _index: (reverse_mapping, t, max_nulls, minimize),
             tasks=(reverse_task, reverse_task_traced),
-            limits=self._reverse_limits(max_branches, limits),
+            limits=resolve_limits(limits, self.limits),
             settle=settle,
             build=lambda key, candidates, hit, exhausted: self._reverse_result(
                 candidates,

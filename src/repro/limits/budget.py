@@ -5,8 +5,7 @@ A :class:`Budget` is the mutable runtime counterpart of an immutable
 charged from inside the fixpoint loops (standard chase, disjunctive
 chase, homomorphism backtracking), and consulted cheaply — each check
 is a handful of comparisons, plus one monotonic-clock read when a
-deadline is set.  The default code path (no limits configured) never
-constructs a budget at all, so unlimited runs pay nothing.
+deadline is set.
 
 A :class:`CancelToken` adds external, thread-safe cancellation: any
 thread may call ``token.cancel()`` and every budget holding the token
@@ -18,6 +17,12 @@ library calls on the same thread (e.g. the hom searches inside
 ``minimize_branches``) respect an enclosing deadline without threading
 a parameter through every signature.  Pool workers are unaffected —
 each worker builds its own budget from the ``Limits`` in its payload.
+
+:func:`resolve_guards` is the one default-guard policy every chase
+kernel calls: it picks the call's budget (shared, fresh from limits,
+ambient, or a raising default) and its effective round and branch
+bounds, with the :data:`FALLBACK_BOUNDS` filling a bound only when the
+limits set neither it nor a deadline.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import BudgetExhausted, Cancelled, ChaseNonTermination
 from ..obs.context import current_context
@@ -303,3 +308,67 @@ def budget_scope(budget):
         yield budget
     finally:
         set_budget(previous)
+
+
+# ----------------------------------------------------------------------
+# The default-guard policy
+# ----------------------------------------------------------------------
+
+#: The fallback bounds, per kernel: ``(rounds, branches)``.  Rounds are
+#: per branch for the disjunctive chase.  A fallback applies only when
+#: the effective limits set neither that bound nor a deadline, so
+#: unbounded recursion ends in a tagged partial result or a typed
+#: error, never a hang.
+FALLBACK_BOUNDS = {
+    "chase": (64, None),
+    "sql_chase": (64, None),
+    "disjunctive_chase": (32, 10_000),
+}
+
+
+class Guards(NamedTuple):
+    """A kernel call's budget and its effective round and branch bounds."""
+
+    budget: Budget
+    max_rounds: Optional[int]
+    max_branches: Optional[int]
+
+    def start_round(self, where: str, rounds: int) -> Optional[Exhausted]:
+        """Charge one round; check the call's own *rounds* count too.
+
+        :meth:`Budget.start_round` checks the budget's bounds; then
+        *rounds* is checked against the effective round bound, which
+        may be a fallback the budget's limits do not carry.
+        """
+        exhausted = self.budget.start_round(where)
+        bound = self.max_rounds
+        if exhausted is None and bound is not None and rounds > bound:
+            exhausted = self.budget.mark("rounds", where, bound, rounds)
+        return exhausted
+
+
+def resolve_guards(
+    kernel: str, limits: Optional[Limits], budget: Optional[Budget]
+) -> Guards:
+    """The budget and bounds one call of *kernel* runs under.
+
+    The budget is a shared *budget* as given, else a fresh one from
+    *limits*, else the thread's ambient budget; when the caller gives
+    no limits at all, a fresh budget that raises on exhaustion.  Each
+    bound is the budget's own ``max_rounds``/``max_branches``, or, when
+    that is unset and the budget has no deadline, the kernel's fallback
+    from :data:`FALLBACK_BOUNDS`, whatever the budget's source.
+    """
+    if budget is None and limits is None:
+        budget = current_budget()
+    if budget is None:
+        budget = Budget(limits if limits is not None else Limits(on_exhausted="raise"))
+    own = budget.limits
+    fallbacks = FALLBACK_BOUNDS[kernel]
+    if own.deadline is not None:
+        fallbacks = (None, None)
+    return Guards(
+        budget,
+        own.max_rounds if own.max_rounds is not None else fallbacks[0],
+        own.max_branches if own.max_branches is not None else fallbacks[1],
+    )

@@ -2,9 +2,9 @@
 
 ``Limits`` is the single resource-governance surface accepted uniformly
 by :func:`repro.chase`, :func:`repro.disjunctive_chase`, every
-:class:`repro.ExchangeEngine` operation, and the CLI — replacing the
-scattered ``max_rounds``-style keyword arguments (which survive as
-warn-once deprecation shims).
+:class:`repro.ExchangeEngine` operation, and the CLI.  Which fallback
+bounds apply when a ``Limits`` leaves rounds or branches unset is
+decided in one place, :func:`repro.limits.resolve_guards`.
 
 A ``Limits`` is declarative and immutable; the live accounting object
 created from it at the start of a run is :class:`repro.limits.Budget`.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Tuple
 
 from ..facts import Fact
-from ..terms import Const, Term, Value, Var, is_term
+from ..terms import Const, Term, Value, Var, is_term, term_text
 
 
 @dataclass(frozen=True, order=True)
@@ -59,7 +59,7 @@ class Atom:
         return Fact(self.relation, tuple(values))
 
     def __str__(self) -> str:
-        args = ", ".join(str(t) for t in self.terms)
+        args = ", ".join(term_text(t) for t in self.terms)
         return f"{self.relation}({args})"
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Union
 
-from ..terms import Const, Term, Value, Var, is_term
+from ..terms import Const, Term, Value, Var, is_term, term_text
 
 
 def _resolve(term: Term, binding: Mapping[Var, Value]) -> Value:
@@ -70,7 +70,7 @@ class Inequality:
         return self.left == self.right
 
     def __str__(self) -> str:
-        return f"{self.left} != {self.right}"
+        return f"{term_text(self.left)} != {term_text(self.right)}"
 
 
 @dataclass(frozen=True, order=True)
@@ -103,7 +103,7 @@ class ConstantGuard:
         return False
 
     def __str__(self) -> str:
-        return f"Constant({self.term})"
+        return f"Constant({term_text(self.term)})"
 
 
 Guard = Union[Inequality, ConstantGuard]

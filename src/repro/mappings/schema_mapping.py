@@ -101,10 +101,11 @@ class SchemaMapping:
         """A stable structural digest of ``(S, T, Σ)`` (hex SHA-256).
 
         Serializes the dependency list in declaration order plus both
-        schemas' name/arity signatures.  Mappings with equal digests are
-        structurally identical, so the digest is a sound cache key for
-        anything computed from the mapping alone (engine caches, audit
-        verdicts, compiled plans).
+        schemas' name/arity signatures.  Dependency text quotes string
+        constants, so ``R(x, "y")`` and ``R(x, y)`` hash apart.  Mappings
+        with equal digests are structurally identical, so the digest is
+        a sound cache key for anything computed from the mapping alone
+        (engine caches, audit verdicts, compiled plans).
         """
         cached = getattr(self, "_digest", None)
         if cached is None:
@@ -161,6 +162,10 @@ class SchemaMapping:
     def uses_inequality(self) -> bool:
         """True when any dependency carries an inequality guard."""
         return any(d.uses_inequality() for d in self._dependencies)
+
+    def __str__(self) -> str:
+        """The dependency text, one per line; :meth:`from_text` reads it back."""
+        return "\n".join(str(d) for d in self._dependencies)
 
     def __repr__(self) -> str:
         deps = "; ".join(str(d) for d in self._dependencies)
@@ -246,7 +251,6 @@ class SchemaMapping:
         target_instance: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         take_core: bool = False,
         limits=None,
     ):
@@ -263,7 +267,6 @@ class SchemaMapping:
             target_instance,
             max_nulls=max_nulls,
             minimize=minimize,
-            max_branches=max_branches,
             take_core=take_core,
             limits=limits,
         )
@@ -301,7 +304,6 @@ class SchemaMapping:
         target_instance: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         limits=None,
     ) -> List[Instance]:
         """Disjunctive chase of a target instance over this mapping.
@@ -322,6 +324,5 @@ class SchemaMapping:
             target_instance,
             max_nulls=max_nulls,
             minimize=minimize,
-            max_branches=max_branches,
             limits=limits,
         )

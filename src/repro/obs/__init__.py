@@ -106,7 +106,6 @@ from .registry import (
     RunDiff,
     RunRegistry,
     RunRow,
-    registry_from_env,
 )
 from .sinks import (
     JsonlSink,
@@ -177,7 +176,6 @@ __all__ = [
     "mint_context",
     "openmetrics_name",
     "progress_scope",
-    "registry_from_env",
     "render_budget_summary",
     "render_derivation",
     "render_profile",

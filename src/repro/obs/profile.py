@@ -292,11 +292,15 @@ def _sparkline(dep: DependencyProfile, rounds: int) -> str:
     return "".join(out)
 
 
-def _clip(text: str, width: int) -> str:
-    return text if len(text) <= width else text[: width - 1] + "…"
+#: Dependency text wider than this is clipped in rendered profiles.
+_TEXT_WIDTH = 44
 
 
-def render_profile(profile: ChaseProfile, text_width: int = 44) -> str:
+def _clip(text: str) -> str:
+    return text if len(text) <= _TEXT_WIDTH else text[: _TEXT_WIDTH - 1] + "…"
+
+
+def render_profile(profile: ChaseProfile) -> str:
     """The ``EXPLAIN ANALYZE``-style table, hottest dependency first.
 
     One row per dependency (× branch for disjunctive profiles): self
@@ -314,7 +318,7 @@ def render_profile(profile: ChaseProfile, text_width: int = 44) -> str:
         return header + "\n  (no dependencies profiled)"
     width = max(
         [len("dependency")]
-        + [len(_clip(d.text, text_width)) for d in profile.dependencies]
+        + [len(_clip(d.text)) for d in profile.dependencies]
     )
     lines = [header]
     branch_col = "  branch" if branchy else ""
@@ -327,7 +331,7 @@ def render_profile(profile: ChaseProfile, text_width: int = 44) -> str:
         share = (dep.self_time / total * 100.0) if total > 0 else 0.0
         branch_cell = f"  {dep.branch or '':>6}" if branchy else ""
         lines.append(
-            f"  {_clip(dep.text, text_width):<{width}}  {dep.fingerprint:<12}  "
+            f"  {_clip(dep.text):<{width}}  {dep.fingerprint:<12}  "
             f"{dep.self_time * 1000:>8.3f}ms  {share:>4.1f}%  "
             f"{dep.active_rounds:>3}/{profile.rounds:<2}  {dep.considered:>10}  "
             f"{dep.fired:>7}  {dep.facts:>7}  {dep.nulls:>7}{branch_cell}  "
@@ -336,9 +340,7 @@ def render_profile(profile: ChaseProfile, text_width: int = 44) -> str:
     return "\n".join(lines)
 
 
-def diff_profiles(
-    before: ChaseProfile, after: ChaseProfile, text_width: int = 44
-) -> str:
+def diff_profiles(before: ChaseProfile, after: ChaseProfile) -> str:
     """Attribute a wall-time move to the dependencies that moved.
 
     Matches rows across the two profiles by (fingerprint, branch) and
@@ -380,7 +382,7 @@ def diff_profiles(
         branch_note = f" branch={branch}" if branch is not None else ""
         lines.append(
             f"  {delta * 1000:+9.3f} ms  {note:>9}  "
-            f"{_clip(text, text_width)} [{fingerprint}]{branch_note}  "
+            f"{_clip(text)} [{fingerprint}]{branch_note}  "
             f"({b_time * 1000:.3f} -> {a_time * 1000:.3f} ms)"
         )
     return "\n".join(lines)

@@ -17,8 +17,8 @@ Design constraints mirror the tracer's:
   branch lifecycle steps only when one is installed.
 * **Throttled when on.**  Heartbeats arrive per chase *step*; the
   reporter keeps the latest gauges and writes at most one line per
-  ``interval`` seconds (monotonic clock), so a hot loop cannot flood
-  stderr.
+  :data:`INTERVAL` seconds (monotonic clock), so a hot loop cannot
+  flood stderr.
 * **Ambient, like the tracer.**  ``with progress_scope(reporter): ...``
   installs a process-wide reporter that freshly created budgets pick
   up; batch items on the serial loop share it, and worker-pool
@@ -35,6 +35,9 @@ from typing import Dict, Optional, TextIO
 
 from .observer import ChaseObserver
 
+#: Seconds between two ticker lines; heartbeats in between coalesce.
+INTERVAL = 0.2
+
 
 class ProgressReporter(ChaseObserver):
     """Collects heartbeat gauges and renders a throttled stderr ticker.
@@ -48,17 +51,9 @@ class ProgressReporter(ChaseObserver):
     """
 
     def __init__(
-        self,
-        stream: Optional[TextIO] = None,
-        interval: float = 0.2,
-        clock=time.monotonic,
-        label: str = "progress",
+        self, stream: Optional[TextIO] = None, clock=time.monotonic
     ) -> None:
-        if interval < 0:
-            raise ValueError(f"interval must be >= 0, got {interval}")
         self.stream = stream
-        self.interval = interval
-        self.label = label
         self._clock = clock
         self._started_at: Optional[float] = None
         self._next_at = float("-inf")
@@ -99,7 +94,7 @@ class ProgressReporter(ChaseObserver):
             self._gauges["branches"] = branches
         if now < self._next_at:
             return
-        self._next_at = now + self.interval
+        self._next_at = now + INTERVAL
         self.ticks += 1
         self._write(self.render(now))
 
@@ -172,7 +167,7 @@ class ProgressReporter(ChaseObserver):
             now = self._clock()
         elapsed = 0.0 if self._started_at is None else now - self._started_at
         parts = [
-            f"{self.label}: {self._where}",
+            f"progress: {self._where}",
             f"round {self._rounds}",
             f"steps={self._steps}",
         ]

@@ -37,6 +37,9 @@ from .sinks import OpRecord
 #: Where the registry lives unless overridden (flag or ``REPRO_RUNS_DB``).
 DEFAULT_DB_PATH = os.path.join(".repro_runs", "runs.db")
 
+#: Prior runs a baseline group needs before it can judge a run.
+BASELINE_MIN_SAMPLES = 3
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -379,7 +382,7 @@ class RunRegistry:
         return [wall_time for (wall_time,) in rows]
 
     def compare_to_baseline(
-        self, run_id: int, factor: float = 2.0, min_samples: int = 3
+        self, run_id: int, factor: float = 2.0
     ) -> BaselineComparison:
         """Judge *run_id*'s wall time against its baseline group's median.
 
@@ -389,12 +392,12 @@ class RunRegistry:
         The baseline group is the run's full content address — *(op,
         mapping digest, instance digest)* — so a large instance's run is
         never judged against the medians of small ones chased under the
-        same mapping.  When the exact group has fewer than *min_samples*
-        prior runs, the check falls back to the blended *(op, mapping
-        digest)* group (``scope="blended"``); with too few samples there
-        as well there is no baseline and the verdict is
-        ``regressed=False`` (``median`` is ``None``, ``scope="none"``) —
-        a fresh registry never cries wolf.
+        same mapping.  When the exact group has fewer than
+        :data:`BASELINE_MIN_SAMPLES` prior runs, the check falls back to
+        the blended *(op, mapping digest)* group (``scope="blended"``);
+        with too few samples there as well there is no baseline and the
+        verdict is ``regressed=False`` (``median`` is ``None``,
+        ``scope="none"``) — a fresh registry never cries wolf.
         """
         if factor <= 0:
             raise ValueError(f"factor must be positive, got {factor}")
@@ -403,10 +406,10 @@ class RunRegistry:
         samples = self.baseline_wall_times(
             run, instance_digest=run.instance_digest
         )
-        if len(samples) < min_samples:
+        if len(samples) < BASELINE_MIN_SAMPLES:
             scope = "blended"
             samples = self.baseline_wall_times(run)
-        if len(samples) < min_samples:
+        if len(samples) < BASELINE_MIN_SAMPLES:
             return BaselineComparison(
                 run_id=run.id,
                 op=run.op,
@@ -431,24 +434,10 @@ class RunRegistry:
         )
 
 
-def registry_from_env(
-    variable: str = "REPRO_RUNS_DB",
-) -> Optional[RunRegistry]:
-    """The registry named by the environment, or ``None``.
-
-    ``REPRO_RUNS_DB=off`` (or ``0``/``none``) explicitly disables it.
-    """
-    value = os.environ.get(variable, "").strip()
-    if not value or value.lower() in ("off", "0", "none", "disabled"):
-        return None
-    return RunRegistry(value)
-
-
 __all__ = [
     "BaselineComparison",
     "DEFAULT_DB_PATH",
     "RunDiff",
     "RunRegistry",
     "RunRow",
-    "registry_from_env",
 ]

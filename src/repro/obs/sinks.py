@@ -141,46 +141,27 @@ class OpenMetricsSink:
     :class:`repro.obs.metrics.BucketedHistogram`, so a file produced
     from merged worker registries equals the single-process one.
 
-    The file is rewritten atomically (temp file + rename) on every
-    flush, matching how Prometheus textfile collectors expect to read
-    it.  ``extra`` (when given) is merged into the output at write time
-    — the CLI passes the engine tracer's registry through it so span
-    histograms are exported alongside operation counters.
-
-    Two independent throttles bound the rewrite cost for hot batch
-    loops (scrapers poll on the order of seconds, so sub-second file
-    freshness buys nothing):
-
-    * ``write_every=N`` flushes at most every *N*-th record;
-    * ``min_interval`` (seconds) skips a due flush when the file was
-      rewritten more recently than that — so ``write_every=1`` stays
-      safe to configure even under thousands of records per second.
-
-    Whatever the throttles suppressed, ``close()`` always performs one
-    final unconditional write: the file on disk reflects every record
-    once the sink is closed.
+    The file is rewritten atomically (temp file + rename) after every
+    record, matching how Prometheus textfile collectors expect to read
+    it, and once more on ``close()``.  ``extra`` (when given) is merged
+    into the output at write time — the CLI passes the engine tracer's
+    registry through it so span histograms are exported alongside
+    operation counters.
     """
 
-    def __init__(
-        self, path: str, write_every: int = 1, min_interval: float = 0.0
-    ) -> None:
-        """Aggregate into *path*; see the class docstring for throttles."""
-        if min_interval < 0:
-            raise ValueError(f"min_interval must be >= 0, got {min_interval}")
+    def __init__(self, path: str) -> None:
+        """Aggregate into *path*, creating its directory if needed."""
         self.path = path
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self.registry = MetricsRegistry()
         self.extra: Optional[MetricsRegistry] = None
-        self.write_every = max(1, write_every)
-        self.min_interval = min_interval
         self.records = 0
         self.writes = 0
-        self._last_write = float("-inf")
         self._closed = False
 
     def record(self, record: OpRecord) -> None:
-        """Fold one record into the registry; flush when due."""
+        """Fold one record into the registry and rewrite the file."""
         if self._closed:
             return
         registry = self.registry
@@ -205,10 +186,7 @@ class OpenMetricsSink:
                 registry.inc(f"ops.{record.op}.{counter}", amount)
         registry.observe(f"op.{record.op}.wall_time", record.wall_time)
         self.records += 1
-        if self.records % self.write_every == 0:
-            now = time.monotonic()
-            if now - self._last_write >= self.min_interval:
-                self.write()
+        self.write()
 
     def render(self) -> str:
         """The current exposition text (own registry merged with extra)."""
@@ -220,7 +198,7 @@ class OpenMetricsSink:
         return merged.to_openmetrics()
 
     def write(self) -> None:
-        """Atomically rewrite the exposition file (throttles not applied)."""
+        """Atomically rewrite the exposition file."""
         directory = os.path.dirname(os.path.abspath(self.path))
         descriptor, temp_path = tempfile.mkstemp(
             prefix=".om-", dir=directory, text=True
@@ -236,7 +214,6 @@ class OpenMetricsSink:
                 pass
             raise
         self.writes += 1
-        self._last_write = time.monotonic()
 
     def close(self) -> None:
         """One final unconditional write, then ignore further records."""

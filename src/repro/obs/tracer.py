@@ -70,16 +70,14 @@ class TraceState:
 class Tracer:
     """The observability session object: event bus + spans + sinks.
 
-    ``enabled=False`` degrades every method to a cheap no-op (for
-    keeping one code path while toggling collection); ``provenance=False``
-    skips the provenance graph (events and metrics only).
-    Thread-safe: instrumented library code may emit from several
+    Tracing is off when no tracer is given or installed (``None``);
+    ``provenance=False`` skips the provenance graph (events and metrics
+    only).  Thread-safe: instrumented library code may emit from several
     threads at once (``repro serve`` handles requests on threads).
     """
 
-    def __init__(self, enabled: bool = True, provenance: bool = True) -> None:
+    def __init__(self, provenance: bool = True) -> None:
         """An empty tracer; *provenance* also builds the derivation graph."""
-        self.enabled = enabled
         self.events: List[TraceEvent] = []
         self.spans: List[Span] = []
         self.metrics = MetricsRegistry()
@@ -97,8 +95,6 @@ class Tracer:
 
     def emit(self, event: TraceEvent) -> None:
         """Record one typed event into all three sinks."""
-        if not self.enabled:
-            return
         with self._lock:
             self.events.append(event)
             self.metrics.inc(f"events.{event.kind}")
@@ -108,9 +104,6 @@ class Tracer:
     @contextmanager
     def span(self, name: str, **attrs):
         """Open a timed span; nests via a per-thread span stack."""
-        if not self.enabled:
-            yield None
-            return
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -164,8 +157,6 @@ class Tracer:
         was fanned out under) re-parents the worker's root spans, so a
         cross-process request stitches into one tree instead of
         leaving orphaned roots."""
-        if not self.enabled:
-            return
         with self._lock:
             base = 0
             for span in state.spans:
@@ -218,10 +209,7 @@ def current_tracer() -> Optional[Tracer]:
 
     Instrumentation points call this once per operation and keep the
     result in a local — the disabled-path cost is one global read."""
-    tracer = _current
-    if tracer is not None and not tracer.enabled:
-        return None
-    return tracer
+    return _current
 
 
 def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
@@ -247,7 +235,7 @@ def tracing(tracer: Optional[Tracer] = None):
 @contextmanager
 def maybe_span(tracer: Optional[Tracer], name: str, **attrs):
     """``tracer.span(...)`` when tracing, a no-op context otherwise."""
-    if tracer is None or not tracer.enabled:
+    if tracer is None:
         yield None
         return
     with tracer.span(name, **attrs) as span:

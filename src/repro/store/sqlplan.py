@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
+from ..limits import resolve_guards
 from ..terms import Const, Var
 from ..logic.atoms import Atom
 from ..logic.dependencies import Dependency, Tgd
@@ -495,8 +496,10 @@ def sql_chase(
 
     Resource governance matches :func:`repro.chase.standard.chase`:
     pass ``limits`` or a shared ``budget``; with neither, the ambient
-    budget or the 64-round non-termination guard applies, and
-    exhaustion either raises or returns a tagged partial result per
+    budget applies, and with none of the three the chase raises.  Any
+    budget that bounds neither rounds nor time gets the 64-round
+    fallback (:func:`repro.limits.resolve_guards`), and exhaustion
+    either raises or returns a tagged partial result per
     ``Limits.on_exhausted``.
 
     With a *profiler* (:class:`repro.obs.ChaseProfiler`, or any
@@ -513,12 +516,7 @@ def sql_chase(
     """
     # Imported here, not at module top: chase.standard sits *above* the
     # store package in the layer map (it imports the Instance facade).
-    from ..chase.standard import (
-        DEFAULT_MAX_ROUNDS,
-        _LEGACY_LIMITS,
-        resolve_budget,
-        resolve_evaluation,
-    )
+    from ..chase.standard import resolve_evaluation
     from ..obs.observer import chase_observer
     from ..obs.tracer import current_tracer, maybe_span
 
@@ -544,9 +542,8 @@ def sql_chase(
         raise SqlPlanError("cannot chase into a frozen store")
     tracer = tracer or current_tracer()
     observer = chase_observer(tracer, profiler)
-    budget = resolve_budget(
-        limits, budget, _LEGACY_LIMITS, fallback_rounds=DEFAULT_MAX_ROUNDS
-    )
+    guards = resolve_guards("sql_chase", limits, budget)
+    budget = guards.budget
     evaluation = resolve_evaluation(evaluation)
 
     resolve: Dict[str, Tuple[str, int]] = {}
@@ -580,7 +577,7 @@ def sql_chase(
     ):
         while exhausted is None:
             rounds += 1
-            exhausted = budget.start_round("sql_chase")
+            exhausted = guards.start_round("sql_chase", rounds)
             if exhausted is not None:
                 rounds -= 1
                 break

@@ -102,6 +102,18 @@ Value = Union[Const, Null]
 Term = Union[Const, Var]
 
 
+def term_text(term: Term) -> str:
+    """*term* as dependency or query text, which parses back to it.
+
+    A string constant prints quoted (``"a"``): bare, it would read back
+    as a variable, and ``"3"`` would read back as the integer ``3``.
+    Fact and instance text keep :meth:`Const.__str__`, unquoted.
+    """
+    if isinstance(term, Const) and isinstance(term.value, str):
+        return f'"{term.value}"'
+    return str(term)
+
+
 def is_value(obj: object) -> bool:
     """Return True if *obj* may occur in an instance (constant or null)."""
     return isinstance(obj, (Const, Null))

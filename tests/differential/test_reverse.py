@@ -22,6 +22,7 @@ from repro.homs.search import is_hom_equivalent
 from repro.instance import Fact, Instance
 from repro.inverses.quasi_inverse import maximum_extended_recovery_for_full_tgds
 from repro.logic.dependencies import iter_disjunctive
+from repro.parsing import parse_dependencies
 from repro.terms import Const, Null
 from repro.workloads.generators import chain_join_reverse, random_full_tgd_mapping
 from repro.workloads.generators import random_instance
@@ -33,17 +34,22 @@ from .harness import assert_evaluations_agree, assert_one_outcome
 
 HAND_WRITTEN = {
     # an inequality across two premise atoms, with an existential disjunct
-    "cross_atom": "E(x, y) & F(y, z) & x != z -> EXISTS w . S(x, w) | T(z)\n"
-    "E(x, x) -> T(x)",
+    "cross_atom": parse_dependencies(
+        "E(x, y) & F(y, z) & x != z -> EXISTS w . S(x, w) | T(z)\nE(x, x) -> T(x)"
+    ),
     # x != c, and a constant the target never holds
-    "guard_constant": "R(x, y) & y != 7 -> S(x, y) | T(y)\n"
-    'R(x, y) & x != "a" -> T(x)',
+    "guard_constant": parse_dependencies(
+        'R(x, y) & y != 7 -> S(x, y) | T(y)\nR(x, y) & x != "a" -> T(x)'
+    ),
     # premise constants next to an inequality
-    "premise_constant": 'R(x, "a") -> S(x) | T(x)\n'
-    "R(x, y) & x != y -> EXISTS z . S(z) | T(y)",
+    "premise_constant": parse_dependencies(
+        'R(x, "a") -> S(x) | T(x)\nR(x, y) & x != y -> EXISTS z . S(z) | T(y)'
+    ),
     # two guards in one premise, existentials in every disjunct
-    "two_guards": "E(x, y) & x != y & y != 2 -> EXISTS z . S(z, y) | EXISTS w . S(x, w)\n"
-    "E(x, y) & F(y, x) -> T(x)",
+    "two_guards": parse_dependencies(
+        "E(x, y) & x != y & y != 2 -> EXISTS z . S(z, y) | EXISTS w . S(x, w)\n"
+        "E(x, y) & F(y, x) -> T(x)"
+    ),
 }
 
 TARGET_VALUES = [Const(c) for c in (1, 2, 7, "a")] + [Null(n) for n in "XYZW"]
@@ -109,8 +115,7 @@ def check_reverse(case, targets, everywhere=False):
 
 
 #: The catalogue's reverses, the maximum extended recoveries of its
-#: full-tgd scenarios, the chain joins, and the hand-written guard sets
-#: (as text: a printed string constant loses its quotes).
+#: full-tgd scenarios, the chain joins, and the hand-written guard sets.
 REVERSES = {
     **{f"catalogue/{n}": Case.of(s.reverse.dependencies) for n, s in PAPER_SCENARIOS.items()},
     **{
@@ -119,7 +124,7 @@ REVERSES = {
         if all(not dep.existential_variables for dep in s.mapping.dependencies)
     },
     **{f"chain_join/{k}": Case.of(chain_join_reverse(k).dependencies) for k in (2, 3)},
-    **{f"hand/{n}": Case(text) for n, text in HAND_WRITTEN.items()},
+    **{f"hand/{n}": Case.of(deps) for n, deps in HAND_WRITTEN.items()},
 }
 
 

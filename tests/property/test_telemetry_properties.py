@@ -68,7 +68,7 @@ def counters_from_rows(rows):
 @settings(max_examples=30, deadline=None)
 def test_registry_rows_reproduce_sink_counters(records):
     with tempfile.TemporaryDirectory() as tmp:
-        sink = OpenMetricsSink(f"{tmp}/m.prom", write_every=1_000_000)
+        sink = OpenMetricsSink(f"{tmp}/m.prom")
         registry = RunRegistry(f"{tmp}/runs.db")
         for record in records:
             sink.record(record)

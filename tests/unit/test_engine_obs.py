@@ -77,11 +77,6 @@ class TestEngineTracing:
         assert kinds.count("cache_miss") == 1
         assert kinds.count("cache_hit") == 1
 
-    def test_disabled_engine_tracer_records_nothing(self):
-        engine = ExchangeEngine(tracer=Tracer(enabled=False))
-        engine.chase(DECOMP, PABC)
-        assert engine.tracer.events == []
-
     def test_ambient_tracer_reaches_engine(self):
         engine = ExchangeEngine()
         with tracing() as tracer:

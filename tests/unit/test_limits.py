@@ -9,6 +9,7 @@ raising — unless ``on_exhausted="raise"`` asks for the legacy errors.
 
 from __future__ import annotations
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -402,6 +403,25 @@ class TestReverseMinimizationGovernance:
         assert branches.exhausted.resource == "branches"
         assert list(branches) == self.chased(wide, capped())
         self.assert_dominates(branches, self.reverse(capped(), False, wide))
+
+    def test_exhausted_chase_never_enters_minimization(self, monkeypatch):
+        from repro import ExchangeEngine
+
+        entered = []
+        monkeypatch.setattr(
+            importlib.import_module("repro.chase.disjunctive"),
+            "minimize_branches",
+            lambda branches: entered.append(1),
+        )
+        recursive = SchemaMapping.from_text("T(x, y) -> EXISTS z . T(y, z) | Q(x)")
+        result = ExchangeEngine().reverse(
+            recursive, Instance.parse("T(a, b)"), limits=Limits(deadline=0.05)
+        )
+        assert result.exhausted.resource == "deadline"
+        assert entered == []
+        assert list(result.candidates) == sorted(
+            set(result.candidates), key=lambda inst: (len(inst), str(inst))
+        )
 
 
 class TestEngineLimits:

@@ -11,6 +11,7 @@ from repro.obs import (
     progress_scope,
     set_reporter,
 )
+from repro.obs.progress import INTERVAL
 
 
 class FakeClock:
@@ -32,14 +33,14 @@ def clock():
 class TestThrottling:
     def test_first_heartbeat_writes_immediately(self, clock):
         stream = io.StringIO()
-        reporter = ProgressReporter(stream=stream, interval=0.2, clock=clock)
+        reporter = ProgressReporter(stream=stream, clock=clock)
         reporter.heartbeat("chase", rounds=1, steps=3)
         assert reporter.ticks == 1
         assert stream.getvalue().count("\n") == 1
 
     def test_heartbeats_inside_interval_are_coalesced(self, clock):
         stream = io.StringIO()
-        reporter = ProgressReporter(stream=stream, interval=0.2, clock=clock)
+        reporter = ProgressReporter(stream=stream, clock=clock)
         for step in range(50):
             reporter.heartbeat("chase", rounds=1, steps=step)
             clock.advance(0.001)
@@ -51,17 +52,6 @@ class TestThrottling:
         # latest state.
         assert "round 2 steps=99" in stream.getvalue().splitlines()[-1]
 
-    def test_zero_interval_writes_every_beat(self, clock):
-        reporter = ProgressReporter(
-            stream=io.StringIO(), interval=0.0, clock=clock
-        )
-        for step in range(5):
-            reporter.heartbeat("chase", rounds=1, steps=step)
-        assert reporter.ticks == 5
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ProgressReporter(interval=-1.0)
 
 
 class TestRendering:
@@ -112,8 +102,9 @@ class TestRendering:
                 return True
 
         stream = Tty()
-        reporter = ProgressReporter(stream=stream, interval=0.0, clock=clock)
+        reporter = ProgressReporter(stream=stream, clock=clock)
         reporter.heartbeat("chase", rounds=1, steps=1)
+        clock.advance(INTERVAL)
         reporter.heartbeat("chase", rounds=1, steps=2)
         assert stream.getvalue().count("\r\x1b[2K") == 2
         assert "\n" not in stream.getvalue()
@@ -147,10 +138,12 @@ class TestBudgetIntegration:
         assert budget.reporter is reporter
 
     def test_checkpoint_and_charge_feed_heartbeats(self, clock):
-        reporter = ProgressReporter(clock=clock, interval=0.0)
+        reporter = ProgressReporter(clock=clock)
         budget = Budget(Limits(max_rounds=10), reporter=reporter)
         budget.start_round("chase")
+        clock.advance(INTERVAL)
         assert budget.checkpoint("chase") is None
+        clock.advance(INTERVAL)
         budget.charge("chase", facts=5, nulls=2)
         line = reporter.render()
         assert "chase" in line

@@ -1,13 +1,15 @@
 """Unit tests for the persistent SQLite run registry."""
 
+import argparse
+
 import pytest
 
+from repro.cli import _registry_path
 from repro.obs import (
     MetricsRegistry,
     OpRecord,
     RunRegistry,
     TelemetrySink,
-    registry_from_env,
 )
 
 
@@ -238,20 +240,18 @@ class TestBaselineScope:
 
 
 class TestRegistryFromEnv:
-    def test_unset_means_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUNS_DB", raising=False)
-        assert registry_from_env() is None
+    """``REPRO_RUNS_DB`` names the registry (resolved by the CLI)."""
 
     @pytest.mark.parametrize("value", ["", "off", "0", "none", "DISABLED"])
     def test_off_values(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_RUNS_DB", value)
-        assert registry_from_env() is None
+        assert _registry_path(argparse.Namespace()) is None
 
     def test_path_opens_registry(self, monkeypatch, tmp_path):
         path = str(tmp_path / "env.db")
         monkeypatch.setenv("REPRO_RUNS_DB", path)
-        registry = registry_from_env()
-        assert registry is not None and registry.path == path
+        registry = RunRegistry(_registry_path(argparse.Namespace()))
+        assert registry.path == path
         registry.record(_chase())
         assert len(registry) == 1
 

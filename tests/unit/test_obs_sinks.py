@@ -159,44 +159,11 @@ class TestOpenMetricsSink:
         assert first != second
         assert "repro_ops_chase_total 2" in second
 
-    def test_write_every_batches_writes(self, tmp_path):
-        path = tmp_path / "m.prom"
-        sink = OpenMetricsSink(str(path), write_every=10)
-        sink.record(OpRecord(op="chase"))
-        assert not path.exists()
-        sink.close()
-        assert path.exists()
-
-    def test_min_interval_throttles_hot_loop(self, tmp_path):
-        # write_every=1 with a long min_interval: the first record
-        # writes (last write is -inf), the hot loop after it is
-        # suppressed, and close() always lands one final write.
-        path = tmp_path / "m.prom"
-        sink = OpenMetricsSink(str(path), write_every=1, min_interval=60.0)
-        for _ in range(500):
-            sink.record(OpRecord(op="chase"))
-        assert sink.writes == 1
-        sink.close()
-        assert sink.writes == 2
-        assert "repro_ops_chase_total 500" in path.read_text()
-
     def test_zero_min_interval_preserves_legacy_eagerness(self, tmp_path):
         sink = OpenMetricsSink(str(tmp_path / "m.prom"))
         for _ in range(5):
             sink.record(OpRecord(op="chase"))
         assert sink.writes == 5
-
-    def test_min_interval_composes_with_write_every(self, tmp_path):
-        sink = OpenMetricsSink(
-            str(tmp_path / "m.prom"), write_every=10, min_interval=60.0
-        )
-        for _ in range(100):
-            sink.record(OpRecord(op="chase"))
-        assert sink.writes == 1  # record #10 wrote; #20..#100 throttled
-
-    def test_negative_min_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            OpenMetricsSink(str(tmp_path / "m.prom"), min_interval=-1.0)
 
     def test_extra_registry_merged_at_render_time(self, tmp_path):
         sink = OpenMetricsSink(str(tmp_path / "m.prom"))

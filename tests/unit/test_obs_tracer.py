@@ -9,7 +9,6 @@ import pytest
 from repro import Instance, SchemaMapping, chase
 from repro.homs.search import find_homomorphism, homomorphisms
 from repro.obs import (
-    CacheHit,
     HomBacktrack,
     Tracer,
     TriggerFired,
@@ -17,7 +16,6 @@ from repro.obs import (
     event_to_dict,
     freeze_binding,
     render_span_tree,
-    set_tracer,
     trace_lines,
     tracing,
     write_trace_jsonl,
@@ -44,13 +42,6 @@ class TestAmbientTracer:
             with tracing() as inner:
                 assert current_tracer() is inner
             assert current_tracer() is outer
-
-    def test_disabled_tracer_is_invisible(self):
-        previous = set_tracer(Tracer(enabled=False))
-        try:
-            assert current_tracer() is None
-        finally:
-            set_tracer(previous)
 
     def test_chase_result_identical_with_and_without_tracer(self):
         plain = chase(PABC, DECOMP.dependencies)
@@ -95,10 +86,6 @@ class TestEvents:
         binding = {Var("y"): "b", Var("x"): "a"}
         assert freeze_binding(binding) == (("x", "a"), ("y", "b"))
 
-    def test_disabled_tracer_emit_is_noop(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(CacheHit(op="chase", key="k"))
-        assert tracer.events == []
 
 
 class TestSpans:

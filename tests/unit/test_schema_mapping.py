@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.engine import ExchangeEngine
 from repro.instance import Instance
+from repro.inverses.quasi_inverse import maximum_extended_recovery_for_full_tgds
 from repro.mappings.schema_mapping import SchemaMapping
+from repro.parsing import parse_dependencies
 from repro.schema import Schema
+from repro.workloads.scenarios import PAPER_SCENARIOS
+
+from ..differential.test_reverse import HAND_WRITTEN
 
 
 class TestConstruction:
@@ -121,3 +127,59 @@ class TestChaseWrappers:
         branches = rev.reverse_chase(Instance.parse("R(a)"))
         for b in branches:
             assert not b.tuples("R")
+
+
+def _printed_mappings():
+    """The catalogue, its recoveries and the hand-written guard sets."""
+    for name, scenario in sorted(PAPER_SCENARIOS.items()):
+        yield f"catalogue/{name}", scenario.mapping
+        yield f"reverse/{name}", scenario.reverse
+        if scenario.mapping.is_full():
+            yield f"recovery/{name}", maximum_extended_recovery_for_full_tgds(
+                scenario.mapping
+            )
+    for name, dependencies in sorted(HAND_WRITTEN.items()):
+        yield f"hand/{name}", SchemaMapping(dependencies)
+
+
+PRINTED = dict(_printed_mappings())
+
+
+class TestPrintedText:
+    """Printed dependency text parses back to the same mapping and digest.
+
+    String constants print quoted, so a digest (and every cache key
+    built from it) tells ``R(x, "y")`` from ``R(x, y)``.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PRINTED))
+    def test_round_trip(self, name):
+        mapping = PRINTED[name]
+        printed = SchemaMapping.from_text(str(mapping))
+        assert printed == mapping
+        assert printed.digest() == mapping.digest()
+
+    @pytest.mark.parametrize(
+        "variable, constant",
+        [
+            ("R(x, y) -> S(x)", 'R(x, "y") -> S(x)'),
+            ("R(x, y) & y != 3 -> S(x)", 'R(x, y) & y != "3" -> S(x)'),
+        ],
+    )
+    def test_string_constant_does_not_alias(self, variable, constant):
+        left, right = SchemaMapping.from_text(variable), SchemaMapping.from_text(constant)
+        assert left != right
+        assert left.digest() != right.digest()
+
+    def test_engine_cache_does_not_alias(self):
+        int_guard = SchemaMapping.from_text("R(x, y) & y != 3 -> S(x)")
+        str_guard = SchemaMapping.from_text('R(x, y) & y != "3" -> S(x)')
+        source = Instance.parse("R(1, 3)")
+        engine = ExchangeEngine()
+        assert engine.chase(int_guard, source) == Instance()
+        assert engine.chase(str_guard, source) == Instance.parse("S(1)")
+
+    def test_fact_text_stays_bare(self):
+        mapping = SchemaMapping(parse_dependencies('P(x) -> Q(x, "a")'))
+        assert str(mapping) == 'P(x) -> Q(x, "a")'
+        assert str(mapping.exchange(Instance.parse("P(1)")).instance) == "{Q(1, a)}"
