@@ -31,7 +31,11 @@ Admission control and status codes
 The service sheds load instead of queueing unboundedly:
 
 * **400** — request failed validation (server-side parse; a malformed
-  mapping never occupies a pool worker);
+  mapping never occupies a pool worker), or its body has no usable
+  length (a malformed ``Content-Length`` or any ``Transfer-Encoding``),
+  which also closes the connection;
+* **413** — the declared body is over ``_Handler.MAX_BODY``; the
+  connection closes unread;
 * **429** — the pool backlog is full (:class:`~repro.service.pool.
   PoolSaturated`); clients should back off and retry;
 * **503** — the service is draining after SIGTERM; in-flight requests
@@ -230,11 +234,7 @@ class ExchangeService:
         self, op: str, status: int, kind: str, message: str
     ) -> Tuple[int, Dict[str, Any]]:
         self._count(op, status, error_kind=kind)
-        return status, {
-            "op": op,
-            "ok": False,
-            "error": {"type": "ServiceRefusal", "message": message, "kind": kind},
-        }
+        return status, _error_body("ServiceRefusal", message, op=op, kind=kind)
 
     # -- accounting -----------------------------------------------------
 
@@ -363,6 +363,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # A reply leaves as two writes (headers, then body).  With Nagle's
+    # algorithm on, the body waits for the client's delayed ACK of the
+    # headers, about 40 ms per reply on a kept-alive connection.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ExchangeService:
@@ -371,51 +375,72 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Suppress per-request stderr chatter; metrics cover this."""
 
-    def _reply(
+    def _send(
         self,
         status: int,
-        body: Dict[str, Any],
+        data: bytes,
+        content_type: str = "application/json",
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
-    def _reply_text(self, status: int, text: str, content_type: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def _read_body(
+        self, op: Optional[str] = None, headers: Optional[Dict[str, str]] = None
+    ) -> Optional[bytes]:
+        """Read the request body, or refuse it and return ``None``.
+
+        Every request's body is framed before routing, so a kept-alive
+        connection stays in step whatever the reply.  A
+        ``Transfer-Encoding`` this server does not decode, or a
+        ``Content-Length`` that is not one plain decimal number (absent
+        means 0), leaves the body's end unknown: 400.  A length past
+        :data:`MAX_BODY` is 413.  Both refusals close the connection."""
+        raw = ", ".join(self.headers.get_all("Content-Length", ())).strip()
+        digits = raw.lstrip("0")  # int() refuses over 4,300 digits
+        if self.headers.get("Transfer-Encoding") is not None:
+            status = 400
+            message = "Transfer-Encoding is not supported; send Content-Length"
+        elif raw and not (raw.isascii() and raw.isdigit()):
+            status, message = 400, f"malformed Content-Length {raw[:64]!r}"
+        elif (
+            len(digits) > len(str(self.MAX_BODY))
+            or int(digits or 0) > self.MAX_BODY
+        ):
+            status = 413
+            message = f"body too large (limit {self.MAX_BODY} bytes)"
+        else:
+            try:
+                return self.rfile.read(int(digits or 0))
+            except OSError:
+                self.close_connection = True
+                return None
+        error = _error_body("ServiceRequestError", message, op=op)
+        headers = {**(headers or {}), "Connection": "close"}
+        self._send(status, _json(error), headers=headers)
+        return None
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Route ``GET``: ``/healthz``, ``/metrics``, else 404."""
+        if self._read_body() is None:
+            return
         if self.path == "/healthz":
             status, body = self.service.health()
-            self._reply(status, body)
+            self._send(status, _json(body))
         elif self.path == "/metrics":
-            self._reply_text(
+            self._send(
                 200,
-                self.service.metrics_text(),
+                self.service.metrics_text().encode("utf-8"),
                 "application/openmetrics-text; version=1.0.0; charset=utf-8",
             )
         else:
-            self._reply(
-                404,
-                {
-                    "ok": False,
-                    "error": {
-                        "type": "NotFound",
-                        "message": f"no route {self.path!r}",
-                        "kind": "invalid",
-                    },
-                },
+            self._send(
+                404, _json(_error_body("NotFound", f"no route {self.path!r}"))
             )
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
@@ -431,61 +456,48 @@ class _Handler(BaseHTTPRequestHandler):
         context = mint_context(request_id=requested_id or None)
         echo = {"X-Repro-Request-Id": context.request_id}
         parts = self.path.strip("/").split("/")
-        if len(parts) != 2 or parts[0] != "v1" or parts[1] not in SERVICE_OPS:
-            self._reply(
-                404,
-                {
-                    "ok": False,
-                    "error": {
-                        "type": "NotFound",
-                        "message": f"no route {self.path!r}; operations: "
-                        + ", ".join(f"/v1/{op}" for op in SERVICE_OPS),
-                        "kind": "invalid",
-                    },
-                },
-                headers=echo,
-            )
+        routed = len(parts) == 2 and parts[0] == "v1" and parts[1] in SERVICE_OPS
+        op = parts[1] if routed else None
+        data = self._read_body(op, echo)
+        if data is None:
             return
-        op = parts[1]
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.MAX_BODY:
-            self._reply(
-                400,
-                {
-                    "op": op,
-                    "ok": False,
-                    "error": {
-                        "type": "ServiceRequestError",
-                        "message": f"body too large ({length} bytes)",
-                        "kind": "invalid",
-                    },
-                },
-                headers=echo,
+        if op is None:
+            message = f"no route {self.path!r}; operations: " + ", ".join(
+                f"/v1/{name}" for name in SERVICE_OPS
             )
+            self._send(404, _json(_error_body("NotFound", message)), headers=echo)
             return
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, OSError) as error:
-            self._reply(
-                400,
-                {
-                    "op": op,
-                    "ok": False,
-                    "error": {
-                        "type": "ServiceRequestError",
-                        "message": f"request body is not valid JSON: {error}",
-                        "kind": "invalid",
-                    },
-                },
-                headers=echo,
-            )
+            body = json.loads(data or b"{}")
+        except ValueError as error:
+            message = f"request body is not valid JSON: {error}"
+            refusal = _error_body("ServiceRequestError", message, op=op)
+            self._send(400, _json(refusal), headers=echo)
             return
         try:
             status, payload = self.service.handle(op, body, context=context)
         except Exception as error:  # pragma: no cover - belt and braces
             status, payload = 500, {"op": op, "ok": False,
                                     "error": error_payload(error)}
-        self._reply(status, payload, headers=echo)
+        self._send(status, _json(payload), headers=echo)
+
+
+def _json(body: Dict[str, Any]) -> bytes:
+    """A JSON reply body, keys sorted so equal results are equal bytes."""
+    return json.dumps(body, sort_keys=True).encode("utf-8")
+
+
+def _error_body(
+    type_: str, message: str, op: Optional[str] = None, kind: str = "invalid"
+) -> Dict[str, Any]:
+    """The body of a refused request; ``op`` is omitted when unrouted."""
+    body: Dict[str, Any] = {
+        "ok": False,
+        "error": {"type": type_, "message": message, "kind": kind},
+    }
+    if op is not None:
+        body["op"] = op
+    return body
 
 
 class ServiceServer(ThreadingHTTPServer):

@@ -10,7 +10,7 @@ pool of the same kind; what this module adds is only what a service
 needs on top:
 
 * **a warm engine per worker** — each worker process builds one
-  :class:`repro.engine.ExchangeEngine` (caches populated, disk tier
+  :class:`repro.engine.ExchangeEngine` (imports done, disk tier
   attached) on its first request and keeps it for every later one;
 * **admission control** — :meth:`WarmPool.submit` raises
   :class:`PoolSaturated` when the pending backlog is full (HTTP 429)
@@ -48,8 +48,14 @@ class _WarmTask:
 
     Each worker process holds its own copy (inherited at fork, pickled
     under spawn) and builds its engine from the picklable *config* —
-    ``cache_dir``/``cache_size``/``store``/``sql_chase`` — once, on its
-    first request.
+    ``cache_dir``/``store``/``sql_chase`` — once, on its first request.
+
+    The engine keeps no in-memory result tier (``cache_size=0``): a
+    request reaches a worker only after it has missed the service's
+    response LRU and the disk tier, and the engine writes every result
+    through to that disk tier (``cache_dir``), so a per-worker LRU
+    would only hold a second copy in each worker's memory.
+    ``meta.engine_cache_hit`` reports disk-tier hits.
     """
 
     def __init__(self, config: Dict[str, Any]) -> None:
@@ -63,7 +69,7 @@ class _WarmTask:
 
             cache_dir = self.config.get("cache_dir")
             self.engine = ExchangeEngine(
-                cache_size=self.config.get("cache_size", 512),
+                cache_size=0,
                 store=self.config.get("store", "memory"),
                 sql_chase=self.config.get("sql_chase", False),
                 disk_cache=DiskCache(cache_dir) if cache_dir else None,
@@ -115,8 +121,7 @@ class WarmPool:
         Worker process count (≥ 1).  Each holds a warm engine.
     engine_config:
         Picklable dict shipped to every worker:
-        ``cache_dir``/``cache_size``/``store``/``sql_chase`` (see
-        :class:`_WarmTask`).
+        ``cache_dir``/``store``/``sql_chase`` (see :class:`_WarmTask`).
     deadline:
         Per-request cooperative deadline, seconds.  A request's own
         ``limits.deadline`` can only lower it: the job runs under the

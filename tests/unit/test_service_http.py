@@ -1,14 +1,17 @@
 """Unit tests for the service core and its HTTP front end."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.engine.cache import LRUCache
-from repro.service.http import ExchangeService, ServiceServer
+from repro.service.http import ExchangeService, ServiceServer, _Handler
 from repro.service.ops import (
     ServiceRequestError,
     execute_op,
@@ -354,6 +357,115 @@ class TestWire:
         status, text = live.get("/healthz")
         assert status == 200
         assert json.loads(text)["status"] == "ok"
+
+
+class TestKeepAlive:
+    """Requests sharing one HTTP/1.1 connection, as ``http.client`` keeps it.
+
+    Each framing case is followed by a good request on the same
+    connection object: it must get its own reply, whether the server
+    kept the socket open or closed it (``http.client`` then reconnects).
+    """
+
+    @staticmethod
+    def _connect(live):
+        host, port = live.server.server_address
+        return http.client.HTTPConnection(host, port, timeout=5)
+
+    @staticmethod
+    def _chase(conn):
+        conn.request(
+            "POST", "/v1/chase", json.dumps(_body()).encode(),
+            {"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    def test_replies_do_not_wait_for_delayed_ack(self, live):
+        conn = self._connect(live)
+        try:
+            assert self._chase(conn)[0] == 200  # primes the memory tier
+            times = []
+            for _ in range(20):
+                started = time.perf_counter()
+                status, response = self._chase(conn)
+                times.append(time.perf_counter() - started)
+                assert status == 200
+                assert response["cache"]["layer"] == "memory"
+        finally:
+            conn.close()
+        # Nagle's algorithm against the client's delayed ACK holds each
+        # reply about 40 ms; a memory hit takes about 1 ms.
+        assert statistics.median(times) < 0.015, times
+
+    def test_unknown_route_body_is_read(self, live):
+        conn = self._connect(live)
+        try:
+            conn.request("POST", "/v1/frobnicate", json.dumps(_body()).encode())
+            response = conn.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read())["error"]["type"] == "NotFound"
+            status, response = self._chase(conn)
+            assert status == 200 and response["ok"]
+        finally:
+            conn.close()
+
+    def test_get_body_is_read(self, live):
+        conn = self._connect(live)
+        try:
+            conn.request("GET", "/healthz", json.dumps(_body()).encode())
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            status, response = self._chase(conn)
+            assert status == 200 and response["ok"]
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            [("Content-Length", "abc")],
+            [("Content-Length", "-1")],
+            [("Content-Length", "2"), ("Content-Length", "3")],
+            [("Transfer-Encoding", "chunked")],
+        ],
+        ids=["non-numeric", "negative", "conflicting", "chunked"],
+    )
+    def test_unframeable_body_is_400_and_closes(self, live, headers):
+        conn = self._connect(live)
+        try:
+            conn.putrequest("POST", "/v1/chase")
+            for name, value in headers:
+                conn.putheader(name, value)
+            conn.endheaders(b"2\r\n{}\r\n0\r\n\r\n")
+            response = conn.getresponse()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            error = json.loads(response.read())["error"]
+            assert error["type"] == "ServiceRequestError"
+            assert error["kind"] == "invalid"
+            status, response = self._chase(conn)
+            assert status == 200 and response["ok"]
+        finally:
+            conn.close()
+
+    def test_oversized_body_is_413_and_never_read(self, live):
+        conn = self._connect(live)
+        try:
+            conn.putrequest("POST", "/v1/chase")
+            conn.putheader("Content-Length", str(_Handler.MAX_BODY + 1))
+            # Were the declared body read as the next request, this line
+            # would get a reply of its own.
+            conn.endheaders(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            response = conn.getresponse()
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert json.loads(response.read())["op"] == "chase"
+            status, response = self._chase(conn)
+            assert status == 200 and response["ok"]
+        finally:
+            conn.close()
 
 
 class TestRequestTracing:

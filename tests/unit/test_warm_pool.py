@@ -57,10 +57,17 @@ class TestHappyPath:
     def test_warm_worker_reuses_engine_cache(self, pool):
         first = pool.submit(_request("P(w1)")).result(60)
         assert not first["meta"]["engine_cache_hit"]
-        # Same request again: one of the two workers has it in memory,
-        # the other finds it in the shared disk tier — a hit either way.
+        # Same request again: whichever worker serves it finds it in the
+        # shared disk tier (worker engines keep no memory tier).
         second = pool.submit(_request("P(w1)")).result(60)
         assert second["meta"]["engine_cache_hit"]
+
+    def test_worker_engine_is_backed_by_disk_only(self, tmp_path):
+        task = pool_module._WarmTask({"cache_dir": str(tmp_path / "cache")})
+        assert not task(_request("P(m1)"))["meta"]["engine_cache_hit"]
+        assert task(_request("P(m1)"))["meta"]["engine_cache_hit"]
+        # The hit came from disk: the engine holds no copy in memory.
+        assert task.engine.stats()["chase"]["entries"] == 0
 
     def test_distinct_requests_in_flight(self, pool):
         jobs = [pool.submit(_request(f"P(c{i})")) for i in range(6)]
