@@ -3,7 +3,9 @@
 Also the D3 (search ordering) and D4 (core canonicalization) ablations.
 Expected shapes: ground-to-ground checks are near-linear (hash
 membership per fact); null-rich sources pay backtracking that grows
-with the null ratio; cores cost one hom-search per fact per round.
+with the null ratio; cores cost one block-local probe per fact of the
+core plus one per fold, and on chains of nulls each failed probe is a
+walk down the chain, so coring grows about quadratically in the length.
 """
 
 import pytest
@@ -58,6 +60,25 @@ def test_core_computation(benchmark, size, null_ratio):
     )
 
 
+def _null_chain(facts):
+    """``T(a, b), T(b, _D0), …, T(_D{k-1}, _Dk), Q(_D{k-1})``, *facts* long.
+
+    The reverse candidates of ``T(x, y) -> EXISTS z . T(y, z) | Q(x)``
+    over ``T(a, b)`` have this shape, and each is its own core.
+    """
+    k = facts - 3
+    path = [f"T(D{i}, D{i + 1})" for i in range(k)]
+    return Instance.parse(", ".join(["T(a, b)", "T(b, D0)", *path, f"Q(D{k - 1})"]))
+
+
+@pytest.mark.parametrize("facts", [20, 50, 100, 200])
+def test_core_of_null_chain(benchmark, facts):
+    """D3: coring a chain of nulls, every probe of which must fail."""
+    inst = _null_chain(facts)
+    result = benchmark(core, inst)
+    record_metric(benchmark, input_facts=len(inst), core_facts=len(result))
+
+
 def test_core_vs_double_hom_ablation(benchmark):
     """D4: comparing instances via cores vs. raw bidirectional checks.
 
@@ -74,7 +95,8 @@ def test_ordering_ablation(benchmark, ordering):
     """D3: most-constrained-first vs. naive fact ordering.
 
     The source mixes one highly selective fact (many constants) among
-    null-rich facts; the constrained order commits it first and prunes.
+    null-rich facts; the constrained order places it first and prunes,
+    the naive order takes the facts in sort order.
     """
     from repro.homs.search import homomorphisms
 

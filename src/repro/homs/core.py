@@ -8,21 +8,30 @@ works "up to homomorphic equivalence" throughout (e.g. chase-inverses
 recover the source up to hom-equivalence), so cores are the natural
 normal form for reporting recovered instances.
 
-Algorithm: repeatedly look for a retraction into a proper subinstance
-obtained by deleting one fact; replace the instance by the homomorphic
-image; stop when no single-fact deletion admits a homomorphism.  (If any
-proper retract exists, then a retract avoiding at least one particular
-fact exists, so single-fact probing is complete.)
+Algorithm: fold the instance one retraction at a time.  A probe drops a
+fact ``f`` and looks for a homomorphism ``I → I \\ {f}``, whose image is
+a proper retract; when no probe succeeds, ``I`` is its core (a proper
+retract avoids some fact, so single-fact probes are complete).  A probe
+searches only the *null block* of ``f`` — the facts joined to it through
+shared nulls — and fixes every other null, whose facts map to themselves
+(Fagin, Kolaitis and Popa, "Data exchange: getting to the core", TODS
+2005).  :func:`core`, :func:`is_core` and :func:`retraction_to_core`
+share the probe loop, so ``I.substitute(retraction_to_core(I))`` is
+``core(I)``.  The loop honors this thread's ambient budget
+(:func:`repro.limits.budget_scope`): it checks cancellation and the
+deadline before every probe, as the search does inside a long one, and
+on exhaustion raises the budget's typed error.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..instance import Instance
+from ..instance import Fact, Instance
+from ..limits import Budget, current_budget
 from ..obs.tracer import current_tracer, maybe_span
 from ..terms import Null, Value
-from .search import find_homomorphism
+from .search import _homomorphisms
 
 
 def core(instance: Instance) -> Instance:
@@ -34,36 +43,15 @@ def core(instance: Instance) -> Instance:
     tracer = current_tracer()
     current = instance
     with maybe_span(tracer, "core", input_facts=len(instance)):
-        while True:
-            if current.is_ground():
-                break
-            shrunk = _shrink_once(current)
-            if shrunk is None:
-                break
+        for _step, current in _folds(instance):
             if tracer is not None:
                 tracer.metrics.inc("core.folds")
-            current = shrunk
     return current
-
-
-def _shrink_once(instance: Instance) -> Instance | None:
-    """Find a retraction into a proper subinstance, or None if core already."""
-    facts = sorted(instance.facts, key=lambda f: f.sort_key())
-    for f in facts:
-        # Only facts containing nulls can be "folded away"; a ground fact
-        # maps to itself under every homomorphism.
-        if f.is_ground():
-            continue
-        smaller = Instance(instance.facts - {f})
-        h = find_homomorphism(instance, smaller)
-        if h is not None:
-            return instance.substitute(dict(h))
-    return None
 
 
 def is_core(instance: Instance) -> bool:
     """True when the instance has no proper retract."""
-    return _shrink_once(instance) is None
+    return next(_folds(instance), None) is None
 
 
 def retraction_to_core(instance: Instance) -> Dict[Null, Value]:
@@ -72,24 +60,67 @@ def retraction_to_core(instance: Instance) -> Dict[Null, Value]:
     Composes the per-step retractions; the identity on nulls that survive.
     """
     mapping: Dict[Null, Value] = {n: n for n in instance.nulls}
-    current = instance
-    while True:
-        if current.is_ground():
-            return mapping
-        found = None
-        for f in sorted(current.facts, key=lambda f: f.sort_key()):
-            if f.is_ground():
-                continue
-            smaller = Instance(current.facts - {f})
-            h = find_homomorphism(current, smaller)
-            if h is not None:
-                found = h
-                break
-        if found is None:
-            return mapping
-        step: Dict[Null, Value] = dict(found)
+    for step, _retract in _folds(instance):
         mapping = {
             n: (step.get(v, v) if isinstance(v, Null) else v)
             for n, v in mapping.items()
         }
+    return mapping
+
+
+def _folds(instance: Instance) -> Iterator[Tuple[Dict[Null, Value], Instance]]:
+    """Yield ``(step, retract)`` per fold of *instance*, down to its core.
+
+    A fact whose probe failed is not probed again: were ``g`` to fold it
+    from a later retract ``h(I)``, ``g ∘ h`` would fold it from ``I``.
+    """
+    current = instance
+    unfoldable: Set[Fact] = set()
+    budget = current_budget()
+    while not current.is_ground():
+        step = _fold(current, unfoldable, budget)
+        if step is None:
+            return
         current = current.substitute(step)
+        yield step, current
+
+
+def _fold(
+    instance: Instance, unfoldable: Set[Fact], budget: Optional[Budget]
+) -> Optional[Dict[Null, Value]]:
+    """The first successful probe's homomorphism, on the dropped fact's block."""
+    facts = sorted(instance.facts, key=Fact.sort_key)
+    for f, block in zip(facts, _null_blocks(facts)):
+        if block is None or f in unfoldable:
+            continue  # ground facts map to themselves; failed probes stay failed
+        if budget is not None and budget.checkpoint("core") is not None:
+            budget.raise_exhausted()
+        step = next(_homomorphisms(block, instance, avoid=f, budget=budget), None)
+        if step is not None:
+            return step
+        unfoldable.add(f)
+    return None
+
+
+def _null_blocks(facts: Sequence[Fact]) -> List[Optional[List[Fact]]]:
+    """Per fact, its block (the *facts* joined to it by nulls), or None."""
+    parent: Dict[Null, Null] = {}
+
+    def find(n: Null) -> Null:
+        while parent[n] is not n:
+            parent[n] = n = parent[parent[n]]
+        return n
+
+    firsts: List[Optional[Null]] = []
+    for f in facts:
+        nulls = [v for v in f.values if isinstance(v, Null)]
+        for n in nulls:
+            parent.setdefault(n, n)
+        for n in nulls[1:]:
+            parent[find(n)] = find(nulls[0])
+        firsts.append(nulls[0] if nulls else None)
+    members: Dict[Null, List[Fact]] = {}
+    for f, null in zip(facts, firsts):
+        if null is not None:
+            members.setdefault(find(null), []).append(f)
+    return [None if null is None else members[find(null)] for null in firsts]

@@ -7,8 +7,11 @@ comparing *cores*: cores of hom-equivalent instances are isomorphic, so
 ``core + isomorphism`` gives a decidable canonical comparison for the
 paper's "up to homomorphic equivalence" statements.
 
-The search reuses the homomorphism backtracking with an injectivity
-constraint and a fact-count/profile fast path.
+After a fact-count/profile fast path, the search enumerates the
+homomorphisms ``left → right`` (:func:`repro.homs.search.homomorphisms`)
+and keeps those that send nulls injectively to nulls and map ``left``
+exactly onto ``right``; injectivity is a filter on the results, not a
+constraint inside the search.
 """
 
 from __future__ import annotations

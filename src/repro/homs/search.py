@@ -6,55 +6,25 @@ itself and every fact of ``I1``, pointwise through ``h``, to a fact of
 backbone of the whole paper: it *is* the extended identity schema mapping
 ``e(Id)``, and every extended notion is phrased through it.
 
-The search is backtracking over the facts of ``I1`` with a
-most-constrained-first ordering and per-relation candidate indexes on
-``I2``.  Constants prune immediately since they must map to themselves.
+A homomorphism is a match of the source facts with their nulls read as
+variables, so the search is premise matching's own
+(:func:`repro.logic.matching._backtrack`): the ground facts of ``I1``
+are checked as a subset of ``I2`` first, and the rest are placed
+most-constrained-first — at every step the fact with the fewest
+candidate rows among the ``I2`` index buckets its constants and bound
+nulls select, re-ranked only when one of its nulls is bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Collection, Dict, Iterator, Mapping, Optional
 
 from ..instance import Fact, Instance
 from ..limits import Budget, current_budget
+from ..logic.matching import _backtrack
 from ..obs.events import HomBacktrack
 from ..obs.tracer import current_tracer
-from ..terms import Const, Null, Value
-
-#: Candidate extensions between cooperative budget checkpoints.  The
-#: search has no partial-result semantics (half a homomorphism is
-#: nothing), so exhaustion always raises; checking every extension would
-#: put a clock read in the innermost loop, so we amortize.
-_CHECK_EVERY = 256
-
-
-def _fact_order(source: Instance, target) -> list:
-    """Order source facts cheapest-first: few target candidates, many constants."""
-
-    def key(f) -> tuple:
-        candidates = len(target.tuples(f.relation))
-        constants = sum(1 for v in f.values if isinstance(v, Const))
-        return (candidates, -constants)
-
-    return sorted(source.facts, key=key)
-
-
-def _extend(
-    fact_values: tuple, target_values: tuple, assignment: Dict[Null, Value]
-) -> Optional[Dict[Null, Value]]:
-    """Try mapping one source fact onto one target fact; return the delta."""
-    delta: Dict[Null, Value] = {}
-    for v, w in zip(fact_values, target_values):
-        if isinstance(v, Const):
-            if v != w:
-                return None
-        else:
-            known = assignment.get(v, delta.get(v))
-            if known is None:
-                delta[v] = w
-            elif known != w:
-                return None
-    return delta
+from ..terms import Null, Value
 
 
 def homomorphisms(
@@ -70,88 +40,72 @@ def homomorphisms(
     *source* (constants are implicitly fixed).  *seed* pre-commits some
     nulls — useful for extending partial homomorphisms.
 
-    *target* may be any :class:`~repro.logic.matching.MatchSource`, not
-    just an :class:`~repro.instance.Instance`: candidate probing uses
-    ``tuples``/``tuples_at``, so the chase's live
-    :class:`~repro.logic.delta.TriggerIndex` works directly — hom
-    search over a mid-chase state costs no snapshot.  Sources without
-    ``tuples_at`` fall back to full-relation scans.
+    *target* may be any :class:`~repro.logic.matching.MatchSource` that
+    also answers fact membership (``fact in target``), not just an
+    :class:`~repro.instance.Instance`: the ground facts of *source* are
+    looked up as facts, the rest probed through ``tuples``/``tuples_at``,
+    so the chase's live :class:`~repro.logic.delta.TriggerIndex` works
+    directly — hom search over a mid-chase state costs no snapshot.
+    Sources without ``tuples_at`` fall back to full-relation scans.
 
-    *ordering* selects the fact-processing order: ``"constrained"``
-    (default) sorts most-constrained-first; ``"naive"`` takes an arbitrary
-    deterministic order — kept for the D3 ablation benchmark, not for use.
+    *ordering* selects how the search places facts: ``"constrained"``
+    (default) places most-constrained-first; ``"naive"`` takes them in
+    :meth:`~repro.facts.Fact.sort_key` order — kept for the D3 ablation
+    benchmark, not for use.  Equally constrained facts are taken in the
+    source's iteration order, so which homomorphism comes first may
+    vary between processes; the set does not.
 
     The search honors a cooperative *budget* (explicit, or this thread's
     ambient :func:`repro.limits.budget_scope`): every few hundred
-    candidate extensions it checks cancellation and the deadline, and on
+    candidate rows it checks cancellation and the deadline, and on
     exhaustion raises the budget's typed error — there is no partial
     homomorphism to return.  Without a budget the check costs nothing.
     """
     if ordering == "constrained":
-        ordered = _fact_order(source, target)
-    elif ordering == "naive":
-        ordered = sorted(source.facts, key=Fact.sort_key)
-    else:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    assignment: Dict[Null, Value] = dict(seed) if seed else {}
+        return _homomorphisms(source.facts, target, seed, budget=budget)
+    if ordering == "naive":
+        facts = sorted(source.facts, key=Fact.sort_key)
+        return _homomorphisms(facts, target, seed, ranked=False, budget=budget)
+    raise ValueError(f"unknown ordering {ordering!r}")
+
+
+def _homomorphisms(
+    facts: Collection[Fact],
+    target,
+    seed: Optional[Mapping[Null, Value]] = None,
+    ranked: bool = True,
+    budget: Optional[Budget] = None,
+    avoid: Optional[Fact] = None,
+) -> Iterator[Dict[Null, Value]]:
+    """:func:`homomorphisms` of some *facts*, into *target* less *avoid*.
+
+    Their order breaks ties between equally constrained facts.  A traced
+    search is summarized as one ``HomBacktrack`` event, also when the
+    caller abandons the generator early.
+    """
     tracer = current_tracer()
-    tracing = tracer is not None
-    if budget is None:
-        budget = current_budget()
-    governed = budget is not None
-    probes = [0]
-    rejected = [0]
-    lookup = getattr(target, "tuples_at", None)
-
-    def candidates(f: Fact):
-        """Index-backed candidate tuples: probe the smallest bucket among
-        the positions already fixed (constants or assigned nulls)."""
-        if lookup is None:
-            return target.tuples(f.relation)
-        best = None
-        for position, v in enumerate(f.values):
-            value = v if isinstance(v, Const) else assignment.get(v)
-            if value is None:
-                continue
-            bucket = lookup(f.relation, position, value)
-            if best is None or len(bucket) < len(best):
-                best = bucket
-                if not best:
-                    break
-        if best is None:
-            return target.tuples(f.relation)
-        return best
-
-    def search(index: int) -> Iterator[Dict[Null, Value]]:
-        if index == len(ordered):
-            yield dict(assignment)
-            return
-        f = ordered[index]
-        for values in candidates(f):
-            if governed:
-                probes[0] += 1
-                if probes[0] % _CHECK_EVERY == 0:
-                    if budget.checkpoint("hom_search") is not None:
-                        budget.raise_exhausted()
-            delta = _extend(f.values, values, assignment)
-            if delta is None:
-                if tracing:
-                    rejected[0] += 1
-                continue
-            assignment.update(delta)
-            yield from search(index + 1)
-            for null in delta:
-                del assignment[null]
-
-    if not tracing:
-        yield from search(0)
+    rejected = [0] if tracer is not None else None
+    patterns, ground = [], []
+    for f in facts:
+        (ground if f.is_ground() else patterns).append(f)
+    if all(f != avoid and f in target for f in ground):
+        search = _backtrack(
+            [(f.relation, f.values) for f in patterns],
+            target,
+            dict(seed) if seed else {},
+            ranked=ranked,
+            avoid=(avoid.relation, avoid.values) if avoid is not None else None,
+            budget=budget if budget is not None else current_budget(),
+            rejected=rejected,
+        )
+    else:
+        search = iter(())
+    if tracer is None:
+        yield from search
         return
-    # Traced: summarize the whole search as one HomBacktrack event, also
-    # when the caller abandons the generator after the first solution
-    # (the ``finally`` runs on generator close).
     found = False
     try:
-        for h in search(0):
+        for h in search:
             found = True
             yield h
     finally:
@@ -159,7 +113,7 @@ def homomorphisms(
             HomBacktrack(
                 backtracks=rejected[0],
                 found=found,
-                source_size=len(source),
+                source_size=len(facts),
                 target_size=len(target),
             )
         )

@@ -26,13 +26,13 @@ Order preservation is the design constraint that shapes the code (see
 DESIGN.md, decision D5): the textbook semi-naive rewriting — a union
 of queries, one per premise position seeded with a delta atom —
 enumerates bindings grouped by which atom is "the delta atom" and would
-reorder firings.  Instead, :func:`match_atoms_delta` runs the *same*
-most-constrained-first backtracking search as ``match_atoms`` over the
-same view and prunes: a subtree is abandoned as soon as no delta fact
-can appear in it, and when exactly one pending atom's relation carries
-delta facts, that atom's candidates are filtered to the delta members
-(preserving their order).  The yields are then exactly the delta subset
-of the naive enumeration, in naive order.
+reorder firings.  Instead, :func:`match_atoms_delta` has no search of
+its own: it runs ``match_atoms``' loop over the same view with a delta
+filter, which abandons a subtree as soon as no delta fact can appear in
+it and, when exactly one pending atom's relation carries delta facts,
+keeps only that atom's delta candidates (order intact).  Each level
+places the atom ``match_atoms`` places, so the yields are exactly the
+delta subset of the naive enumeration, in naive order.
 
 Rows enter the index in a canonical order — seed facts sorted by
 :meth:`repro.facts.Fact.sort_key`, fired facts in firing order — so
@@ -63,13 +63,7 @@ from ..facts import Fact
 from ..terms import Value, Var, value_sort_key
 from .atoms import Atom
 from .guards import Guard
-from .matching import (
-    _all_guards_ok,
-    _candidate_count,
-    _candidates,
-    _guards_ok,
-    _match_fact,
-)
+from .matching import _backtrack
 
 if TYPE_CHECKING:
     from ..instance import Instance
@@ -377,48 +371,10 @@ def match_atoms_delta(
     With an empty delta nothing is yielded; a delta covering the whole
     source makes this equivalent to ``match_atoms``.
     """
-    binding: Dict[Var, Value] = dict(initial) if initial else {}
-    live = frozenset(rel for rel, rows in delta.items() if rows)
-    if not live:
-        return
-
-    def search(
-        pending: list, b: Dict[Var, Value], seen_delta: bool
-    ) -> Iterator[Dict[Var, Value]]:
-        if not pending:
-            if seen_delta and _all_guards_ok(guards, b):
-                yield dict(b)
-            return
-        if not seen_delta and not any(a.relation in live for a in pending):
-            # No delta fact can enter this subtree: every leaf would be
-            # an old binding the naive loop already handled.
-            return
-        index = min(
-            range(len(pending)),
-            key=lambda i: _candidate_count(pending[i], source, b),
-        )
-        atom = pending[index]
-        rest = pending[:index] + pending[index + 1 :]
-        atom_delta = delta.get(atom.relation, ())
-        # When this is the only pending atom whose relation has delta
-        # rows and none was seen yet, every yield below must use one of
-        # *its* delta rows — filter the candidates down (order intact).
-        must_be_new = (
-            not seen_delta
-            and atom.relation in live
-            and not any(a.relation in live for a in rest)
-        )
-        for values in _candidates(atom, source, b):
-            is_new = values in atom_delta
-            if must_be_new and not is_new:
-                continue
-            extension = _match_fact(atom, values, b)
-            if extension is None:
-                continue
-            b.update(extension)
-            if _guards_ok(guards, b):
-                yield from search(rest, b, seen_delta or is_new)
-            for var in extension:
-                del b[var]
-
-    yield from search(list(atoms), binding, False)
+    return _backtrack(
+        [(atom.relation, atom.terms) for atom in atoms],
+        source,
+        dict(initial) if initial else {},
+        guards,
+        delta=delta,
+    )

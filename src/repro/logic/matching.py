@@ -1,14 +1,15 @@
 """Matching conjunctions of atoms against a match source.
 
-This is the shared engine under chase steps and conjunctive-query
-evaluation: enumerate all variable bindings under which every relational
-atom of a premise is a fact of the source and every guard holds.
-
-The matcher does a backtracking search, at each step picking the pending
-atom with the fewest candidate facts given the bindings so far
-(most-constrained-first), which keeps premise matching fast on the skewed
-instances the workload generators produce.  Guards are checked as soon as
-all their variables are bound.
+This is the shared engine under chase steps, conjunctive-query
+evaluation and homomorphism search: enumerate all variable bindings
+under which every atom of a premise is a fact of the source and every
+guard holds.  A hom search matches the source's facts, nulls read as
+variables; the semi-naive chase adds a delta filter.  All of them run
+one backtracking loop, :func:`_backtrack`, which at each step places the
+first pending atom with the fewest candidate facts given the bindings so
+far (most-constrained-first), re-ranking only the atoms that share a
+newly bound variable.  Guards are checked as soon as all their variables
+are bound.
 
 The matching contract
 ---------------------
@@ -38,9 +39,12 @@ argument, ``source``.
 
 from __future__ import annotations
 
+import sys
 from typing import (
+    AbstractSet,
     Dict,
     Iterator,
+    List,
     Mapping,
     Optional,
     Protocol,
@@ -59,6 +63,12 @@ __all__ = [
     "match_atoms",
 ]
 
+#: Candidate rows between a governed search's budget checkpoints (a
+#: clock read per row would dominate the innermost loop).
+_CHECK_EVERY = 256
+#: The cached candidate count of a placed pattern: never the minimum.
+_PLACED = sys.maxsize
+
 
 @runtime_checkable
 class MatchSource(Protocol):
@@ -75,85 +85,43 @@ class MatchSource(Protocol):
         ...
 
 
-def _candidate_count(
-    atom: Atom, source: MatchSource, binding: Mapping[Var, Value]
-) -> int:
-    """Cheap upper bound on how many facts could match *atom* now.
+def _bucket(
+    relation: str, terms: tuple, source: MatchSource, lookup, binding: Mapping
+) -> Tuple[int, Sequence]:
+    """How many rows could match the pattern now, and the rows to probe.
 
-    Mirrors :func:`_candidates`: a partially bound atom will only probe
-    the smallest position-index bucket among its bound positions, so
-    that bucket size — not the full relation size — is the real cost.
-    Counting the full relation here made the most-constrained-first
-    ordering prefer fully-bound atoms over tightly-indexed ones and
-    scan whole relations for nothing on skewed instances.
+    The rows are the smallest index bucket among the bound positions, or
+    the whole relation; the count is their number, at most 1 when every
+    position is bound (a membership test).
     """
-    tuples = source.tuples(atom.relation)
-    if not tuples:
-        return 0
-    lookup = getattr(source, "tuples_at", None)
-    best: Optional[int] = None
-    bound = 0
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Const):
-            value: Optional[Value] = term
-        elif isinstance(term, Var):
-            value = binding.get(term)
-        else:  # pragma: no cover - terms are Const/Var by construction
-            value = None
-        if value is None:
-            continue
-        bound += 1
-        if lookup is not None:
-            size = len(lookup(atom.relation, position, value))
-            if best is None or size < best:
-                best = size
-                if best == 0:
-                    return 0
-    # Fully-bound atoms are membership tests (0 or 1 candidates).
-    if bound == atom.arity:
-        return 1 if best is None else min(1, best)
-    if best is not None:
-        return best
-    return len(tuples)
-
-
-def _candidates(atom: Atom, source: MatchSource, binding: Mapping[Var, Value]):
-    """The tuples worth probing for *atom* given the current binding.
-
-    When a term is already bound (a constant or a bound variable) and the
-    source carries a position index, scan only that bucket — the smallest
-    one among the bound positions.  Falls back to the full relation for
-    unbound atoms or index-less sources (e.g. live chase builders).
-    """
-    lookup = getattr(source, "tuples_at", None)
-    if lookup is None:
-        return source.tuples(atom.relation)
     best = None
-    for position, term in enumerate(atom.terms):
+    bound = 0
+    for position, term in enumerate(terms):
         if isinstance(term, Const):
             value = term
-        elif isinstance(term, Var):
+        else:
             value = binding.get(term)
             if value is None:
                 continue
-        else:  # pragma: no cover - terms are Const/Var by construction
-            continue
-        bucket = lookup(atom.relation, position, value)
-        if best is None or len(bucket) < len(best):
-            best = bucket
-            if not best:
-                break
+        bound += 1
+        if lookup is not None:
+            bucket = lookup(relation, position, value)
+            if best is None or len(bucket) < len(best):
+                best = bucket
+                if not best:
+                    return 0, best
     if best is None:
-        return source.tuples(atom.relation)
-    return best
+        best = source.tuples(relation)
+    count = len(best)
+    return (min(1, count) if bound == len(terms) else count), best
 
 
 def _match_fact(
-    atom: Atom, values: Tuple[Value, ...], binding: Dict[Var, Value]
-) -> Optional[Dict[Var, Value]]:
-    """Try to extend *binding* so that *atom* maps onto *values*."""
-    extension: Dict[Var, Value] = {}
-    for term, value in zip(atom.terms, values):
+    terms: tuple, values: Tuple[Value, ...], binding: Mapping
+) -> Optional[dict]:
+    """Try to extend *binding* so that the pattern maps onto *values*."""
+    extension: dict = {}
+    for term, value in zip(terms, values):
         if isinstance(term, Const):
             if term != value:
                 return None
@@ -192,11 +160,112 @@ def _guards_ok(guards: Sequence[Guard], binding: Mapping[Var, Value]) -> bool:
     return True
 
 
-def _all_guards_ok(
-    guards: Sequence[Guard], binding: Mapping[Var, Value]
-) -> bool:
-    """The leaf check: every variable is bound, every guard must hold."""
-    return all(guard.holds(binding) for guard in guards)
+def _backtrack(
+    patterns: Sequence[Tuple[str, tuple]],
+    source: MatchSource,
+    binding: dict,
+    guards: Sequence[Guard] = (),
+    ranked: bool = True,
+    delta: Optional[Mapping[str, AbstractSet[tuple]]] = None,
+    avoid: Optional[Tuple[str, tuple]] = None,
+    budget=None,
+    rejected: Optional[List[int]] = None,
+) -> Iterator[dict]:
+    """Yield each extension of *binding* mapping every pattern into *source*.
+
+    *patterns* are ``(relation, terms)`` pairs whose non-constant terms
+    are variables; *binding* is extended in place and copied per yield.
+    Frames live on a list, so a deep search meets no recursion limit.
+    *ranked* false places the patterns in order (the D3 ablation);
+    *delta* (relation → new rows) yields only solutions that use a new
+    row; the *avoid* row ``(relation, values)`` is never a candidate; a
+    *budget* is checked every :data:`_CHECK_EVERY` candidates; and
+    *rejected* counts the candidates that fail to extend the binding.
+    """
+    lookup = getattr(source, "tuples_at", None)
+    occurs: Dict[object, List[int]] = {}
+    counts: List[int] = []
+    rows: List[Sequence] = []
+    for index, (relation, terms) in enumerate(patterns):
+        for term in terms:
+            if not isinstance(term, Const):
+                occurs.setdefault(term, []).append(index)
+        count, candidates = _bucket(relation, terms, source, lookup, binding)
+        counts.append(count)
+        rows.append(candidates)
+    live = [delta is not None and bool(delta.get(r)) for r, _terms in patterns]
+    live_pending = sum(live)  # pending patterns that could use a new row
+    seen = delta is None  # whether the placed rows include a new one
+    probes = placed = 0
+    # A frame: [pattern, candidates, its new rows, only new rows?, seen
+    # before it, its count, the row's extension, the counts it displaced].
+    frames: List[list] = []
+    descend = True
+    while True:
+        if descend and (seen or live_pending):
+            if placed == len(patterns):
+                if all(guard.holds(binding) for guard in guards):
+                    yield dict(binding)
+            else:
+                index = counts.index(min(counts)) if ranked else placed
+                relation = patterns[index][0]
+                candidates = iter(rows[index])
+                if avoid is not None and relation == avoid[0]:
+                    candidates = (row for row in candidates if row != avoid[1])
+                new_rows = delta.get(relation, ()) if delta is not None else ()
+                live_pending -= live[index]
+                only_new = not seen and live[index] and not live_pending
+                frames.append(
+                    [index, candidates, new_rows, only_new, seen, counts[index], (), ()]
+                )
+                counts[index] = _PLACED
+                placed += 1
+        if not frames:
+            return
+        frame = frames[-1]
+        index, candidates, new_rows, only_new, seen, count, bound, displaced = frame
+        for var in bound:
+            del binding[var]
+        for other, other_count, other_rows in displaced:
+            counts[other], rows[other] = other_count, other_rows
+        terms = patterns[index][1]
+        for values in candidates:
+            if budget is not None:
+                probes += 1
+                if probes % _CHECK_EVERY == 0:
+                    if budget.checkpoint("hom_search") is not None:
+                        budget.raise_exhausted()
+            if only_new and values not in new_rows:
+                continue
+            extension = _match_fact(terms, values, binding)
+            if extension is not None:
+                break
+            if rejected is not None:
+                rejected[0] += 1
+        else:
+            frames.pop()
+            counts[index] = count
+            placed -= 1
+            live_pending += live[index]
+            descend = False
+            continue
+        binding.update(extension)
+        seen = seen or values in new_rows
+        # Re-rank the pending patterns sharing a newly bound variable,
+        # each once (marked placed until all are saved).
+        displaced = []
+        for var in extension:
+            for other in occurs[var]:
+                if counts[other] != _PLACED:
+                    displaced.append((other, counts[other], rows[other]))
+                    counts[other] = _PLACED
+        for other, _count, _rows in displaced:
+            relation, other_terms = patterns[other]
+            counts[other], rows[other] = _bucket(
+                relation, other_terms, source, lookup, binding
+            )
+        frame[6:] = extension, displaced
+        descend = not guards or _guards_ok(guards, binding)
 
 
 def match_atoms(
@@ -215,33 +284,14 @@ def match_atoms(
     Enumeration order is deterministic given the source's row order:
     the semi-naive chase relies on this to keep delta-driven firing
     sequences identical to naive ones
-    (:func:`repro.logic.delta.match_atoms_delta`).
+    (:func:`repro.logic.delta.match_atoms_delta` runs this same search).
     """
-    binding: Dict[Var, Value] = dict(initial) if initial else {}
-
-    def search(pending: list, b: Dict[Var, Value]) -> Iterator[Dict[Var, Value]]:
-        if not pending:
-            if _all_guards_ok(guards, b):
-                yield dict(b)
-            return
-        # Most-constrained-first: pick the cheapest pending atom.
-        index = min(
-            range(len(pending)),
-            key=lambda i: _candidate_count(pending[i], source, b),
-        )
-        atom = pending[index]
-        rest = pending[:index] + pending[index + 1 :]
-        for values in _candidates(atom, source, b):
-            extension = _match_fact(atom, values, b)
-            if extension is None:
-                continue
-            b.update(extension)
-            if _guards_ok(guards, b):
-                yield from search(rest, b)
-            for var in extension:
-                del b[var]
-
-    yield from search(list(atoms), binding)
+    return _backtrack(
+        [(atom.relation, atom.terms) for atom in atoms],
+        source,
+        dict(initial) if initial else {},
+        guards,
+    )
 
 
 def has_match(

@@ -36,6 +36,8 @@ The service sheds load instead of queueing unboundedly:
   which also closes the connection;
 * **413** — the declared body is over ``_Handler.MAX_BODY``; the
   connection closes unread;
+* no reply — the body stalled past ``_Handler.BODY_TIMEOUT`` or the
+  client closed before sending all of it; the connection closes;
 * **429** — the pool backlog is full (:class:`~repro.service.pool.
   PoolSaturated`); clients should back off and retry;
 * **503** — the service is draining after SIGTERM; in-flight requests
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -360,6 +363,11 @@ class _Handler(BaseHTTPRequestHandler):
     #: Maximum accepted request body, bytes (a mapping is text; 16 MiB
     #: is generous and bounds memory per connection thread).
     MAX_BODY = 16 * 1024 * 1024
+    #: Seconds each read of a declared body may wait for bytes.  A body
+    #: that stalls this long, or ends early because the client closed,
+    #: closes the connection with no reply, so an abandoned request does
+    #: not hold its thread.  Idle kept-alive connections wait unbounded.
+    BODY_TIMEOUT = 10.0
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
@@ -400,7 +408,9 @@ class _Handler(BaseHTTPRequestHandler):
         ``Transfer-Encoding`` this server does not decode, or a
         ``Content-Length`` that is not one plain decimal number (absent
         means 0), leaves the body's end unknown: 400.  A length past
-        :data:`MAX_BODY` is 413.  Both refusals close the connection."""
+        :data:`MAX_BODY` is 413.  Both refusals close the connection.
+        A body cut short — a read waits past :data:`BODY_TIMEOUT`, or
+        the client closes — closes it too, with no reply."""
         raw = ", ".join(self.headers.get_all("Content-Length", ())).strip()
         digits = raw.lstrip("0")  # int() refuses over 4,300 digits
         if self.headers.get("Transfer-Encoding") is not None:
@@ -415,11 +425,20 @@ class _Handler(BaseHTTPRequestHandler):
             status = 413
             message = f"body too large (limit {self.MAX_BODY} bytes)"
         else:
+            length = int(digits or 0)
+            if not length:
+                return b""
+            self.connection.settimeout(self.BODY_TIMEOUT)
             try:
-                return self.rfile.read(int(digits or 0))
+                data = self.rfile.read(length)
             except OSError:
-                self.close_connection = True
-                return None
+                data = b""
+            finally:
+                self.connection.settimeout(self.timeout)
+            if len(data) == length:
+                return data
+            self.close_connection = True
+            return None
         error = _error_body("ServiceRequestError", message, op=op)
         headers = {**(headers or {}), "Connection": "close"}
         self._send(status, _json(error), headers=headers)
@@ -509,6 +528,12 @@ class ServiceServer(ThreadingHTTPServer):
         """Bind *address* and attach *service* for the handlers."""
         super().__init__(address, _Handler)
         self.service = service
+
+    def handle_error(self, request, client_address) -> None:
+        """Drop a connection its client broke quietly; print anything else."""
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
 
 def serve(

@@ -3,7 +3,7 @@
 Every layer above the instance core — premise matching, both chases,
 hom search, the engine cache — already talks to fact storage through a
 narrow surface: per-relation tuple iteration, the position-indexed
-``tuples_at`` candidate lookup that :func:`repro.logic.matching._candidates`
+``tuples_at`` candidate lookup that :func:`repro.logic.matching._bucket`
 duck-types, membership, and digesting.  This module names that surface
 so it can be implemented twice: :class:`~repro.store.MemoryStore`
 (the historical in-heap representation, extracted from ``Instance``)

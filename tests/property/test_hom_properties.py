@@ -2,20 +2,26 @@
 
 The relation → is the extended identity mapping e(Id); these invariants
 (preorder laws, ground behaviour, interaction with substitution and
-cores) are load-bearing for every extended notion in the paper.
+cores) are load-bearing for every extended notion in the paper.  The
+search must also be complete: it finds every homomorphism a brute-force
+enumeration of null assignments finds, and the core probes miss no
+retraction.
 """
+
+from itertools import product
 
 from hypothesis import given, settings
 
-from repro.homs.core import core, is_core
+from repro.homs.core import core, is_core, retraction_to_core
 from repro.homs.search import (
+    all_homomorphisms,
     find_homomorphism,
     is_hom_equivalent,
     is_homomorphic,
     verify_homomorphism,
 )
 from repro.instance import Instance
-from repro.terms import Const
+from repro.terms import Const, value_sort_key
 
 from .strategies import instances, nonempty_instances
 
@@ -94,3 +100,49 @@ def test_core_idempotent(inst):
 @given(instances(allow_nulls=False, max_size=4))
 def test_ground_core_identity(inst):
     assert core(inst) == inst
+
+
+def brute_force_homomorphisms(source, target):
+    """Every null assignment into *target*'s active domain that verifies."""
+    nulls = sorted(source.nulls)
+    domain = sorted(target.active_domain, key=value_sort_key)
+    for image in product(domain, repeat=len(nulls)):
+        h = dict(zip(nulls, image))
+        if verify_homomorphism(h, source, target):
+            yield h
+
+
+@given(instances(), instances())
+@settings(max_examples=60, deadline=None)
+def test_search_finds_every_homomorphism(a, b):
+    found = all_homomorphisms(a, b)
+    as_sets = {frozenset(h.items()) for h in found}
+    assert len(as_sets) == len(found)
+    assert as_sets == {
+        frozenset(h.items()) for h in brute_force_homomorphisms(a, b)
+    }
+
+
+@given(instances(max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_core_is_a_subinstance(inst):
+    assert core(inst) <= inst
+
+
+@given(instances(max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_is_core_agrees_with_brute_force(inst):
+    # A retract into any proper subinstance is one into some subinstance
+    # missing a single fact, so those are the ones to try.
+    retracts = any(
+        next(brute_force_homomorphisms(inst, Instance(inst.facts - {f})), None)
+        is not None
+        for f in inst.facts
+    )
+    assert is_core(inst) == (not retracts)
+
+
+@given(instances(max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_retraction_to_core_lands_on_core(inst):
+    assert inst.substitute(retraction_to_core(inst)) == core(inst)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import BudgetExhausted
 from repro.homs.core import core, is_core, retraction_to_core
 from repro.homs.quotient import (
     QuotientExplosion,
@@ -17,6 +18,7 @@ from repro.homs.search import (
     verify_homomorphism,
 )
 from repro.instance import Instance
+from repro.limits import Limits, budget_scope
 from repro.parsing.parser import parse_dependencies
 from repro.terms import Const, Null
 
@@ -137,6 +139,52 @@ class TestCore:
 
     def test_is_core_detects_redundancy(self):
         assert not is_core(Instance.parse("Q(a, X), Q(a, b)"))
+
+
+def chain(facts: int) -> Instance:
+    """``T(a, b), T(b, _D0), …, T(_D{k-1}, _Dk), Q(_D{k-1})``, *facts* long.
+
+    The shape of the reverse candidates of ``T(x, y) -> EXISTS z .
+    T(y, z) | Q(x)`` over ``T(a, b)``: a path of nulls out of ``b`` whose
+    second-to-last null carries the one ``Q`` fact.  Each is its own core.
+    """
+    k = facts - 3
+    path = [f"T(D{i}, D{i + 1})" for i in range(k)]
+    return Instance.parse(", ".join(["T(a, b)", "T(b, D0)", *path, f"Q(D{k - 1})"]))
+
+
+class TestChainCores:
+    """Coring chains of nulls takes one failed probe per fact, each a
+    walk down the chain — not a search over orders of the facts."""
+
+    SIZES = [20, 50, 100, 200]
+
+    @pytest.mark.parametrize("facts", SIZES)
+    def test_chain_is_its_own_core(self, facts):
+        inst = chain(facts)
+        assert len(inst) == facts
+        with budget_scope(Limits(deadline=10.0)):
+            assert core(inst) == inst
+            assert is_core(inst)
+
+    @pytest.mark.parametrize("facts", SIZES)
+    def test_redundant_prefix_folds_back_to_the_chain(self, facts):
+        inst = chain(facts)
+        path = [f"T(E{i}, E{i + 1})" for i in range(facts // 2)]
+        padded = inst.union(Instance.parse(", ".join(["T(b, E0)", *path])))
+        assert len(padded) == facts + facts // 2 + 1
+        with budget_scope(Limits(deadline=10.0)):
+            assert core(padded) == inst
+            assert padded.substitute(retraction_to_core(padded)) == inst
+
+    @pytest.mark.parametrize("fold", [core, is_core, retraction_to_core])
+    def test_deadline_stops_the_probes(self, fold):
+        # Every probe of the chain tries only a few rows, under the
+        # search's own checkpoint interval: the probe loop checks too.
+        inst = chain(200)
+        with budget_scope(Limits(deadline=0.05)):
+            with pytest.raises(BudgetExhausted):
+                fold(inst)
 
 
 class TestQuotients:

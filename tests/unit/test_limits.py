@@ -10,6 +10,7 @@ raising — unless ``on_exhausted="raise"`` asks for the legacy errors.
 from __future__ import annotations
 
 import importlib
+import time
 from collections import Counter
 
 import pytest
@@ -421,6 +422,41 @@ class TestReverseMinimizationGovernance:
         assert entered == []
         assert list(result.candidates) == sorted(
             set(result.candidates), key=lambda inst: (len(inst), str(inst))
+        )
+
+
+class TestReverseDeadlineOvershoot:
+    """Past its deadline a reverse chase returns promptly: deduplicating
+    the partial branches prints only those whose size ties another's."""
+
+    RECURSIVE = SchemaMapping.from_text("T(x, y) -> EXISTS z . T(y, z) | Q(x)")
+
+    @pytest.mark.parametrize("deadline", [0.1, 0.3, 0.5])
+    def test_prints_only_branches_that_tie_in_size(self, deadline, monkeypatch):
+        printed = Counter()
+        text = Instance.__str__
+
+        def counted(instance):
+            printed[instance] += 1
+            return text(instance)
+
+        monkeypatch.setattr(Instance, "__str__", counted)
+        started = time.perf_counter()
+        branches = reverse_disjunctive_chase(
+            Instance.parse("T(a, b)"),
+            self.RECURSIVE.dependencies,
+            limits=Limits(deadline=deadline),
+        )
+        elapsed = time.perf_counter() - started
+        assert branches.exhausted.resource == "deadline"
+        sizes = Counter(len(branch) for branch in branches)
+        assert set(printed) == {b for b in branches if sizes[len(b)] > 1}
+        assert sizes.most_common(1)[0][1] < len(branches)
+        # The work, not the clock, is the tight check; this bound only
+        # catches a return that waits for nothing.
+        assert elapsed < deadline * 1.5 + 0.5
+        assert list(branches) == sorted(
+            set(branches), key=lambda inst: (len(inst), str(inst))
         )
 
 

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -466,6 +467,65 @@ class TestKeepAlive:
             assert status == 200 and response["ok"]
         finally:
             conn.close()
+
+
+class TestAbandonedBody:
+    """A request whose declared body never fully arrives frees its thread.
+
+    Each client sends headers declaring 100 bytes and then 5 of them.
+    The server closes the connection without a reply, prints no
+    traceback, and answers the next connection.
+    """
+
+    @staticmethod
+    def _partial_request(live):
+        sock = socket.create_connection(live.server.server_address, timeout=5)
+        sock.sendall(
+            b"POST /v1/chase HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 100\r\n\r\n{\"map"
+        )
+        return sock
+
+    @staticmethod
+    def _assert_still_serving(live, capfd):
+        status, response = live.post("/v1/chase", _body())
+        assert status == 200 and response["ok"]
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_stalled_body_closes_without_reply(self, live, monkeypatch, capfd):
+        monkeypatch.setattr(_Handler, "BODY_TIMEOUT", 0.2)
+        sock = self._partial_request(live)
+        try:
+            started = time.perf_counter()
+            assert sock.recv(1024) == b""
+            assert time.perf_counter() - started < 3
+        finally:
+            sock.close()
+        self._assert_still_serving(live, capfd)
+
+    def test_body_cut_short_by_close_gets_no_reply(
+        self, live, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(_Handler, "BODY_TIMEOUT", 0.2)
+        sock = self._partial_request(live)
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(1024) == b""
+        finally:
+            sock.close()
+        self._assert_still_serving(live, capfd)
+
+    def test_broken_connections_are_dropped_quietly(self, live, capfd):
+        try:
+            raise BrokenPipeError("client went away")
+        except BrokenPipeError:
+            live.server.handle_error(None, ("127.0.0.1", 0))
+        assert capfd.readouterr().err == ""
+        try:
+            raise RuntimeError("handler bug")
+        except RuntimeError:
+            live.server.handle_error(None, ("127.0.0.1", 0))
+        assert "RuntimeError: handler bug" in capfd.readouterr().err
 
 
 class TestRequestTracing:
