@@ -63,7 +63,7 @@ from ..logic.matching import match_atoms
 from ..obs.observer import ChaseObserver, chase_observer
 from ..obs.tracer import Tracer, current_tracer, maybe_span
 from ..terms import Const, NullFactory
-from .standard import resolve_evaluation
+from .standard import _witness_plan, _witnessed, resolve_evaluation
 
 
 class Branches(List[Instance]):
@@ -80,54 +80,6 @@ class Branches(List[Instance]):
     @property
     def completed(self) -> bool:
         return self.exhausted is None
-
-
-def _trigger_satisfied(
-    dtgd: DisjunctiveTgd, binding: dict, instance: Instance
-) -> bool:
-    """Is some disjunct already witnessed in *instance* under *binding*?"""
-    for disjunct in dtgd.disjuncts:
-        shared = {
-            v: binding[v]
-            for a in disjunct
-            for v in a.variables()
-            if v in binding
-        }
-        if next(match_atoms(disjunct, instance, initial=shared), None) is not None:
-            return True
-    return False
-
-
-def _witness_plan(dtgd: DisjunctiveTgd) -> List[tuple]:
-    """Per disjunct, how the delta path checks it is already witnessed.
-
-    ``(atoms, None)`` when the disjunct has no existential variable — a
-    premise binding then instantiates it to facts, and membership in the
-    live index decides; otherwise ``(atoms, shared)``, the premise
-    variables to seed a match with.
-    """
-    premise = dtgd.premise_variables
-    plan = []
-    for i, disjunct in enumerate(dtgd.disjuncts):
-        if dtgd.existential_variables(i):
-            shared = {v for a in disjunct for v in a.variables()} & premise
-            plan.append((disjunct, sorted(shared)))
-        else:
-            plan.append((disjunct, None))
-    return plan
-
-
-def _witnessed(plan: List[tuple], binding: dict, index: TriggerIndex) -> bool:
-    """:func:`_trigger_satisfied` against a live index, by its plan."""
-    for atoms, shared in plan:
-        if shared is None:
-            if all(atom.instantiate(binding) in index for atom in atoms):
-                return True
-            continue
-        seed = {v: binding[v] for v in shared}
-        if next(match_atoms(atoms, index, initial=seed), None) is not None:
-            return True
-    return False
 
 
 def disjunctive_chase(
@@ -156,16 +108,19 @@ def disjunctive_chase(
     open triggers, and a child only re-matches against the facts its
     disjunct added (:func:`~repro.logic.delta.match_atoms_delta`,
     skipped for dtgds whose premise reads none of those relations)
-    instead of the whole instance.  Branch worlds are allocation-light:
-    a child world is its parent's frozen fact set extended by the
-    disjunct's facts (:meth:`~repro.instance.Instance.extended`, which
-    shares the parent's untouched relation sets), satisfaction is
-    checked against the branch's live index (by fact membership when a
-    disjunct has no existential variable), and the last disjunct's
-    child inherits the parent's index and agendas instead of forking
-    them.  ``evaluation="naive"`` rebuilds
-    every world fact by fact and re-matches it from scratch; both
-    modes fire identical triggers and build identical branch trees.
+    instead of the whole instance: those facts are the trailing rows of
+    the child's index, the window its ``begin_round()`` returns.  Branch
+    worlds are allocation-light: a child world is its parent's frozen
+    fact set extended by the disjunct's facts
+    (:meth:`~repro.instance.Instance.extended`, which shares the
+    parent's untouched relation sets), satisfaction is checked against
+    the branch's live index, and the last disjunct's child inherits the
+    parent's index and agendas instead of forking them.
+    ``evaluation="naive"`` rebuilds every world fact by fact and
+    re-matches it from scratch; both modes fire identical triggers and
+    build identical branch trees, and both check satisfaction the
+    standard chase's way (:func:`repro.chase.standard._witnessed`: by
+    fact membership when a disjunct has no existential variable).
 
     With a *tracer*, the branch genealogy is emitted as
     ``BranchOpened``/``BranchClosed`` events (*branch_root* names the
@@ -204,21 +159,24 @@ def disjunctive_chase(
     observer = chase_observer(tracer, profiler, budget.reporter)
     lim = budget.limits
 
-    # Each disjunct's existential variables, in minting order.
+    # Each disjunct's existential variables, in minting order, and each
+    # dtgd's witness plan.
     existentials = [
         [sorted(dtgd.existential_variables(i)) for i in range(len(dtgd.disjuncts))]
         for dtgd in dtgds
     ]
+    plans = [_witness_plan(dtgd) for dtgd in dtgds]
     finished = Branches()
     # Frontier entries: (instance, rounds, branch id, delta state).
     # Delta state is (TriggerIndex, per-dtgd agendas) under semi-naive
     # evaluation, None under naive (agendas are then rebuilt per pop).
     if evaluation == "delta":
-        plans = [_witness_plan(dtgd) for dtgd in dtgds]
         premise_relations = [
             frozenset(a.relation for a in dtgd.premise) for dtgd in dtgds
         ]
         root_index = TriggerIndex(instance)
+        # The seeds are matched in full; a child's delta is what it adds.
+        root_index.begin_round()
         root_state = (
             root_index,
             [_sorted_matches(dtgd, root_index) for dtgd in dtgds],
@@ -293,15 +251,12 @@ def disjunctive_chase(
             if state is None:
                 index = None
                 agendas = [_sorted_matches(dtgd, current) for dtgd in dtgds]
-
-                def satisfied(di: int, binding: dict) -> bool:
-                    return _trigger_satisfied(dtgds[di], binding, current)
-
             else:
                 index, agendas = state
+            world = current if index is None else index
 
-                def satisfied(di: int, binding: dict) -> bool:
-                    return _witnessed(plans[di], binding, index)
+            def satisfied(di: int, binding: dict) -> bool:
+                return _witnessed(plans[di], binding, world)
 
             trigger = _select_trigger(agendas, satisfied, scanned)
             if trigger is None:
@@ -367,13 +322,13 @@ def disjunctive_chase(
                     if index is None:
                         child_state = None
                     else:
-                        # The child resumes its own delta set: only the
-                        # disjunct's added facts need re-matching.  The
-                        # fired entry is stripped everywhere — each
-                        # disjunct's facts witness it in that child.
-                        delta: dict = {}
-                        for f in added:
-                            delta.setdefault(f.relation, set()).add(f.values)
+                        # The child resumes its own delta: only the
+                        # disjunct's added facts, its index's trailing
+                        # rows, need re-matching.  The fired entry is
+                        # stripped everywhere — each disjunct's facts
+                        # witness it in that child.
+                        delta = accumulator.begin_round()
+                        view = accumulator.round_view()
                         child_agendas = []
                         for di, d in enumerate(dtgds):
                             if di == dtgd_index:
@@ -392,7 +347,7 @@ def disjunctive_chase(
                             fresh_entries = [
                                 (binding_sort_key(b), b)
                                 for b in match_atoms_delta(
-                                    d.premise, accumulator, delta, d.guards
+                                    d.premise, view, delta, d.guards
                                 )
                             ]
                             fresh_entries.sort(key=lambda entry: entry[0])

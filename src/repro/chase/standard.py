@@ -52,7 +52,7 @@ from ..instance import Instance
 from ..limits import Budget, Exhausted, Limits, resolve_guards
 from ..logic.atoms import Atom
 from ..logic.delta import TriggerIndex, match_atoms_delta
-from ..logic.dependencies import Dependency, Tgd
+from ..logic.dependencies import Dependency, DisjunctiveTgd, Tgd, iter_disjunctive
 from ..logic.matching import match_atoms
 from ..obs.observer import ChaseObserver, chase_observer
 from ..obs.tracer import Tracer, current_tracer, maybe_span
@@ -106,16 +106,42 @@ class ChaseResult:
         return self.instance.restrict(relations)
 
 
-def _conclusion_satisfied(tgd: Tgd, binding: Dict[Var, Value], store) -> bool:
-    """Can the conclusion be witnessed in *store* extending *binding*?
+def _witness_plan(dtgd: DisjunctiveTgd) -> List[tuple]:
+    """Per disjunct, how a trigger's witness is checked (once per chase).
 
-    *store* is anything with the ``tuples(relation)`` matching protocol —
-    an :class:`Instance` or a live :class:`InstanceBuilder`.
+    ``(atoms, None)`` when the disjunct has no existential variable — a
+    premise binding then instantiates it to facts, and membership
+    decides; otherwise ``(atoms, shared)``, the premise variables
+    (sorted) to seed a match with.  A plain tgd is one disjunct.
     """
-    seed = {v: binding[v] for v in tgd.premise_variables & tgd.conclusion_variables}
-    return (
-        next(match_atoms(tgd.conclusion, store, initial=seed), None) is not None
-    )
+    premise = dtgd.premise_variables
+    plan = []
+    for i, disjunct in enumerate(dtgd.disjuncts):
+        if dtgd.existential_variables(i):
+            shared = {v for a in disjunct for v in a.variables()} & premise
+            plan.append((disjunct, sorted(shared)))
+        else:
+            plan.append((disjunct, None))
+    return plan
+
+
+def _witnessed(plan: List[tuple], binding: Dict[Var, Value], source) -> bool:
+    """Is some disjunct of *plan* already witnessed under *binding*?
+
+    *source* holds facts (``fact in source``) and is a
+    :class:`~repro.logic.matching.MatchSource`: the chase's live
+    :class:`~repro.logic.delta.TriggerIndex`, or the naive disjunctive
+    chase's frozen world.
+    """
+    for atoms, shared in plan:
+        if shared is None:
+            if all(atom.instantiate(binding) in source for atom in atoms):
+                return True
+            continue
+        seed = {v: binding[v] for v in shared}
+        if next(match_atoms(atoms, source, initial=seed), None) is not None:
+            return True
+    return False
 
 
 def _fire(
@@ -123,6 +149,7 @@ def _fire(
     binding: Dict[Var, Value],
     builder,
     factory: NullFactory,
+    existentials: Sequence[Var],
     observer: Optional[ChaseObserver] = None,
     tgd_index: int = -1,
     round_number: int = 0,
@@ -131,10 +158,11 @@ def _fire(
 
     *builder* is anything with ``add``/``add_all`` — an
     :class:`~repro.instance.InstanceBuilder` or (the chase's own case) a
-    :class:`~repro.logic.delta.TriggerIndex`.
+    :class:`~repro.logic.delta.TriggerIndex`; *existentials* are the
+    tgd's existential variables in minting order.
     """
     full = dict(binding)
-    for var in sorted(tgd.existential_variables):
+    for var in existentials:
         full[var] = factory.fresh()
     if observer is None:
         return builder.add_all(atom.instantiate(full) for atom in tgd.conclusion)
@@ -232,6 +260,9 @@ def chase(
     guards = resolve_guards("chase", limits, budget)
     budget = guards.budget
 
+    # Each tgd's witness plan and existentials (in minting order), once.
+    plans = [_witness_plan(dtgd) for dtgd in iter_disjunctive(tgds)]
+    existentials = [sorted(tgd.existential_variables) for tgd in tgds]
     index = TriggerIndex(instance)
     factory = NullFactory.avoiding(instance.active_domain, prefix=null_prefix)
     fired: Set[Tuple[int, Tuple[Tuple[Var, Value], ...]]] = set()
@@ -283,12 +314,21 @@ def chase(
                         # deltas drive premise matching only; satisfaction
                         # must see everything, or a witness fired earlier
                         # in the same round would be missed).
-                        if _conclusion_satisfied(tgd, binding, index):
+                        if _witnessed(plans[tgd_index], binding, index):
                             continue
-                    _fire(tgd, binding, index, factory, observer, tgd_index, rounds)
+                    _fire(
+                        tgd,
+                        binding,
+                        index,
+                        factory,
+                        existentials[tgd_index],
+                        observer,
+                        tgd_index,
+                        rounds,
+                    )
                     steps += 1
                     progressed = True
-                    minted_total += len(tgd.existential_variables)
+                    minted_total += len(existentials[tgd_index])
                     exhausted = budget.charge(
                         "chase", facts=len(index), nulls=minted_total
                     )

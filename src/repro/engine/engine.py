@@ -37,12 +37,15 @@ from typing import (
 
 from ..chase.disjunctive import reverse_disjunctive_chase
 from ..chase.standard import ChaseResult, chase
-from ..errors import BatchItemError, WorkerKilled
+from ..errors import BatchItemError, BudgetExhausted, WorkerKilled
 from ..instance import Instance
 from ..limits import (
+    Budget,
     Exhausted,
     FaultPlan,
     Limits,
+    budget_scope,
+    current_budget,
     current_fault_plan,
     resolve_limits,
 )
@@ -923,17 +926,22 @@ class ExchangeEngine:
     # Reverse exchange
     # ------------------------------------------------------------------
 
+    def _budget(self, limits: Optional[Limits]) -> Optional[Budget]:
+        """One call's budget: fresh from its effective limits, started
+        now, else this thread's ambient budget (``None`` when unset)."""
+        effective = resolve_limits(limits, self.limits)
+        return Budget(effective) if effective is not None else current_budget()
+
     def _reverse_branches(
         self,
         mapping: SchemaMapping,
         target: Instance,
         max_nulls: int,
         minimize: bool,
-        limits: Optional[Limits] = None,
+        budget: Optional[Budget],
     ) -> Tuple[bool, tuple, Tuple[Instance, ...], Optional[Exhausted]]:
         """The cached disjunctive-chase branch set of one target."""
         key = ("reverse", mapping.digest(), target.digest(), max_nulls, minimize)
-        effective = resolve_limits(limits, self.limits)
 
         def compute(tracer, profiler):
             branches = reverse_disjunctive_chase(
@@ -942,7 +950,7 @@ class ExchangeEngine:
                 result_relations=mapping.target.names,
                 max_nulls=max_nulls,
                 minimize=minimize,
-                limits=effective,
+                budget=budget,
                 tracer=tracer,
                 profiler=profiler,
             )
@@ -983,20 +991,23 @@ class ExchangeEngine:
         reverse chase.  With *take_core* every candidate is folded to
         its core through the core cache.  *limits* governs the run as in
         :meth:`exchange` (the kernel's fallback bounds and the ambient
-        budget follow :func:`repro.limits.resolve_guards`); a truncated
-        branch enumeration comes back tagged (``result.exhausted``) and
-        uncached.
+        budget follow :func:`repro.limits.resolve_guards`), coring
+        included; a truncated branch enumeration or coring comes back
+        tagged (``result.exhausted``) and uncached.
         """
+        budget = self._budget(limits)
         if reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality():
             hit, key, candidates, exhausted = self._reverse_branches(
-                reverse_mapping, target, max_nulls, minimize, limits
+                reverse_mapping, target, max_nulls, minimize, budget
             )
             provenance = CacheProvenance(self._key_id(key), hit)
         else:
             forward = self.exchange(reverse_mapping, target, limits=limits)
             candidates = (forward.instance,)
             provenance, exhausted = forward.provenance, forward.exhausted
-        return self._reverse_result(candidates, provenance, exhausted, take_core)
+        return self._reverse_result(
+            candidates, provenance, exhausted, take_core, budget
+        )
 
     def _reverse_result(
         self,
@@ -1004,12 +1015,27 @@ class ExchangeEngine:
         provenance: CacheProvenance,
         exhausted: Optional[Exhausted],
         take_core: bool,
+        budget: Optional[Budget],
     ) -> ReverseResult:
-        """Wrap a candidate set (none: one empty instance), cored on request."""
+        """Wrap a candidate set (none: one empty instance), cored on request.
+
+        Coring runs under the call's *budget*.  Folding is anytime, so
+        once the budget is gone the candidate being folded keeps its
+        last fold, the rest stay as they are, and the result carries
+        the call's diagnosis: the chase's, else the coring's.
+        """
         if not candidates:
             candidates = (Instance(),)
         if take_core:
-            candidates = tuple(self.core(candidate) for candidate in candidates)
+            cored = []
+            for candidate in candidates:
+                if budget is not None and budget.exhausted is not None:
+                    cored.append(candidate)
+                    continue
+                folded, ran_out = self._core(candidate, budget)
+                cored.append(folded)
+                exhausted = exhausted or ran_out
+            candidates = tuple(cored)
         return ReverseResult(
             candidates=candidates,
             canonical=candidates[0],
@@ -1031,7 +1057,7 @@ class ExchangeEngine:
         Exactly what ``SchemaMapping.reverse_chase`` returned: the
         disjunctive chase's candidates, no result wrapper."""
         _, _, candidates, _ = self._reverse_branches(
-            mapping, target, max_nulls, minimize, limits
+            mapping, target, max_nulls, minimize, self._budget(limits)
         )
         return list(candidates)
 
@@ -1057,7 +1083,10 @@ class ExchangeEngine:
         batch deadline, and fault injection behave exactly as in
         :meth:`chase_many` (under ``on_error="skip"`` failed items
         resolve to :class:`repro.errors.BatchItemError`, ``op="reverse"``).
+        Coring runs after the batch, under the batch's deadline, as in
+        :meth:`reverse`.
         """
+        budget = self._budget(limits)
         targets = list(targets)
         if not (
             reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality()
@@ -1082,7 +1111,11 @@ class ExchangeEngine:
                 )
                 if isinstance(item, BatchItemError)
                 else self._reverse_result(
-                    (item.instance,), item.provenance, item.exhausted, take_core
+                    (item.instance,),
+                    item.provenance,
+                    item.exhausted,
+                    take_core,
+                    budget,
                 )
                 for index, item in enumerate(forward)
             ]
@@ -1105,6 +1138,7 @@ class ExchangeEngine:
                 CacheProvenance(self._key_id(key), hit),
                 exhausted,
                 take_core,
+                budget,
             ),
             jobs=jobs,
             on_error=on_error,
@@ -1134,21 +1168,40 @@ class ExchangeEngine:
 
     def core(self, instance: Instance) -> Instance:
         """The cached core of *instance*."""
+        return self._core(instance, None)[0]
+
+    def _core(
+        self, instance: Instance, budget: Optional[Budget]
+    ) -> Tuple[Instance, Optional[Exhausted]]:
+        """The cached core of *instance*, folded under *budget*.
+
+        Without a budget the ambient one governs, and exhaustion raises.
+        A partial-mode *budget* that runs out yields the last fold
+        instead, with the diagnosis, and neither is cached.
+        """
         key = (instance.digest(),)
 
         def compute(_tracer, _profiler):
             from ..homs.core import core
 
-            return core(instance), None
+            if budget is None:
+                return core(instance), None
+            with budget_scope(budget):
+                try:
+                    return core(instance), None
+                except BudgetExhausted as error:
+                    if budget.limits.raises:
+                        raise
+                    return error.partial, error.diagnosis
 
-        _, folded, _, _ = self._serve(
+        _, folded, exhausted, _ = self._serve(
             "core",
             key,
             compute,
             lambda folded: {"facts": len(folded), "nulls": len(folded.nulls)},
             instance_digest=key[0],
         )
-        return folded
+        return folded, exhausted
 
     # ------------------------------------------------------------------
     # Audits and reverse query answering

@@ -52,6 +52,9 @@ class BudgetExhausted(ReproError, RuntimeError):
     ``on_exhausted="raise"``; in ``"partial"`` mode the chase returns a
     tagged partial result instead.  ``diagnosis`` (when present) is the
     :class:`repro.limits.Exhausted` record of what ran out and where.
+    ``partial`` is what an anytime operation had when the budget ran
+    out — :func:`repro.homs.core.core` puts its last fold there — and
+    ``None`` otherwise.
     """
 
     def __init__(self, message: str = "", diagnosis=None) -> None:
@@ -60,6 +63,7 @@ class BudgetExhausted(ReproError, RuntimeError):
             message = diagnosis.describe()
         super().__init__(message)
         self.diagnosis = diagnosis
+        self.partial = None
 
 
 class Cancelled(BudgetExhausted):

@@ -20,13 +20,16 @@ share the probe loop, so ``I.substitute(retraction_to_core(I))`` is
 ``core(I)``.  The loop honors this thread's ambient budget
 (:func:`repro.limits.budget_scope`): it checks cancellation and the
 deadline before every probe, as the search does inside a long one, and
-on exhaustion raises the budget's typed error.
+on exhaustion raises the budget's typed error.  Folding is anytime:
+every fold is a retract of the input, hom-equivalent to it, so the
+error :func:`core` raises carries its last fold as ``partial``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..errors import BudgetExhausted
 from ..instance import Fact, Instance
 from ..limits import Budget, current_budget
 from ..obs.tracer import current_tracer, maybe_span
@@ -38,14 +41,20 @@ def core(instance: Instance) -> Instance:
     """Return the core of *instance*.
 
     Ground instances are their own cores.  The result is a subinstance of
-    the input (we retract rather than rename).
+    the input (we retract rather than rename).  When the ambient budget
+    runs out, the raised error's ``partial`` is the last fold (the input
+    itself before the first).
     """
     tracer = current_tracer()
     current = instance
     with maybe_span(tracer, "core", input_facts=len(instance)):
-        for _step, current in _folds(instance):
-            if tracer is not None:
-                tracer.metrics.inc("core.folds")
+        try:
+            for _step, current in _folds(instance):
+                if tracer is not None:
+                    tracer.metrics.inc("core.folds")
+        except BudgetExhausted as error:
+            error.partial = current
+            raise
     return current
 
 

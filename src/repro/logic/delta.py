@@ -11,10 +11,10 @@ again.  This module provides the machinery for semi-naive evaluation:
   matching protocol (``tuples``/``tuples_at``), so the same object is a
   :class:`~repro.logic.matching.MatchSource` for live satisfaction
   checks and for homomorphism search.  ``begin_round()`` rotates the
-  round boundary and returns the *delta* — the facts new since the
-  previous boundary; ``round_view()`` is a MatchSource showing only the
-  facts visible at the current boundary (what the naive loop's
-  per-round snapshot used to show).
+  round boundary and returns the *delta* — per relation, the window of
+  row numbers added since the previous boundary; ``round_view()`` is a
+  MatchSource showing only the facts visible at the current boundary
+  (what the naive loop's per-round snapshot used to show).
 * :func:`match_atoms_delta` — enumerate exactly the premise bindings
   that use at least one delta fact, **in the same relative order** that
   :func:`~repro.logic.matching.match_atoms` would have produced them.
@@ -22,15 +22,24 @@ again.  This module provides the machinery for semi-naive evaluation:
   therefore null names, budget truncation points, and tracer streams)
   identical to the naive loop's.
 
+A delta maps each relation to a window of row numbers, the tuple
+mirror of the SQL chase's rowid watermarks (DESIGN.md D6): rows enter a
+relation in order and are never removed, so "new since the last
+boundary" is a range of row numbers, and every bucket keeps its rows'
+numbers, increasing.  A round view's sequences split at a window's
+start with one bisect, so the matcher reads a frame's new rows as the
+tail of its bucket and tells a placed row's age by the side of the cut
+it came from, with no per-row set probe.
+
 Order preservation is the design constraint that shapes the code (see
 DESIGN.md, decision D5): the textbook semi-naive rewriting — a union
 of queries, one per premise position seeded with a delta atom —
 enumerates bindings grouped by which atom is "the delta atom" and would
 reorder firings.  Instead, :func:`match_atoms_delta` has no search of
-its own: it runs ``match_atoms``' loop over the same view with a delta
-filter, which abandons a subtree as soon as no delta fact can appear in
-it and, when exactly one pending atom's relation carries delta facts,
-keeps only that atom's delta candidates (order intact).  Each level
+its own: it runs ``match_atoms``' loop over the same view with the delta
+windows, which abandons a subtree as soon as no delta fact can appear
+in it and, when exactly one pending atom's relation carries delta
+facts, reads only that atom's new rows (order intact).  Each level
 places the atom ``match_atoms`` places, so the yields are exactly the
 delta subset of the naive enumeration, in naive order.
 
@@ -47,9 +56,7 @@ from bisect import bisect_left
 from itertools import islice
 from typing import (
     TYPE_CHECKING,
-    AbstractSet,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -75,8 +82,9 @@ __all__ = [
     "match_atoms_delta",
 ]
 
-#: A round's worth of new facts: relation name → set of value rows.
-Delta = Mapping[str, AbstractSet[Tuple[Value, ...]]]
+#: A round's worth of new facts: relation name → the window of row
+#: numbers (positions in the relation's rows) that are new.
+Delta = Mapping[str, range]
 
 
 def binding_sort_key(binding: Mapping[Var, Value]) -> tuple:
@@ -102,14 +110,32 @@ class _Prefix(Sequence):
     needs ``len``/``iter``/truthiness on candidate sequences, and the
     underlying list may gain rows (beyond the prefix) while a generator
     is suspended — list appends never disturb an ``islice`` bounded
-    below the append point.
+    below the append point.  *numbers* are the rows' row numbers (a
+    bucket's, increasing); without them a row's number is its position.
     """
 
-    __slots__ = ("_rows", "_stop")
+    __slots__ = ("_rows", "_stop", "_numbers")
 
-    def __init__(self, rows: Sequence, stop: int) -> None:
+    def __init__(
+        self, rows: Sequence, stop: int, numbers: Optional[List[int]] = None
+    ) -> None:
         self._rows = rows
         self._stop = stop
+        self._numbers = numbers
+
+    def split(self, number: int) -> Tuple[Iterator, Iterator]:
+        """Iterators over the rows numbered below *number*, and the rest.
+
+        The delta matcher's window cut: one bisect over the numbers.
+        """
+        stop = self._stop
+        numbers = self._numbers
+        cut = (
+            min(number, stop)
+            if numbers is None
+            else bisect_left(numbers, number, 0, stop)
+        )
+        return islice(self._rows, cut), islice(self._rows, cut, stop)
 
     def __len__(self) -> int:
         return self._stop
@@ -128,6 +154,10 @@ class _Prefix(Sequence):
         if not 0 <= index < self._stop:
             raise IndexError("prefix index out of range")
         return self._rows[index]
+
+
+#: The round view's sequence for a relation or bucket with no rows.
+_EMPTY = _Prefix((), 0)
 
 
 class _RoundView:
@@ -151,7 +181,7 @@ class _RoundView:
         idx = self._index
         rows = idx._rows.get(relation)
         if rows is None:
-            return ()
+            return _EMPTY
         return _Prefix(rows, idx._visible.get(relation, 0))
 
     def tuples_at(
@@ -161,13 +191,13 @@ class _RoundView:
         idx = self._index
         buckets = idx._buckets.get(relation)
         if buckets is None:
-            return ()
+            return _EMPTY
         entry = buckets.get((position, value))
         if entry is None:
-            return ()
+            return _EMPTY
         bucket_rows, bucket_seqs = entry
         visible = idx._visible.get(relation, 0)
-        return _Prefix(bucket_rows, bisect_left(bucket_seqs, visible))
+        return _Prefix(bucket_rows, bisect_left(bucket_seqs, visible), bucket_seqs)
 
 
 class TriggerIndex:
@@ -185,9 +215,9 @@ class TriggerIndex:
       index-less builder scans — buckets are appended to, never
       rebuilt);
     * a **delta source**: ``begin_round()`` advances the visibility
-      boundary and returns the rows added since the previous boundary,
-      and ``round_view()`` is the matching source frozen at that
-      boundary.
+      boundary and returns the windows of rows added since the previous
+      boundary, and ``round_view()`` is the matching source frozen at
+      that boundary.
 
     Row order is canonical: construction seeds the base instance's
     facts in :meth:`~repro.facts.Fact.sort_key` order, and fired facts
@@ -308,18 +338,19 @@ class TriggerIndex:
     # Delta machinery
     # ------------------------------------------------------------------
 
-    def begin_round(self) -> Dict[str, FrozenSet[Tuple[Value, ...]]]:
-        """Advance the round boundary; return the newly visible rows.
+    def begin_round(self) -> Dict[str, range]:
+        """Advance the round boundary; return the newly visible windows.
 
-        The returned delta maps each relation to the (frozen) set of
-        rows added since the previous ``begin_round()`` — on the first
-        call, every seeded row.  Relations with no new rows are absent.
+        The returned delta maps each relation to the range of row
+        numbers added since the previous ``begin_round()`` — on the
+        first call, every seeded row; ``tuples(relation)[i]`` is row
+        ``i``.  Relations with no new rows are absent.
         """
-        delta: Dict[str, FrozenSet[Tuple[Value, ...]]] = {}
+        delta: Dict[str, range] = {}
         for relation, rows in self._rows.items():
             seen = self._visible.get(relation, 0)
             if seen < len(rows):
-                delta[relation] = frozenset(rows[seen:])
+                delta[relation] = range(seen, len(rows))
                 self._visible[relation] = len(rows)
         return delta
 
@@ -360,13 +391,14 @@ def match_atoms_delta(
 ) -> Iterator[Dict[Var, Value]]:
     """Yield the bindings of *atoms* over *source* that use a delta fact.
 
-    *source* is any :class:`~repro.logic.matching.MatchSource` (normally
-    a :meth:`TriggerIndex.round_view`); *delta* maps relation names to
-    sets of rows new since the previous round.  The yields are exactly
-    the bindings ``match_atoms(atoms, source, guards, initial)`` would
-    produce whose instantiated premise includes at least one delta row
-    — **in the same relative order** (see the module docstring for why
-    that matters and how the pruning stays order-preserving).
+    *source* is a :meth:`TriggerIndex.round_view`, whose sequences know
+    their rows' numbers; *delta* maps relation names to the windows of
+    row numbers new since the previous round, as
+    :meth:`TriggerIndex.begin_round` returns them.  The yields are
+    exactly the bindings ``match_atoms(atoms, source, guards, initial)``
+    would produce whose instantiated premise includes at least one delta
+    row — **in the same relative order** (see the module docstring for
+    why that matters and how the pruning stays order-preserving).
 
     With an empty delta nothing is yielded; a delta covering the whole
     source makes this equivalent to ``match_atoms``.

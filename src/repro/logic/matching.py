@@ -4,7 +4,7 @@ This is the shared engine under chase steps, conjunctive-query
 evaluation and homomorphism search: enumerate all variable bindings
 under which every atom of a premise is a fact of the source and every
 guard holds.  A hom search matches the source's facts, nulls read as
-variables; the semi-naive chase adds a delta filter.  All of them run
+variables; the semi-naive chase adds delta windows.  All of them run
 one backtracking loop, :func:`_backtrack`, which at each step places the
 first pending atom with the fewest candidate facts given the bindings so
 far (most-constrained-first), re-ranking only the atoms that share a
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import sys
 from typing import (
-    AbstractSet,
     Dict,
     Iterator,
     List,
@@ -166,7 +165,7 @@ def _backtrack(
     binding: dict,
     guards: Sequence[Guard] = (),
     ranked: bool = True,
-    delta: Optional[Mapping[str, AbstractSet[tuple]]] = None,
+    delta: Optional[Mapping[str, range]] = None,
     avoid: Optional[Tuple[str, tuple]] = None,
     budget=None,
     rejected: Optional[List[int]] = None,
@@ -177,10 +176,19 @@ def _backtrack(
     are variables; *binding* is extended in place and copied per yield.
     Frames live on a list, so a deep search meets no recursion limit.
     *ranked* false places the patterns in order (the D3 ablation);
-    *delta* (relation → new rows) yields only solutions that use a new
-    row; the *avoid* row ``(relation, values)`` is never a candidate; a
-    *budget* is checked every :data:`_CHECK_EVERY` candidates; and
-    *rejected* counts the candidates that fail to extend the binding.
+    *delta* (relation → the window of new row numbers) yields only
+    solutions that use a new row, over a source whose sequences
+    ``split`` at a row number (a :class:`~repro.logic.delta.TriggerIndex`
+    round view); the *avoid* row ``(relation, values)`` is never a
+    candidate; a *budget* is checked every :data:`_CHECK_EVERY`
+    candidates; and *rejected* counts the candidates that fail to
+    extend the binding.
+
+    Under a delta, a frame placed before any new row splits its rows at
+    the window's start: the old rows come first, then the new ones, so
+    a placed row's age is the side of the cut it came from.  When no
+    other pending pattern could use a new row, the frame reads only the
+    new rows.
     """
     lookup = getattr(source, "tuples_at", None)
     occurs: Dict[object, List[int]] = {}
@@ -197,8 +205,9 @@ def _backtrack(
     live_pending = sum(live)  # pending patterns that could use a new row
     seen = delta is None  # whether the placed rows include a new one
     probes = placed = 0
-    # A frame: [pattern, candidates, its new rows, only new rows?, seen
-    # before it, its count, the row's extension, the counts it displaced].
+    # A frame: [pattern, candidates, the new rows due after them, are
+    # the candidates new?, seen before it, its count, the row's
+    # extension, the counts it displaced].
     frames: List[list] = []
     descend = True
     while True:
@@ -209,21 +218,26 @@ def _backtrack(
             else:
                 index = counts.index(min(counts)) if ranked else placed
                 relation = patterns[index][0]
-                candidates = iter(rows[index])
+                live_pending -= live[index]
+                rest = None
+                new = False
+                if seen or not live[index]:
+                    candidates = iter(rows[index])
+                else:
+                    candidates, rest = rows[index].split(delta[relation].start)
+                    if not live_pending:
+                        candidates, rest, new = rest, None, True
                 if avoid is not None and relation == avoid[0]:
                     candidates = (row for row in candidates if row != avoid[1])
-                new_rows = delta.get(relation, ()) if delta is not None else ()
-                live_pending -= live[index]
-                only_new = not seen and live[index] and not live_pending
                 frames.append(
-                    [index, candidates, new_rows, only_new, seen, counts[index], (), ()]
+                    [index, candidates, rest, new, seen, counts[index], (), ()]
                 )
                 counts[index] = _PLACED
                 placed += 1
         if not frames:
             return
         frame = frames[-1]
-        index, candidates, new_rows, only_new, seen, count, bound, displaced = frame
+        index, candidates, rest, new, seen, count, bound, displaced = frame
         for var in bound:
             del binding[var]
         for other, other_count, other_rows in displaced:
@@ -235,14 +249,18 @@ def _backtrack(
                 if probes % _CHECK_EVERY == 0:
                     if budget.checkpoint("hom_search") is not None:
                         budget.raise_exhausted()
-            if only_new and values not in new_rows:
-                continue
             extension = _match_fact(terms, values, binding)
             if extension is not None:
                 break
             if rejected is not None:
                 rejected[0] += 1
         else:
+            if rest is not None:
+                # The old rows are spent; the new rows follow them.
+                frame[1:4] = rest, None, True
+                frame[6:] = (), ()
+                descend = False
+                continue
             frames.pop()
             counts[index] = count
             placed -= 1
@@ -250,7 +268,7 @@ def _backtrack(
             descend = False
             continue
         binding.update(extension)
-        seen = seen or values in new_rows
+        seen = seen or new
         # Re-rank the pending patterns sharing a newly bound variable,
         # each once (marked placed until all are saved).
         displaced = []

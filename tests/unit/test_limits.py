@@ -21,6 +21,7 @@ from repro import (
     CancelToken,
     Cancelled,
     ChaseNonTermination,
+    ExchangeEngine,
     Instance,
     Limits,
     SchemaMapping,
@@ -33,11 +34,15 @@ from repro import (
 from repro.chase.disjunctive import Branches, reverse_disjunctive_chase
 from repro.homs.quotient import enumerate_quotients
 from repro.homs.search import find_homomorphism
-from repro.limits import Exhausted, resolve_limits
+from repro.limits import Exhausted, cancel_scope, resolve_limits
 from repro.obs import ProgressReporter, Tracer, progress_scope
+
+from .test_homs import chain
 
 RECURSIVE = parse_dependency("P(x, y) -> EXISTS z . P(y, z)")
 PAB = Instance.parse("P(a, b)")
+# The module, not the ``core`` function ``repro.homs`` exports by that name.
+cores = importlib.import_module("repro.homs.core")
 
 
 class TestLimitsConfig:
@@ -458,6 +463,96 @@ class TestReverseDeadlineOvershoot:
         assert list(branches) == sorted(
             set(branches), key=lambda inst: (len(inst), str(inst))
         )
+
+
+class TestReverseCoringBudget:
+    """``ExchangeEngine.reverse(take_core=True)`` cores under the call's
+    budget: once it is gone no probe starts, the candidate being folded
+    keeps its last fold, the rest stay as they are, and nothing partial
+    is cached."""
+
+    RECURSIVE = SchemaMapping.from_text("T(x, y) -> EXISTS z . T(y, z) | Q(x)")
+    #: A plain reverse mapping: its one candidate is a copy of the target.
+    COPY = SchemaMapping.from_text("T(x, y) -> S(x, y)\nQ(x) -> R(x)")
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """Per core probe, whether its budget had run out when it started."""
+        started = []
+        search = cores._homomorphisms
+
+        def counted(*args, budget=None, **kwargs):
+            started.append(budget is not None and budget.exhausted is not None)
+            return search(*args, budget=budget, **kwargs)
+
+        monkeypatch.setattr(cores, "_homomorphisms", counted)
+        return started
+
+    @pytest.mark.parametrize("deadline", [0.1, 0.3, 0.5])
+    def test_a_chase_that_spent_the_deadline_is_not_cored(self, deadline, probes):
+        started = time.perf_counter()
+        result = ExchangeEngine().reverse(
+            self.RECURSIVE,
+            Instance.parse("T(a, b)"),
+            take_core=True,
+            limits=Limits(deadline=deadline),
+        )
+        elapsed = time.perf_counter() - started
+        assert result.exhausted.resource == "deadline"
+        assert result.exhausted.where == "disjunctive_chase"
+        assert len(result.candidates) > 1
+        assert probes == []  # the chase spent the budget the coring shares
+        # The work is the tight check; this bound only catches a return
+        # that waits for nothing (coring these took about 56 s before).
+        assert elapsed < deadline * 1.5 + 0.5
+
+    @pytest.mark.parametrize("deadline", [0.1, 0.3, 0.5])
+    def test_coring_stops_at_the_deadline(self, deadline, probes):
+        target = chain(600)  # about 6 s to core on a 2-vCPU host
+        engine = ExchangeEngine()
+        started = time.perf_counter()
+        result = engine.reverse(
+            self.COPY, target, take_core=True, limits=Limits(deadline=deadline)
+        )
+        elapsed = time.perf_counter() - started
+        assert result.exhausted.resource == "deadline"
+        # Between two probes, or inside one (the search checks too).
+        assert result.exhausted.where in ("core", "hom_search")
+        assert probes and not any(probes)
+        assert len(probes) < len(target) - 3  # a full coring probes each null fact
+        assert result.candidates == (engine.exchange(self.COPY, target).instance,)
+        assert engine.stats()["core"]["entries"] == 0
+        assert elapsed < deadline * 1.5 + 0.5
+
+    def test_the_last_fold_is_kept_and_nothing_partial_is_cached(self, monkeypatch):
+        # A 12-fact path out of ``b`` that the first probe folds onto
+        # the chain, which is its own core.
+        padding = ["T(b, A0)"] + [f"T(A{i}, A{i + 1})" for i in range(11)]
+        target = chain(40).union(Instance.parse(", ".join(padding)))
+        engine = ExchangeEngine()
+        copied = engine.exchange(self.COPY, target).instance
+        search = cores._homomorphisms
+        with cancel_scope() as token:
+
+            def fold_then_cancel(*args, **kwargs):
+                for step in search(*args, **kwargs):
+                    token.cancel("after the first fold")
+                    yield step
+
+            monkeypatch.setattr(cores, "_homomorphisms", fold_then_cancel)
+            partial = engine.reverse(
+                self.COPY, target, take_core=True, limits=Limits(deadline=60)
+            )
+            monkeypatch.undo()
+        assert partial.exhausted.resource == "cancelled"
+        assert partial.exhausted.where == "core"
+        (folded,) = partial.candidates
+        assert folded.facts < copied.facts and len(copied) - len(folded) == 12
+        assert engine.stats()["core"]["entries"] == 0
+        complete = engine.reverse(self.COPY, target, take_core=True)
+        assert complete.exhausted is None
+        assert complete.candidates == (cores.core(copied),) == (folded,)
+        assert engine.stats()["core"]["entries"] == 1
 
 
 class TestEngineLimits:

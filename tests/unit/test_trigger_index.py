@@ -23,6 +23,14 @@ def _rows(seq):
     return [f.values for f in seq]
 
 
+def _window_rows(index, delta):
+    """The rows each window of *delta* covers, relation by relation."""
+    return {
+        relation: [index.tuples(relation)[number] for number in window]
+        for relation, window in delta.items()
+    }
+
+
 class TestTriggerIndexBuilder:
     def test_seeded_from_instance(self):
         inst = Instance.parse("P(a, b), P(b, c), Q(a)")
@@ -73,7 +81,8 @@ class TestRoundRotation:
         index = TriggerIndex(inst)
         delta = index.begin_round()
         assert set(delta) == {"P", "Q"}
-        assert delta["P"] == {fact("P", "a", "b").values}
+        assert delta["P"] == range(0, 1)
+        assert _window_rows(index, delta)["P"] == [fact("P", "a", "b").values]
 
     def test_delta_is_only_new_rows(self):
         index = TriggerIndex(Instance.parse("P(a, b)"))
@@ -81,9 +90,10 @@ class TestRoundRotation:
         index.add(fact("P", "b", "c"))
         index.add(fact("Q", "c"))
         delta = index.begin_round()
-        assert delta == {
-            "P": frozenset({fact("P", "b", "c").values}),
-            "Q": frozenset({fact("Q", "c").values}),
+        assert delta == {"P": range(1, 2), "Q": range(0, 1)}
+        assert _window_rows(index, delta) == {
+            "P": [fact("P", "b", "c").values],
+            "Q": [fact("Q", "c").values],
         }
         assert index.begin_round() == {}
 
@@ -135,9 +145,9 @@ class TestFork:
         assert fact("P", "b", "c") not in parent
         # Child's rotation surfaces only its own add; the parent's next
         # rotation stays empty.
-        assert child.begin_round() == {
-            "P": frozenset({fact("P", "b", "c").values})
-        }
+        delta = child.begin_round()
+        assert delta == {"P": range(1, 2)}
+        assert _window_rows(child, delta) == {"P": [fact("P", "b", "c").values]}
         assert parent.begin_round() == {}
         parent.add(fact("Q", "z"))
         assert fact("Q", "z") not in child
@@ -148,9 +158,9 @@ class TestFork:
         parent.add(fact("P", "b", "c"))
         child = parent.fork()
         # The un-rotated row is still pending delta in the fork.
-        assert child.begin_round() == {
-            "P": frozenset({fact("P", "b", "c").values})
-        }
+        delta = child.begin_round()
+        assert delta == {"P": range(1, 2)}
+        assert _window_rows(child, delta) == {"P": [fact("P", "b", "c").values]}
 
 
 class TestMatchAtomsDelta:
@@ -182,7 +192,11 @@ class TestMatchAtomsDelta:
         delta = index.begin_round()
         view = index.round_view()
         naive = list(match_atoms(self.PREMISE, view))
-        delta_rows = {rel: set(rows) for rel, rows in delta.items()}
+        delta_rows = {rel: set(rows) for rel, rows in _window_rows(index, delta).items()}
+        assert delta_rows == {
+            "E": {fact("E", "b", "e").values},
+            "P": {fact("P", "d", "b").values},
+        }
 
         def touches(binding):
             for a in self.PREMISE:
