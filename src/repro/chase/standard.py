@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ChaseNonTermination
+from ..facts import Fact
 from ..instance import Instance
 from ..limits import Budget, Exhausted, Limits, resolve_guards
 from ..logic.atoms import Atom
@@ -70,9 +71,10 @@ __all__ = [
 class ChaseResult:
     """Outcome of a chase run.
 
-    ``instance`` is the full chased instance (input plus generated facts);
-    ``generated`` the facts added by the chase; ``steps`` the number of
-    trigger firings; ``rounds`` the number of fixpoint rounds used.
+    ``instance`` is the full chased instance: the input extended by
+    ``generated``, the facts the chase added (it shares the input's
+    facts); ``steps`` is the number of trigger firings and ``rounds``
+    the number of fixpoint rounds used.
 
     ``exhausted`` is ``None`` for a completed fixpoint; on a
     budget-limited run it carries the :class:`repro.limits.Exhausted`
@@ -147,32 +149,30 @@ def _witnessed(plan: List[tuple], binding: Dict[Var, Value], source) -> bool:
 def _fire(
     tgd: Tgd,
     binding: Dict[Var, Value],
-    builder,
+    index: TriggerIndex,
     factory: NullFactory,
     existentials: Sequence[Var],
+    added: List[Fact],
     observer: Optional[ChaseObserver] = None,
     tgd_index: int = -1,
     round_number: int = 0,
-) -> int:
-    """Add the conclusion facts for one trigger; return how many were new.
+) -> None:
+    """Add the conclusion facts for one trigger to *index*.
 
-    *builder* is anything with ``add``/``add_all`` — an
-    :class:`~repro.instance.InstanceBuilder` or (the chase's own case) a
-    :class:`~repro.logic.delta.TriggerIndex`; *existentials* are the
-    tgd's existential variables in minting order.
+    Each fact that is new is also appended to *added*, the chase's
+    record of what it fired; *existentials* are the tgd's existential
+    variables in minting order.
     """
     full = dict(binding)
     for var in existentials:
         full[var] = factory.fresh()
-    if observer is None:
-        return builder.add_all(atom.instantiate(full) for atom in tgd.conclusion)
-    added = []
+    start = len(added)
     for atom in tgd.conclusion:
         f = atom.instantiate(full)
-        if builder.add(f):
+        if index.add(f):
             added.append(f)
-    observer.fired(tgd, tgd_index, round_number, binding, full, added)
-    return len(added)
+    if observer is not None:
+        observer.fired(tgd, tgd_index, round_number, binding, full, added[start:])
 
 
 def resolve_evaluation(evaluation: Optional[str]) -> str:
@@ -266,6 +266,7 @@ def chase(
     index = TriggerIndex(instance)
     factory = NullFactory.avoiding(instance.active_domain, prefix=null_prefix)
     fired: Set[Tuple[int, Tuple[Tuple[Var, Value], ...]]] = set()
+    added: List[Fact] = []
     steps = 0
     rounds = 0
     minted_total = 0
@@ -322,6 +323,7 @@ def chase(
                         index,
                         factory,
                         existentials[tgd_index],
+                        added,
                         observer,
                         tgd_index,
                         rounds,
@@ -352,10 +354,10 @@ def chase(
             if budget.limits.raises:
                 budget.raise_exhausted()
 
-    final = index.snapshot()
+    # The result is the input plus what fired: no fact is rebuilt.
     return ChaseResult(
-        instance=final,
-        generated=final.facts - instance.facts,
+        instance=instance.extended(added),
+        generated=frozenset(added),
         steps=steps,
         rounds=rounds,
         exhausted=exhausted,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from dataclasses import asdict, dataclass, fields, replace as dc_replace
 from threading import Lock
 from typing import (
@@ -149,9 +150,11 @@ def run_chase(
 
     ``scratch=None`` runs the tuple chase; a store spec runs the
     set-at-a-time SQL chase inside a fresh store opened at it, adapted
-    to a :class:`ChaseResult` over an in-memory snapshot: results are
-    cached and outlive the scratch store, which the next chase at the
-    same spec recreates.  Single chases and batch items (in this
+    to a :class:`ChaseResult` in memory: results are cached and outlive
+    the scratch store, which the next chase at the same spec recreates.
+    Like the tuple chase's, the result is *source* extended by the facts
+    the chase added — the rows above the watermarks read after seeding
+    — so no fact is rebuilt.  Single chases and batch items (in this
     process or a pool worker) all run through here.
     """
     if scratch is None:
@@ -168,15 +171,16 @@ def run_chase(
     store = open_store(scratch, fresh=True)
     try:
         store.add_all(source.facts)
+        seeded = store.watermarks()
         sqlres = sql_chase(
             store, mapping.dependencies, tracer=tracer, limits=limits, profiler=profiler
         )
-        full = store.snapshot()
+        added = store.facts_since(seeded)
     finally:
         store.close()
     return ChaseResult(
-        instance=full,
-        generated=frozenset(full.facts - source.facts),
+        instance=source.extended(added),
+        generated=frozenset(added),
         steps=sqlres.steps,
         rounds=sqlres.rounds,
         exhausted=sqlres.exhausted,
@@ -623,7 +627,7 @@ class ExchangeEngine:
         variant: str = "restricted",
         limits: Optional[Limits] = None,
     ) -> Instance:
-        """The target restriction of the chased instance (facade shape)."""
+        """``chase_M(I)``: the target restriction of the chased instance."""
         return self.exchange(mapping, source, variant=variant, limits=limits).instance
 
     def chase_result(
@@ -633,7 +637,16 @@ class ExchangeEngine:
         variant: str = "restricted",
         limits: Optional[Limits] = None,
     ) -> ChaseResult:
-        """Deprecated alias shape: the legacy :class:`ChaseResult`."""
+        """Deprecated: use ``exchange(...).to_chase_result()``.
+
+        Emits a :class:`DeprecationWarning`.
+        """
+        warnings.warn(
+            "ExchangeEngine.chase_result is deprecated; "
+            "use exchange(...).to_chase_result()",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         return self.exchange(
             mapping, source, variant=variant, limits=limits
         ).to_chase_result()
@@ -1052,10 +1065,11 @@ class ExchangeEngine:
         minimize: bool = True,
         limits: Optional[Limits] = None,
     ) -> List[Instance]:
-        """Deprecated alias shape returning the raw branch list.
+        """The set ``chase_{M'}(J)`` of Definition 6.1, as a branch list.
 
-        Exactly what ``SchemaMapping.reverse_chase`` returned: the
-        disjunctive chase's candidates, no result wrapper."""
+        What ``SchemaMapping.reverse_chase`` returns: the disjunctive
+        chase's candidates, no result wrapper — even for a plain-tgd
+        mapping, which :meth:`reverse` chases once."""
         _, _, candidates, _ = self._reverse_branches(
             mapping, target, max_nulls, minimize, self._budget(limits)
         )

@@ -1,9 +1,6 @@
 """Typed result objects for the engine's public API.
 
-Historically the exchange entry points returned three different shapes:
-``SchemaMapping.chase`` a bare :class:`~repro.instance.Instance`,
-``chase_result`` a :class:`~repro.chase.standard.ChaseResult`, and
-``reverse_chase`` a ``List[Instance]``.  The engine normalizes them:
+``exchange`` and ``reverse`` return these normalized shapes:
 
 * :class:`ExchangeResult` — forward exchange: the target restriction,
   the full chased instance, chase work counters, and cache provenance;
@@ -11,8 +8,11 @@ Historically the exchange entry points returned three different shapes:
   instances (one for tgd reverses, a branch set for disjunctive ones),
   plus the same stats/provenance envelope.
 
-The old entry points survive as thin deprecated aliases that unwrap
-these objects, so no call site breaks.
+``SchemaMapping.chase`` is the paper's ``chase_M(I)``, a bare
+:class:`~repro.instance.Instance` (an ``ExchangeResult``'s
+``instance``), and ``reverse_chase`` the set ``chase_{M'}(J)`` of
+Definition 6.1, a ``List[Instance]``.  ``chase_result``, which returned
+:meth:`ExchangeResult.to_chase_result`, is deprecated and warns.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class ExchangeResult:
     """Outcome of a forward exchange ``chase_M(I)``.
 
     ``instance`` is the target-schema restriction (what ``chase``
-    returned historically); ``full`` the whole chased instance (source
-    facts included, what ``chase_result().instance`` returned).
+    returns); ``full`` the whole chased instance: the source facts plus
+    ``generated``, the facts the chase added.
 
     ``exhausted`` is ``None`` for a completed chase; on a budget-limited
     run it carries the :class:`repro.limits.Exhausted` diagnosis and the
@@ -105,7 +105,7 @@ class ExchangeResult:
         return self.stats.rounds
 
     def to_chase_result(self) -> ChaseResult:
-        """The legacy :class:`ChaseResult` shape (deprecated callers)."""
+        """This result as the chase kernels' :class:`ChaseResult` shape."""
         return ChaseResult(
             instance=self.full,
             generated=self.generated,

@@ -16,7 +16,8 @@ Python heap.  The chase builds new instances through
 substitution, restriction) returns an in-memory instance — over a
 memory-backed operand, union and restriction share its frozen sets
 (:meth:`Instance.extended`, :meth:`Instance.restrict`), which is also
-how the disjunctive chase derives each branch world from its parent.
+how the disjunctive chase derives each branch world from its parent
+and how every chase builds its result from its input.
 
 ``Fact``/``fact`` and the digest serialization live in
 :mod:`repro.facts` (shared with the store backends) and are re-exported

@@ -7,7 +7,7 @@ again.  This module provides the machinery for semi-naive evaluation:
 * :class:`TriggerIndex` — an incrementally maintained per-relation /
   per-(position, value) index.  The chase adds facts through it as they
   are fired (it implements the builder protocol: ``add``/``add_all``/
-  ``__len__``/``snapshot``) and it simultaneously implements the
+  ``__len__``) and it simultaneously implements the
   matching protocol (``tuples``/``tuples_at``), so the same object is a
   :class:`~repro.logic.matching.MatchSource` for live satisfaction
   checks and for homomorphism search.  ``begin_round()`` rotates the
@@ -207,8 +207,9 @@ class TriggerIndex:
     structure serves the whole round loop:
 
     * a **builder**: ``add``/``add_all`` accumulate fired facts
-      (deduplicated), ``snapshot()`` freezes them into an
-      :class:`~repro.instance.Instance`;
+      (deduplicated) and report which were new — the chase extends its
+      input by those (it never copies the index into an
+      :class:`~repro.instance.Instance`);
     * a **live MatchSource**: ``tuples``/``tuples_at`` see everything
       added so far, which is exactly what restricted-variant
       satisfaction checks and hom search need (and faster than the old
@@ -307,12 +308,6 @@ class TriggerIndex:
         for relation, rows in self._rows.items():
             for row in rows:
                 yield Fact(relation, row)
-
-    def snapshot(self) -> "Instance":
-        """Freeze the current contents into an :class:`Instance`."""
-        from ..instance import Instance
-
-        return Instance(self.facts())
 
     # ------------------------------------------------------------------
     # MatchSource protocol (the live view: everything added so far)

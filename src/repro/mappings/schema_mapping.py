@@ -10,6 +10,7 @@ source schema is simply a mapping whose source is that target schema.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..chase.standard import ChaseResult
@@ -236,8 +237,8 @@ class SchemaMapping:
 
         The recommended entry point: carries the target restriction,
         the full chased instance, chase work counters, and cache
-        provenance.  ``chase``/``chase_result`` are its thin deprecated
-        aliases.  ``limits`` is an optional :class:`repro.limits.Limits`
+        provenance; :meth:`chase` is its target restriction alone.
+        ``limits`` is an optional :class:`repro.limits.Limits`
         governing the chase (partial, tagged results on exhaustion).
         """
         from ..engine import get_default_engine
@@ -258,7 +259,8 @@ class SchemaMapping:
 
         Dispatches on this mapping's shape: plain tgds chase (one
         candidate), disjunctive tgds branch (a candidate set).
-        ``reverse_chase`` is its thin deprecated alias.
+        :meth:`reverse_chase` is the paper's set ``chase_{M'}(J)``,
+        which always branches.
         """
         from ..engine import get_default_engine
 
@@ -276,9 +278,9 @@ class SchemaMapping:
     ) -> Instance:
         """``chase_M(I)`` — the canonical (extended) universal solution.
 
-        Returns the target-schema restriction of the chased instance.
+        The paper's forward chase (Proposition 3.11): the target-schema
+        restriction of the chased instance, ``exchange(...).instance``.
         Requires Σ to consist of plain or guarded tgds (no disjunction).
-        Deprecated alias of ``exchange(...).instance``.
         """
         from ..engine import get_default_engine
 
@@ -289,15 +291,19 @@ class SchemaMapping:
     def chase_result(
         self, source_instance: Instance, variant: str = "restricted", limits=None
     ) -> ChaseResult:
-        """Full chase outcome, including step/round counts (for benchmarks).
+        """Deprecated: use ``exchange(...).to_chase_result()``.
 
-        Deprecated alias of ``exchange(...).to_chase_result()``.
+        Emits a :class:`DeprecationWarning`.
         """
-        from ..engine import get_default_engine
-
-        return get_default_engine().chase_result(
-            self, source_instance, variant=variant, limits=limits
+        warnings.warn(
+            "SchemaMapping.chase_result is deprecated; "
+            "use exchange(...).to_chase_result()",
+            DeprecationWarning,
+            stacklevel=2,
         )
+        return self.exchange(
+            source_instance, variant=variant, limits=limits
+        ).to_chase_result()
 
     def reverse_chase(
         self,
@@ -313,9 +319,10 @@ class SchemaMapping:
 
         For a reverse mapping ``M' = (T, S, Σ')`` this returns the set
         ``chase_{M'}(J)`` of Definition 6.1 — the candidate recovered
-        source instances.  Deprecated alias of ``reverse(...)``; unlike
-        ``reverse`` it always runs the disjunctive chase, even for
-        plain-tgd mappings (quotient branching over the input's nulls).
+        source instances.  Unlike :meth:`reverse` it always runs the
+        disjunctive chase, even for plain-tgd mappings (quotient
+        branching over the input's nulls), which is what the
+        faithfulness and information-loss checks need.
         """
         from ..engine import get_default_engine
 

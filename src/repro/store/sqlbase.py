@@ -37,6 +37,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -80,6 +81,14 @@ def decode_value(cell: str) -> Value:
     if tag == "n":
         return Null(payload)
     raise ValueError(f"unknown value tag in cell {cell!r}")
+
+
+class _DecodedCells(dict):
+    """Cell → value, decoding each distinct cell on first lookup."""
+
+    def __missing__(self, cell: str) -> Value:
+        value = self[cell] = decode_value(cell)
+        return value
 
 
 class SqlStoreBase:
@@ -197,6 +206,33 @@ class SqlStoreBase:
             f"SELECT MAX(rowid) FROM {tbl}"
         ).fetchone()
         return int(value) if value is not None else 0
+
+    def watermarks(self) -> Dict[str, int]:
+        """Every relation's current high-water ``rowid`` (see :meth:`max_rowid`)."""
+        return {
+            relation: self.max_rowid(tbl)
+            for relation, (tbl, _) in self._tables.items()
+        }
+
+    def facts_since(self, watermarks: Mapping[str, int]) -> List[Fact]:
+        """The facts in rows above *watermarks* (a relation absent: 0).
+
+        What a chase added to the store since :meth:`watermarks` was
+        read, one relation at a time in sorted-name order.  Each
+        distinct cell is decoded once.
+        """
+        cells = _DecodedCells()
+        added: List[Fact] = []
+        for relation in sorted(self._tables):
+            tbl, _ = self._tables[relation]
+            rows = self._conn.execute(
+                f"SELECT * FROM {tbl} WHERE rowid > ?",
+                (watermarks.get(relation, 0),),
+            ).fetchall()
+            added.extend(
+                Fact(relation, tuple(map(cells.__getitem__, row))) for row in rows
+            )
+        return added
 
     @property
     def connection(self):

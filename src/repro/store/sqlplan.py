@@ -17,13 +17,22 @@ any SQL-backed store (:class:`~repro.store.SqliteStore` or
   it starts with ``'n:'``) and keeps the ``DISTINCT`` frontier
   assignments with no witness, via ``NOT EXISTS`` over the joined
   conclusion atoms — exactly the restricted-chase firing condition;
-* triggers land in a temp table whose ``trig_n`` column (1..n, assigned
-  by ``ROW_NUMBER() OVER (ORDER BY frontier)``) numbers them, so
-  existential nulls are minted *inside SQL* as
+* triggers land in the plan's temp table, whose ``trig_n`` column
+  (1..n, assigned by ``ROW_NUMBER() OVER (ORDER BY frontier)``) numbers
+  them, so existential nulls are minted *inside SQL* as
   ``'n:' || prefix || (base + (trig_n-1)*K + j)`` — deterministic,
   collision-free, no per-row Python;
 * one ``INSERT OR IGNORE ... SELECT`` per conclusion atom then fires
   every trigger at once.
+
+No round runs DDL.  Each plan's trigger table is created once per
+chase, with typed columns, and dropped when the chase ends; a round
+refills it with ``DELETE`` and one ``INSERT ... SELECT ... ROW_NUMBER()``,
+whose row count is the round's trigger count.  Any schema change makes
+SQLite re-prepare every statement it has cached, so a
+``DROP``/``CREATE TEMP TABLE ... AS`` pair per plan and round cost about
+ten times the refill (DESIGN.md D6).  The budget is charged with a fact
+count carried forward from the inserts' row counts, not recounted.
 
 Evaluation is **semi-naive by default** (decision D6): each round
 snapshots a per-relation ``rowid`` watermark — the SQL analog of
@@ -80,7 +89,7 @@ __all__ = [
     "sql_chase",
 ]
 
-#: Name of the per-statement temp table holding the current trigger set.
+#: Name prefix of the per-plan temp tables holding a round's trigger set.
 TRIGGER_TABLE = "_sqlchase_trig"
 
 #: Param-plan sentinels, replaced at execution time (see CompiledTgd).
@@ -150,8 +159,9 @@ class CompiledTgd:
     the pre-delta prefix, later atoms the full visible relation — the
     standard delta-join union, a disjoint cover of the delta-touching
     join rows).  ``inserts`` holds ``(sql, param_plan)`` pairs whose
-    statements select from the trigger temp table.  A *param_plan*
-    lists the statement's positional parameters in placeholder order:
+    statements select from the plan's trigger temp table, ``table``.  A
+    *param_plan* lists the statement's positional parameters in
+    placeholder order:
     encoded literal cells verbatim, plus the :data:`PREFIX`/:data:`BASE`
     sentinels that the executor replaces with the null prefix and the
     round's minting base.
@@ -164,6 +174,7 @@ class CompiledTgd:
     naive: TriggerQuery
     deltas: Tuple[TriggerQuery, ...]
     inserts: Tuple[Tuple[str, Tuple[object, ...]], ...]
+    table: str
 
     @property
     def trigger_sql(self) -> str:
@@ -330,6 +341,7 @@ def compile_tgd(
         _compile_variant(tgd, resolve, d) for d in range(len(tgd.premise))
     )
 
+    table = f"{TRIGGER_TABLE}{index}"
     frontier_pos = {v: i for i, v in enumerate(frontier)}
     exist_pos = {v: j for j, v in enumerate(existentials)}
     stride = max(len(existentials), 1)
@@ -352,14 +364,14 @@ def compile_tgd(
                 j = exist_pos[term]
                 exprs.append(
                     "'n:' || ? || CAST(? + "
-                    f"({TRIGGER_TABLE}.trig_n - 1) * {stride} + {j} "
+                    f"({table}.trig_n - 1) * {stride} + {j} "
                     "AS VARCHAR)"
                 )
                 param_plan.extend((PREFIX, BASE))
         inserts.append(
             (
                 f"INSERT OR IGNORE INTO {tbl} "
-                f"SELECT {', '.join(exprs)} FROM {TRIGGER_TABLE}",
+                f"SELECT {', '.join(exprs)} FROM {table}",
                 tuple(param_plan),
             )
         )
@@ -371,6 +383,7 @@ def compile_tgd(
         naive=naive,
         deltas=deltas,
         inserts=tuple(inserts),
+        table=table,
     )
 
 
@@ -436,34 +449,49 @@ def _resolve_params(
     return tuple(out)
 
 
-def _build_triggers(
-    conn,
+def _trigger_table(conn, plan: CompiledTgd, queries: Sequence[TriggerQuery]) -> str:
+    """Create *plan*'s trigger table; return the SQL that fills it.
+
+    The table is made once per chase, with typed columns, and refilled
+    every round, so no round runs DDL: any schema change makes SQLite
+    re-prepare every statement it has cached.  The fill numbers the
+    candidate rows (the naive query, or the UNION of the delta variants
+    — UNION also deduplicates frontier rows reachable through several
+    variants) by ``ROW_NUMBER() OVER (ORDER BY frontier)``, which fixes
+    the null-minting order independently of storage order.  Its ``?``
+    slots are the *queries*' parameters, in order.
+    """
+    width = len(plan.frontier)
+    fcols = ", ".join(f"f{i}" for i in range(width)) or "f_dummy"
+    typed = ", ".join(f"f{i} TEXT" for i in range(width)) or "f_dummy INTEGER"
+    conn.execute(f"CREATE TEMP TABLE {plan.table} ({typed}, trig_n BIGINT)")
+    cand = " UNION ".join(q.sql for q in queries)
+    return (
+        f"INSERT INTO {plan.table} "
+        f"SELECT {fcols}, ROW_NUMBER() OVER (ORDER BY {fcols}) "
+        f"FROM ({cand}) AS _cand"
+    )
+
+
+def _fill_triggers(
+    store: SqlStoreBase,
     plan: CompiledTgd,
+    fill: str,
     queries: Sequence[TriggerQuery],
     wm_old: Dict[str, int],
     wm_new: Dict[str, int],
 ) -> Tuple[int, int]:
-    """Materialize the round's trigger table for one compiled tgd.
+    """Refill *plan*'s trigger table for one round (see :func:`_trigger_table`).
 
-    The candidate rows (naive query, or the UNION of the delta
-    variants — UNION also deduplicates frontier rows reachable through
-    several variants) are numbered by ``ROW_NUMBER() OVER (ORDER BY
-    frontier)``, which fixes the null-minting order independently of
-    storage order.  Returns ``(trigger_count, joins_considered)``.
+    Returns ``(trigger_count, joins_considered)``: the fill's row count,
+    and the raw premise-join rows the round's *queries* enumerate.
     """
-    fcols = [f"f{i}" for i in range(len(plan.frontier))] or ["f_dummy"]
-    cand = " UNION ".join(q.sql for q in queries)
+    conn = store.connection
+    conn.execute(f"DELETE FROM {plan.table}")
     params: List[object] = []
     for q in queries:
         params.extend(_resolve_params(q.params, wm_old, wm_new))
-    conn.execute(
-        f"CREATE TEMP TABLE {TRIGGER_TABLE} AS "
-        f"SELECT {', '.join(fcols)}, "
-        f"ROW_NUMBER() OVER (ORDER BY {', '.join(fcols)}) AS trig_n "
-        f"FROM ({cand}) AS _cand",
-        tuple(params),
-    )
-    (n,) = conn.execute(f"SELECT COUNT(*) FROM {TRIGGER_TABLE}").fetchone()
+    n = store._exec_insert(fill, tuple(params))
     considered = 0
     for q in queries:
         (c,) = conn.execute(
@@ -557,6 +585,7 @@ def sql_chase(
 
     conn = store.connection
     next_null = _null_base(store, null_prefix)
+    facts = len(store)
     steps = 0
     rounds = 0
     minted_total = 0
@@ -575,68 +604,75 @@ def sql_chase(
     with maybe_span(
         tracer, "sql_chase", compiled=len(compiled), evaluation=evaluation
     ):
-        while exhausted is None:
-            rounds += 1
-            exhausted = guards.start_round("sql_chase", rounds)
-            if exhausted is not None:
-                rounds -= 1
-                break
-            wm_old = wm_visible
-            wm_visible = {
-                rel: store.max_rowid(resolve[rel][0]) for rel in resolve
-            }
-            delta_sizes.append(
-                sum(wm_visible[rel] - wm_old[rel] for rel in resolve)
-            )
-            progressed = False
+        fills: List[Tuple[CompiledTgd, Sequence[TriggerQuery], str]] = []
+        try:
             for plan in compiled:
-                if observer is not None:
-                    started = time.perf_counter()
                 queries = (
                     plan.deltas if evaluation == "delta" else (plan.naive,)
                 )
-                conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
-                n, considered = _build_triggers(
-                    conn, plan, queries, wm_old, wm_visible
-                )
-                considered_total += considered
-                stride = len(plan.existentials)
-                added = 0
-                if n:
-                    for insert_sql, param_plan in plan.inserts:
-                        params = tuple(
-                            null_prefix
-                            if p is PREFIX
-                            else next_null
-                            if p is BASE
-                            else p
-                            for p in param_plan
-                        )
-                        added += store._exec_insert(insert_sql, params)
-                    next_null += n * stride
-                    minted_total += n * stride
-                    steps += n
-                    added_total += added
-                    progressed = True
-                    store._count = None  # inserts bypassed the add() counter
-                    exhausted = budget.charge(
-                        "sql_chase", facts=len(store), nulls=minted_total
-                    )
-                if observer is not None:
-                    observer.cell(
-                        plan.tgd,
-                        rounds,
-                        time.perf_counter() - started,
-                        considered,
-                        n,
-                        added,
-                        n * stride,
-                    )
+                fills.append((plan, queries, _trigger_table(conn, plan, queries)))
+            while exhausted is None:
+                rounds += 1
+                exhausted = guards.start_round("sql_chase", rounds)
                 if exhausted is not None:
+                    rounds -= 1
                     break
-            if not progressed and exhausted is None:
-                break
-        conn.execute(f"DROP TABLE IF EXISTS {TRIGGER_TABLE}")
+                wm_old = wm_visible
+                wm_visible = {
+                    rel: store.max_rowid(resolve[rel][0]) for rel in resolve
+                }
+                delta_sizes.append(
+                    sum(wm_visible[rel] - wm_old[rel] for rel in resolve)
+                )
+                progressed = False
+                for plan, queries, fill in fills:
+                    if observer is not None:
+                        started = time.perf_counter()
+                    n, considered = _fill_triggers(
+                        store, plan, fill, queries, wm_old, wm_visible
+                    )
+                    considered_total += considered
+                    stride = len(plan.existentials)
+                    added = 0
+                    if n:
+                        for insert_sql, param_plan in plan.inserts:
+                            params = tuple(
+                                null_prefix
+                                if p is PREFIX
+                                else next_null
+                                if p is BASE
+                                else p
+                                for p in param_plan
+                            )
+                            added += store._exec_insert(insert_sql, params)
+                        next_null += n * stride
+                        minted_total += n * stride
+                        steps += n
+                        added_total += added
+                        progressed = True
+                        # The inserts bypass add(), so carry its count.
+                        facts += added
+                        store._count = facts
+                        exhausted = budget.charge(
+                            "sql_chase", facts=facts, nulls=minted_total
+                        )
+                    if observer is not None:
+                        observer.cell(
+                            plan.tgd,
+                            rounds,
+                            time.perf_counter() - started,
+                            considered,
+                            n,
+                            added,
+                            n * stride,
+                        )
+                    if exhausted is not None:
+                        break
+                if not progressed and exhausted is None:
+                    break
+        finally:
+            for plan, _, _ in fills:
+                conn.execute(f"DROP TABLE {plan.table}")
         if exhausted is not None:
             if observer is not None:
                 observer.exhausted(exhausted)

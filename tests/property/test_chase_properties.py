@@ -75,8 +75,8 @@ def test_chase_universal_among_constructed_solutions(inst):
 @settings(max_examples=30, deadline=None)
 def test_chase_idempotent_on_target(inst):
     """Chasing an instance whose obligations are met adds nothing."""
-    chased_full = PATH2.chase_result(inst).instance
+    chased_full = PATH2.exchange(inst).full
     again = SchemaMapping(
         PATH2.dependencies, source=PATH2.source, target=PATH2.target
-    ).chase_result(chased_full)
+    ).exchange(chased_full)
     assert again.generated == frozenset()

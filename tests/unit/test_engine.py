@@ -296,7 +296,7 @@ class TestResultShapes:
         via_engine = ExchangeEngine().exchange(
             decomposition_mapping, source
         ).to_chase_result()
-        legacy = decomposition_mapping.chase_result(source)
+        legacy = decomposition_mapping.exchange(source).to_chase_result()
         assert via_engine.instance == legacy.instance
         assert via_engine.generated == legacy.generated
         assert via_engine.steps == legacy.steps

@@ -96,7 +96,7 @@ class TestSchemaMappingErrors:
         # Facts over relations the mapping does not read simply do not
         # trigger anything — but they survive the full chase instance.
         m = SchemaMapping.from_text("P(x) -> Q(x)")
-        result = m.chase_result(Instance.parse("P(a), Zzz(b)"))
+        result = m.exchange(Instance.parse("P(a), Zzz(b)")).to_chase_result()
         assert Instance.parse("Q(a)") <= result.instance
         assert Instance.parse("Zzz(b)") <= result.instance
 

@@ -114,8 +114,17 @@ class TestChaseWrappers:
 
     def test_chase_result_counts(self):
         m = SchemaMapping.from_text("P(x) -> Q(x)")
-        res = m.chase_result(Instance.parse("P(a), P(b)"))
+        res = m.exchange(Instance.parse("P(a), P(b)")).to_chase_result()
         assert res.steps == 2
+
+    def test_chase_result_alias_warns(self):
+        m = SchemaMapping.from_text("P(x) -> Q(x)")
+        source = Instance.parse("P(a), P(b)")
+        expected = m.exchange(source).to_chase_result()
+        with pytest.warns(DeprecationWarning, match="to_chase_result"):
+            assert m.chase_result(source) == expected
+        with pytest.warns(DeprecationWarning, match="to_chase_result"):
+            assert ExchangeEngine().chase_result(m, source).instance == expected.instance
 
     def test_chase_output_is_solution(self):
         m = SchemaMapping.from_text("P(x, y) -> EXISTS z . Q(x, z) & Q(z, y)")

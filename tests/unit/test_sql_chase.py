@@ -325,3 +325,62 @@ class TestGovernance:
                 parse_dependencies(text),
                 limits=Limits(max_facts=5, on_exhausted="raise"),
             )
+
+
+class TestNoDdlInRounds:
+    """A round refills its plan's trigger table; no round runs DDL.
+
+    Each compiled plan's trigger table is created once per chase and
+    dropped when it ends, so the statement trace holds the same
+    ``CREATE``/``DROP`` count whether the chase runs 4 rounds or 40.
+    """
+
+    def _chase_traced(self, n, **kw):
+        store = _load(TestSemiNaive()._chain(n))
+        # The conclusion relation exists already, so every CREATE traced
+        # below is the chase's own.
+        store.ensure_relation("P", 2)
+        statements = []
+        store.connection.set_trace_callback(statements.append)
+        try:
+            result = sql_chase(
+                store, parse_dependencies(TestSemiNaive.CLOSURE), **kw
+            )
+        finally:
+            store.connection.set_trace_callback(None)
+        return result, store, [s.split(None, 1)[0].upper() for s in statements]
+
+    @staticmethod
+    def _temp_tables(store):
+        return store.connection.execute(
+            "SELECT name FROM sqlite_temp_master WHERE type = 'table'"
+        ).fetchall()
+
+    @pytest.mark.parametrize("evaluation", ["delta", "naive"])
+    def test_ddl_count_does_not_grow_with_rounds(self, evaluation):
+        short, _, words4 = self._chase_traced(4, evaluation=evaluation)
+        long, _, words40 = self._chase_traced(40, evaluation=evaluation)
+        assert short.rounds < long.rounds
+        counts = [(w.count("CREATE"), w.count("DROP")) for w in (words4, words40)]
+        assert counts[0] == counts[1]
+
+    def test_at_most_one_create_per_compiled_plan(self):
+        result, store, words = self._chase_traced(40)
+        assert 0 < words.count("CREATE") <= result.compiled
+        assert words.count("DROP") == words.count("CREATE")
+        assert self._temp_tables(store) == []
+
+    def test_trigger_tables_dropped_when_the_budget_raises(self):
+        with pytest.raises(BudgetExhausted):
+            self._chase_traced(40, limits=Limits(max_facts=60, on_exhausted="raise"))
+        store = _load(TestSemiNaive()._chain(6))
+        with pytest.raises(BudgetExhausted):
+            sql_chase(
+                store,
+                parse_dependencies(TestSemiNaive.CLOSURE),
+                limits=Limits(max_facts=8, on_exhausted="raise"),
+            )
+        assert self._temp_tables(store) == []
+        # The same store chases again: no trigger table is left behind.
+        result = sql_chase(store, parse_dependencies(TestSemiNaive.CLOSURE))
+        assert result.completed

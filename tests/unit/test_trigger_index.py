@@ -37,7 +37,7 @@ class TestTriggerIndexBuilder:
         index = TriggerIndex(inst)
         assert len(index) == 3
         assert fact("P", "a", "b") in index
-        assert index.snapshot() == inst
+        assert Instance(index.facts()) == inst
 
     def test_add_dedups_and_counts(self):
         index = TriggerIndex()
@@ -53,7 +53,7 @@ class TestTriggerIndexBuilder:
         for f in added:
             index.add(f)
         reference = Instance.parse("P(a, b), P(b, c), Q(c)")
-        assert index.snapshot() == reference
+        assert Instance(index.facts()) == reference
         for rel in ("P", "Q"):
             assert set(index.tuples(rel)) == set(reference.tuples(rel))
 
