@@ -17,7 +17,8 @@ engine/registry cache keys stay stable across backends.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import sys
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Tuple
 
 from .terms import (
@@ -29,21 +30,36 @@ from .terms import (
     value_sort_key,
 )
 
+_VALUE_TYPES = (Const, Null)
 
-@dataclass(frozen=True, order=True)
-class Fact:
-    """A single fact ``R(v1, ..., vn)`` with values in ``Const ∪ Null``."""
 
-    relation: str
-    values: Tuple[Value, ...]
+class Fact(tuple):
+    """A single fact ``R(v1, ..., vn)`` with values in ``Const ∪ Null``.
 
-    def __post_init__(self) -> None:
-        for v in self.values:
-            if not is_value(v):
+    Like the values it holds, a fact is a ``tuple`` subclass, here
+    ``(relation, values)``, so hashing and equality run in C (DESIGN.md
+    D13).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, relation: str, values: Tuple[Value, ...]) -> "Fact":
+        for v in values:
+            if not isinstance(v, _VALUE_TYPES):
                 raise TypeError(
-                    f"fact {self.relation} contains non-value {v!r}; "
+                    f"fact {relation} contains non-value {v!r}; "
                     "facts hold Const/Null only (Var belongs in dependencies)"
                 )
+        return tuple.__new__(cls, (relation, values))
+
+    relation = property(itemgetter(0), doc="The relation name.")
+    values = property(itemgetter(1), doc="The values, one per position.")
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0], self[1])
+
+    def __repr__(self) -> str:
+        return f"Fact(relation={self[0]!r}, values={self[1]!r})"
 
     @property
     def arity(self) -> int:
@@ -78,7 +94,9 @@ def fact(relation: str, *tokens: object) -> Fact:
 
     Strings are interpreted by :func:`repro.terms.value_from_token`
     (lowercase/number = constant, uppercase = null); ints become constants;
-    ``Const``/``Null`` objects pass through.
+    ``Const``/``Null`` objects pass through.  The relation name is
+    interned, so the facts of one relation share one name object (and a
+    pickle of them stores it once).
     """
     values = []
     for tok in tokens:
@@ -90,7 +108,7 @@ def fact(relation: str, *tokens: object) -> Fact:
             values.append(value_from_token(tok))
         else:
             raise TypeError(f"cannot build a fact value from {tok!r}")
-    return Fact(relation, tuple(values))
+    return Fact(sys.intern(relation), tuple(values))
 
 
 def digest_value(value: Value) -> bytes:

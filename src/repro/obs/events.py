@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Mapping, Optional, Tuple, Union
 
 from ..instance import Fact
-from ..terms import Null, Value, Var
+from ..terms import Const, Null, Value, Var
 
 #: A premise binding frozen into a sortable, hashable shape:
 #: ``((variable name, value), ...)`` sorted by variable name.
@@ -212,10 +212,13 @@ def exhaustion_event(diagnosis) -> ResourceExhausted:
 
 
 def _jsonify(value: object) -> object:
-    """Project one event field value onto JSON-safe primitives."""
-    if isinstance(value, Fact):
-        return str(value)
-    if isinstance(value, Null):
+    """Project one event field value onto JSON-safe primitives.
+
+    Facts and terms are tuples (DESIGN.md D13), so they are tested
+    before the ``tuple`` branch, which would export ``Const(5)`` as
+    ``[0, 5]``.
+    """
+    if isinstance(value, (Fact, Const, Null, Var)):
         return str(value)
     if isinstance(value, tuple):
         return [_jsonify(v) for v in value]

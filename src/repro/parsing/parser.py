@@ -33,6 +33,7 @@ occur in the premise.
 
 from __future__ import annotations
 
+import sys
 from typing import List, Tuple
 
 from ..errors import ParseError
@@ -66,7 +67,9 @@ def _parse_atom(stream: TokenStream, name: str) -> Atom:
         while stream.accept("COMMA"):
             terms.append(_parse_term(stream))
     stream.expect("RPAREN")
-    return Atom(name, tuple(terms))
+    # One name object per relation, shared with the facts of
+    # ``facts.fact`` (both intern).
+    return Atom(sys.intern(name), tuple(terms))
 
 
 def _parse_premise(stream: TokenStream) -> Tuple[List[Atom], List[Guard]]:

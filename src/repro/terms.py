@@ -15,18 +15,25 @@ queries contain ``Const`` and ``Var`` terms.  Keeping the three kinds as
 distinct types (rather than, say, string conventions) makes the
 homomorphism/chase code self-checking: mixing a ``Var`` into an instance is
 a type error caught by validation, not a silent wrong answer.
+
+Each kind is a ``tuple`` subclass that carries a kind tag: ``Const(v)``
+is ``(0, v)``, ``Null(n)`` is ``(1, n)`` and ``Var(n)`` is ``(2, n)``, so
+hashing and equality run in C wherever a term is a set member or a dict
+key (DESIGN.md D13).  The tag keeps the kinds apart (``Const("x")``,
+``Null("x")`` and ``Var("x")`` are pairwise unequal); a term equals its
+plain tagged tuple, and terms of different kinds order by tag.  Canonical
+output order is :func:`value_sort_key`, not that tuple order.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Union
 
 
-@dataclass(frozen=True, order=True)
-class Const:
+class Const(tuple):
     """A constant value.
 
     Homomorphisms are required to map every constant to itself
@@ -34,27 +41,27 @@ class Const:
     orderable value; strings and integers are typical.
     """
 
-    value: Union[str, int]
+    __slots__ = ()
+
+    is_null = False
+    is_const = True
+
+    def __new__(cls, value: Union[str, int]) -> "Const":
+        return tuple.__new__(cls, (0, value))
+
+    value = property(itemgetter(1), doc="The payload (a string or an int).")
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
 
     def __repr__(self) -> str:
-        return f"Const({self.value!r})"
+        return f"Const({self[1]!r})"
 
     def __str__(self) -> str:
-        return str(self.value)
-
-    @property
-    def is_null(self) -> bool:
-        """Constants are never nulls."""
-        return False
-
-    @property
-    def is_const(self) -> bool:
-        """Constants are, well, constants."""
-        return True
+        return str(self[1])
 
 
-@dataclass(frozen=True, order=True)
-class Null:
+class Null(tuple):
     """A labeled null.
 
     Nulls represent unknown values.  Two nulls with the same name are the
@@ -63,36 +70,44 @@ class Null:
     constants.
     """
 
-    name: str
+    __slots__ = ()
+
+    is_null = True
+    is_const = False
+
+    def __new__(cls, name: str) -> "Null":
+        return tuple.__new__(cls, (1, name))
+
+    name = property(itemgetter(1), doc="The null's label.")
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
 
     def __repr__(self) -> str:
-        return f"Null({self.name!r})"
+        return f"Null({self[1]!r})"
 
     def __str__(self) -> str:
-        return f"_{self.name}"
-
-    @property
-    def is_null(self) -> bool:
-        """Nulls are nulls (labelled, from the chase)."""
-        return True
-
-    @property
-    def is_const(self) -> bool:
-        """Nulls are never constants."""
-        return False
+        return f"_{self[1]}"
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+class Var(tuple):
     """A first-order variable, used only inside dependencies and queries."""
 
-    name: str
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> "Var":
+        return tuple.__new__(cls, (2, name))
+
+    name = property(itemgetter(1), doc="The variable's name.")
+
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
 
     def __repr__(self) -> str:
-        return f"Var({self.name!r})"
+        return f"Var({self[1]!r})"
 
     def __str__(self) -> str:
-        return self.name
+        return self[1]
 
 
 #: A value that may occur in an instance.

@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine import ExchangeEngine
 from repro.engine.cache import LRUCache, TieredCache
+from repro.facts import Fact
 from repro.instance import Instance
 from repro.mappings.schema_mapping import SchemaMapping
 from repro.service.diskcache import (
@@ -15,6 +16,7 @@ from repro.service.diskcache import (
     DiskCache,
     resolve_cache_dir,
 )
+from repro.terms import Const, Null
 
 
 @pytest.fixture
@@ -122,6 +124,51 @@ class TestCorruption:
         cache.get(("k",))
         cache.put(("k",), "fresh")
         assert cache.get(("k",)) == (True, "fresh")
+
+    #: A checksum-valid entry written while ``Const``, ``Null`` and
+    #: ``Fact`` were frozen dataclasses (before DESIGN.md D13): key
+    #: ``DATACLASS_KEY``, value ``(Const(5), Fact("P", (Const("a"),
+    #: Null("X"))))``.  Those pickles rebuild each object empty and then
+    #: set its fields, which a tagged tuple cannot take.
+    DATACLASS_KEY = ("chase", "mmmmmmmm", "iiiiiiii", "restricted")
+    DATACLASS_ENTRY = (
+        b'RPC1\xe4\xbds\x19B\xa5U\xb2[EMW'
+        b'\x8b\xbb\xe9<\x9c\x8ce\xd0N\x19\xe8\x80+\xc5\xd5\x06'
+        b'\x96\xc4\xb6n\x80\x04\x95\xc5\x00\x00\x00\x00\x00\x00\x00\x8c'
+        b"/('chase', 'mmmm"
+        b"mmmm', 'iiiiiiii"
+        b"', 'restricted')"
+        b'\x94\x8c\x0brepro.terms\x94\x8c'
+        b'\x05Const\x94\x93\x94)\x81\x94}\x94\x8c\x05'
+        b'value\x94K\x05sb\x8c\x0brepr'
+        b'o.facts\x94\x8c\x04Fact\x94\x93'
+        b'\x94)\x81\x94}\x94(\x8c\x08relatio'
+        b'n\x94\x8c\x01P\x94\x8c\x06values\x94h'
+        b'\x03)\x81\x94}\x94h\x06\x8c\x01a\x94sbh\x01'
+        b'\x8c\x04Null\x94\x93\x94)\x81\x94}\x94\x8c\x04'
+        b'name\x94\x8c\x01X\x94sb\x86\x94ub\x86'
+        b'\x94\x86\x94.'
+    )
+
+    def test_dataclass_era_entry_is_a_miss_not_a_wrong_value(self, cache):
+        import hashlib
+
+        from repro.service.diskcache import _MAGIC
+
+        blob = self.DATACLASS_ENTRY
+        payload = blob[len(_MAGIC) + 32:]
+        assert blob[len(_MAGIC):len(_MAGIC) + 32] == hashlib.sha256(payload).digest()
+        path = cache.path_for(self.DATACLASS_KEY)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        assert cache.get(self.DATACLASS_KEY) == (False, None)
+        assert cache.stats.quarantined == 1 and not os.path.exists(path)
+        fresh = (Const(5), Fact("P", (Const("a"), Null("X"))))
+        cache.put(self.DATACLASS_KEY, fresh)
+        hit, value = cache.get(self.DATACLASS_KEY)
+        assert hit and value == fresh
+        assert [type(v) for v in value] == [Const, Fact]
 
 
 class TestConcurrency:

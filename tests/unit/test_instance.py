@@ -1,5 +1,7 @@
 """Unit tests for facts and instances."""
 
+import pickle
+
 import pytest
 
 from repro.instance import Fact, Instance, InstanceBuilder, fact
@@ -65,6 +67,12 @@ class TestFact:
     def test_helper_rejects_junk(self):
         with pytest.raises(TypeError):
             fact("P", object())
+
+    def test_parsed_facts_share_one_relation_name(self):
+        # ``facts.fact`` interns the name, so a pickle stores it once.
+        instance = Instance.parse("Emp(1, 2), Emp(3, 4), Emp(5, 6)")
+        assert len({id(f.relation) for f in instance.facts}) == 1
+        assert pickle.dumps(instance).count(b"Emp") == 1
 
 
 class TestInstanceConstruction:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import Instance, SchemaMapping, chase
+from repro.facts import Fact
 from repro.homs.search import find_homomorphism, homomorphisms
 from repro.obs import (
     HomBacktrack,
@@ -20,7 +21,7 @@ from repro.obs import (
     tracing,
     write_trace_jsonl,
 )
-from repro.terms import Var
+from repro.terms import Const, Null, Var
 
 DECOMP = SchemaMapping.from_text("P(x, y, z) -> Q(x, y) & R(y, z)")
 PABC = Instance.parse("P(a, b, c)")
@@ -81,6 +82,27 @@ class TestEvents:
             chase(PABC, DECOMP.dependencies)
         for event in tracer.events:
             json.dumps(event_to_dict(event))
+
+    def test_event_to_dict_prints_binding_values(self):
+        # Values are tuples (DESIGN.md D13); they must export as their
+        # printed form, never as a raw ``[tag, payload]`` list.
+        binding = {Var("x"): Const(5), Var("y"): Const("a"), Var("z"): Null("X")}
+        added = Fact("Q", (Const(5), Null("X")))
+        event = TriggerFired(
+            tgd="P(x, y, z) -> Q(x, z)",
+            tgd_index=0,
+            round=1,
+            binding=freeze_binding(binding),
+            added=(added,),
+            premises=(Fact("P", (Const(5), Const("a"), Null("X"))),),
+            minted=(("z", Null("X")),),
+        )
+        out = event_to_dict(event)
+        assert out["binding"] == [["x", "5"], ["y", "a"], ["z", "_X"]]
+        assert out["added"] == ["Q(5, _X)"]
+        assert out["premises"] == ["P(5, a, _X)"]
+        assert out["minted"] == [["z", "_X"]]
+        assert json.loads(json.dumps(out)) == out
 
     def test_freeze_binding_sorts_by_variable(self):
         binding = {Var("y"): "b", Var("x"): "a"}

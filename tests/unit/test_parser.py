@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Instance, chase
 from repro.logic.dependencies import DisjunctiveTgd, Tgd
 from repro.logic.guards import ConstantGuard, Inequality
 from repro.parsing.lexer import LexError, TokenStream, tokenize
@@ -133,6 +134,19 @@ class TestParseDependencies:
 
     def test_empty(self):
         assert parse_dependencies("") == []
+
+    def test_relation_names_are_shared_with_parsed_facts(self):
+        # The parser and ``facts.fact`` both intern relation names, so
+        # a chase result holds one name object per relation.
+        deps = parse_dependencies(
+            "Edge(x, y) -> Path(x, y)\nPath(x, y) & Edge(y, z) -> Path(x, z)"
+        )
+        result = chase(Instance.parse("Edge(1, 2), Edge(2, 3)"), deps)
+        names = {}
+        for f in result.instance.facts:
+            names.setdefault(f.relation, set()).add(id(f.relation))
+        assert sorted(names) == ["Edge", "Path"]
+        assert all(len(ids) == 1 for ids in names.values())
 
 
 class TestParseQuery:

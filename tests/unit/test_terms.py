@@ -128,3 +128,39 @@ class TestSortKeys:
         assert ordered[0].is_const if hasattr(ordered[0], "is_const") else True
         # No exception is the main contract; constants first.
         assert isinstance(ordered[0], Const)
+
+
+class TestTaggedTupleContract:
+    """The semantic changes DESIGN.md D13 accepts with tagged tuples."""
+
+    def test_value_equals_its_plain_tagged_tuple(self):
+        assert Const(5) == (0, 5)
+        assert Null("X") == (1, "X")
+        assert Var("x") == (2, "x")
+        assert hash(Const(5)) == hash((0, 5))
+
+    def test_values_iterate_as_tag_and_payload(self):
+        assert list(Const("a")) == [0, "a"]
+        assert tuple(Null("X")) == (1, "X")
+
+    def test_kinds_order_constants_nulls_variables(self):
+        mixed = [Var("a"), Null("a"), Const("a"), Null("B"), Const("b")]
+        assert sorted(mixed) == [
+            Const("a"), Const("b"), Null("B"), Null("a"), Var("a")
+        ]
+
+    def test_same_kind_order_follows_payload(self):
+        assert Const(1) < Const(2) and Null("X") < Null("Y")
+        with pytest.raises(TypeError):
+            Const(1) < Const("a")
+
+    def test_constructor_keywords_unchanged(self):
+        assert Const(value=3) == Const(3)
+        assert Null(name="X") == Null("X")
+        assert Var(name="x") == Var("x")
+
+    def test_no_instance_dict(self):
+        with pytest.raises(AttributeError):
+            Const(1).value = 2
+        with pytest.raises(AttributeError):
+            Null("X").extra = 1
