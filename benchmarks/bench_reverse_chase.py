@@ -6,14 +6,17 @@ Bell-like in the number of target nulls — while the minimized antichain
 stays small; ground targets pay almost nothing.  ``quotients`` is the
 exhaustive count the unminimized chase pays for; ``worlds`` is the
 observable closure the minimized chase actually chases (DESIGN.md D10).
+The branch-depth shape forks at every pop of a chase that never ends:
+it costs what a branch writes, not the size of its index (DESIGN.md D7).
 """
 
 import pytest
 
-from repro.chase.disjunctive import reverse_disjunctive_chase
+from repro.chase.disjunctive import disjunctive_chase, reverse_disjunctive_chase
 from repro.homs.quotient import count_quotients, enumerate_quotients
 from repro.instance import Fact, Instance
 from repro.limits import Limits
+from repro.parsing.parser import parse_dependencies
 from repro.terms import Const, Null
 from repro.workloads.scenarios import get_scenario
 
@@ -52,6 +55,32 @@ def test_reverse_chase_branching(benchmark, null_count):
             1 for _ in enumerate_quotients(target, observed_by=REVERSE.dependencies)
         ),
         minimized_branches=len(branches),
+    )
+
+
+#: Every pop forks: one disjunct extends the chain, the other stops it.
+RECURSIVE = parse_dependencies("T(x, y) -> EXISTS z . T(y, z) | Q(x)")
+
+
+@pytest.mark.parametrize("max_branches", [100, 200, 400])
+def test_disjunctive_chase_branch_depth(benchmark, max_branches):
+    """Deep forks: partial results at the branch bound.
+
+    The round bound is set past it, since the 32-round fallback would
+    stop the chain first.
+    """
+    branches = benchmark(
+        disjunctive_chase,
+        Instance([Fact("T", (Const("a"), Const("b")))]),
+        RECURSIVE,
+        limits=Limits(max_branches=max_branches, max_rounds=2 * max_branches),
+    )
+    assert branches.exhausted.resource == "branches"
+    record_metric(
+        benchmark,
+        max_branches=max_branches,
+        branches=len(branches),
+        facts=sum(len(branch) for branch in branches),
     )
 
 

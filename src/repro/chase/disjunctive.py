@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 from ..errors import BudgetExhausted, ChaseNonTermination
 from ..homs.quotient import enumerate_quotients
 from ..homs.search import is_homomorphic
-from ..instance import Instance, InstanceBuilder
+from ..instance import Instance, InstanceBuilder, render_instances
 from ..limits import (
     Budget,
     Exhausted,
@@ -115,7 +115,8 @@ def disjunctive_chase(
     (:meth:`~repro.instance.Instance.extended`, which shares the
     parent's untouched relation sets), satisfaction is checked against
     the branch's live index, and the last disjunct's child inherits the
-    parent's index and agendas instead of forking them.
+    parent's index and agendas instead of forking them (a fork is
+    copy-on-write, so it costs the relations the branch writes).
     ``evaluation="naive"`` rebuilds every world fact by fact and
     re-matches it from scratch; both modes fire identical triggers and
     build identical branch trees, and both check satisfaction the
@@ -513,17 +514,21 @@ def _deduplicated(branches: Iterable[Instance]) -> List[Instance]:
     """Distinct branches in canonical (size, text) order.
 
     Only branches whose size ties another's are printed for the text
-    key: this runs after a deadline has passed too, and printing every
-    branch there was most of the overshoot.
+    key, all in one :func:`~repro.instance.render_instances` call, which
+    prints each distinct fact once: this runs after a deadline has
+    passed too, and printing every branch there was most of the
+    overshoot.
     """
     by_size: Dict[int, List[Instance]] = {}
     for instance in set(branches):
         by_size.setdefault(len(instance), []).append(instance)
+    tied = [i for group in by_size.values() if len(group) > 1 for i in group]
+    text = dict(zip(tied, render_instances(tied)))
     ordered: List[Instance] = []
     for size in sorted(by_size):
         group = by_size[size]
         if len(group) > 1:
-            group.sort(key=str)
+            group.sort(key=text.__getitem__)
         ordered.extend(group)
     return ordered
 

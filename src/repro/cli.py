@@ -88,7 +88,7 @@ from typing import Callable, List, Optional
 from .chase.standard import ChaseNonTermination
 from .engine import ExchangeEngine
 from .errors import BatchItemError, Cancelled, ReproError
-from .instance import Instance
+from .instance import Instance, render_instances
 from .inverses.quasi_inverse import (
     NotFullTgds,
     maximum_extended_recovery_for_full_tgds,
@@ -316,11 +316,12 @@ def _parse_instances(args: argparse.Namespace) -> List[Instance]:
 
 
 def _print_candidates(result, prefix: str = "") -> None:
-    if len(result.candidates) == 1:
-        print(f"{prefix}{result.candidates[0]}")
+    texts = render_instances(result.candidates)
+    if len(texts) == 1:
+        print(f"{prefix}{texts[0]}")
     else:
-        for index, candidate in enumerate(result.candidates):
-            print(f"{prefix}[{index}] {candidate}")
+        for index, text in enumerate(texts):
+            print(f"{prefix}[{index}] {text}")
 
 
 def _run_exchange(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import asdict, dataclass, fields, replace as dc_replace
 from threading import Lock
 from typing import (
@@ -629,27 +628,6 @@ class ExchangeEngine:
     ) -> Instance:
         """``chase_M(I)``: the target restriction of the chased instance."""
         return self.exchange(mapping, source, variant=variant, limits=limits).instance
-
-    def chase_result(
-        self,
-        mapping: SchemaMapping,
-        source: Instance,
-        variant: str = "restricted",
-        limits: Optional[Limits] = None,
-    ) -> ChaseResult:
-        """Deprecated: use ``exchange(...).to_chase_result()``.
-
-        Emits a :class:`DeprecationWarning`.
-        """
-        warnings.warn(
-            "ExchangeEngine.chase_result is deprecated; "
-            "use exchange(...).to_chase_result()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.exchange(
-            mapping, source, variant=variant, limits=limits
-        ).to_chase_result()
 
     def _run_batch(
         self,

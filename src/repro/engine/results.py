@@ -11,8 +11,7 @@
 ``SchemaMapping.chase`` is the paper's ``chase_M(I)``, a bare
 :class:`~repro.instance.Instance` (an ``ExchangeResult``'s
 ``instance``), and ``reverse_chase`` the set ``chase_{M'}(J)`` of
-Definition 6.1, a ``List[Instance]``.  ``chase_result``, which returned
-:meth:`ExchangeResult.to_chase_result`, is deprecated and warns.
+Definition 6.1, a ``List[Instance]``.
 """
 
 from __future__ import annotations

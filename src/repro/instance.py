@@ -32,6 +32,7 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Tuple,
@@ -49,7 +50,7 @@ from .terms import (
     Value,
 )
 
-__all__ = ["Fact", "Instance", "InstanceBuilder", "fact"]
+__all__ = ["Fact", "Instance", "InstanceBuilder", "fact", "render_instances"]
 
 
 class Instance:
@@ -196,13 +197,10 @@ class Instance:
         return self.facts <= other.facts
 
     def __repr__(self) -> str:
-        inner = ", ".join(str(f) for f in self)
-        return f"Instance({{{inner}}})"
+        return f"Instance({self})"
 
     def __str__(self) -> str:
-        if self.is_empty():
-            return "{}"
-        return "{" + ", ".join(str(f) for f in self) + "}"
+        return render_instances((self,))[0]
 
     # ------------------------------------------------------------------
     # Inspection
@@ -364,6 +362,35 @@ class Instance:
                 )
             arities[f.relation] = f.arity
         return Schema.from_arities(arities)
+
+
+def render_instances(instances: Iterable[Instance]) -> List[str]:
+    """``[str(i) for i in instances]``, printing each distinct fact once.
+
+    An instance prints as its facts in :meth:`Fact.sort_key` order,
+    comma-separated in braces (``"{}"`` when empty).  The distinct facts
+    of all *instances* are sorted and printed once; each instance then
+    sorts its facts' integer ranks and joins their texts.  The candidates
+    of a reverse chase share most of their facts, so a list of them
+    costs its distinct facts, not the sum of its instances' sizes.
+    """
+    instances = list(instances)
+    ordered = sorted(
+        frozenset().union(*(i.facts for i in instances)), key=Fact.sort_key
+    )
+    texts = [str(f) for f in ordered]
+    rank = {f: r for r, f in enumerate(ordered)}
+    return [
+        "{"
+        + ", ".join(
+            # An instance holding every distinct fact needs no ranks.
+            texts
+            if len(i) == len(texts)
+            else [texts[r] for r in sorted(map(rank.__getitem__, i.facts))]
+        )
+        + "}"
+        for i in instances
+    ]
 
 
 class InstanceBuilder:

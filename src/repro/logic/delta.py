@@ -226,10 +226,12 @@ class TriggerIndex:
     on hash randomization — see the module docstring.
 
     ``fork()`` clones the index for disjunctive-chase branches: each
-    branch extends its own copy and computes its own deltas.
+    branch extends its own copy and computes its own deltas.  The copy
+    is copy-on-write, so a fork costs the relations a branch writes,
+    not the whole index.
     """
 
-    __slots__ = ("_rows", "_row_sets", "_buckets", "_visible", "_count")
+    __slots__ = ("_rows", "_row_sets", "_buckets", "_visible", "_count", "_cow")
 
     def __init__(self, base: Optional["Instance"] = None) -> None:
         """Start empty, or seeded with *base*'s facts (canonical order)."""
@@ -246,6 +248,10 @@ class TriggerIndex:
         # visible: relation → how many rows the round view exposes.
         self._visible: Dict[str, int] = {}
         self._count = 0
+        # cow: relation → None while its row list, row set and bucket
+        # map are shared with a fork, else the keys of the buckets whose
+        # lists this index owns.  Empty until the first fork.
+        self._cow: Dict[str, Optional[set]] = {}
         if base is not None:
             for rel in base.relation_names:
                 for row in sorted(
@@ -267,6 +273,8 @@ class TriggerIndex:
             self._buckets[relation] = {}
         if row in row_set:
             return False
+        if relation in self._cow:
+            return self._append_shared(relation, row)
         rows = self._rows[relation]
         seq = len(rows)
         row_set.add(row)
@@ -279,6 +287,39 @@ class TriggerIndex:
             else:
                 entry[0].append(row)
                 entry[1].append(seq)
+        self._count += 1
+        return True
+
+    def _append_shared(self, relation: str, row: Tuple[Value, ...]) -> bool:
+        """``_append`` for a relation a fork may still share.
+
+        The first write after a fork copies the relation's row list, row
+        set and bucket map; a bucket's two lists are copied when a write
+        first appends to that bucket.  What the other side holds is never
+        mutated, so either side may keep writing.
+        """
+        owned = self._cow[relation]
+        if owned is None:
+            owned = self._cow[relation] = set()
+            self._rows[relation] = list(self._rows[relation])
+            self._row_sets[relation] = set(self._row_sets[relation])
+            self._buckets[relation] = dict(self._buckets[relation])
+        rows = self._rows[relation]
+        seq = len(rows)
+        self._row_sets[relation].add(row)
+        rows.append(row)
+        buckets = self._buckets[relation]
+        for key in enumerate(row):
+            entry = buckets.get(key)
+            if entry is None:
+                buckets[key] = ([row], [seq])
+                owned.add(key)
+            elif key in owned:
+                entry[0].append(row)
+                entry[1].append(seq)
+            else:
+                buckets[key] = (entry[0] + [row], entry[1] + [seq])
+                owned.add(key)
         self._count += 1
         return True
 
@@ -356,24 +397,22 @@ class TriggerIndex:
     def fork(self) -> "TriggerIndex":
         """An independent copy, for disjunctive-chase branch forks.
 
-        The clone shares row tuples (immutable) but owns its lists and
-        sets: adds and round rotations on either side never show
-        through to the other.
+        Copy-on-write: the clone shares every relation's row list, row
+        set and bucket map, and both sides mark every relation shared,
+        since the parent keeps writing too (the last disjunct's child
+        inherits it).  A side's first write to a shared relation copies
+        that relation's maps (:meth:`_append_shared`), so adds and round
+        rotations on either side never show through to the other, and
+        a fork costs O(relations).
         """
         clone = TriggerIndex.__new__(TriggerIndex)
-        clone._rows = {rel: list(rows) for rel, rows in self._rows.items()}
-        clone._row_sets = {
-            rel: set(row_set) for rel, row_set in self._row_sets.items()
-        }
-        clone._buckets = {
-            rel: {
-                key: (list(entry[0]), list(entry[1]))
-                for key, entry in buckets.items()
-            }
-            for rel, buckets in self._buckets.items()
-        }
+        clone._rows = dict(self._rows)
+        clone._row_sets = dict(self._row_sets)
+        clone._buckets = dict(self._buckets)
         clone._visible = dict(self._visible)
         clone._count = self._count
+        clone._cow = dict.fromkeys(self._rows)
+        self._cow = dict.fromkeys(self._rows)
         return clone
 
 

@@ -10,10 +10,8 @@ source schema is simply a mapping whose source is that target schema.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..chase.standard import ChaseResult
 from ..errors import ParseError
 from ..instance import Instance
 from ..logic.atoms import Atom
@@ -287,23 +285,6 @@ class SchemaMapping:
         return get_default_engine().chase(
             self, source_instance, variant=variant, limits=limits
         )
-
-    def chase_result(
-        self, source_instance: Instance, variant: str = "restricted", limits=None
-    ) -> ChaseResult:
-        """Deprecated: use ``exchange(...).to_chase_result()``.
-
-        Emits a :class:`DeprecationWarning`.
-        """
-        warnings.warn(
-            "SchemaMapping.chase_result is deprecated; "
-            "use exchange(...).to_chase_result()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.exchange(
-            source_instance, variant=variant, limits=limits
-        ).to_chase_result()
 
     def reverse_chase(
         self,

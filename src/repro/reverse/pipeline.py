@@ -144,13 +144,14 @@ class EvolutionPipeline:
         absorb informative ones.  The set is capped at *max_candidates*
         (loudly).  Returns the candidate generation-0 instances.
         """
+        from ..chase.disjunctive import _deduplicated
         from ..homs.search import is_hom_equivalent
 
         engine = self.engine
 
         def dedup(pool: List[Instance]) -> List[Instance]:
             kept: List[Instance] = []
-            for candidate in sorted(set(pool), key=lambda i: (len(i), str(i))):
+            for candidate in _deduplicated(pool):
                 if not any(is_hom_equivalent(candidate, k) for k in kept):
                     kept.append(candidate)
             return kept

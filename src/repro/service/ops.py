@@ -35,7 +35,7 @@ from contextlib import ExitStack
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ParseError, ReproError
-from ..instance import Instance
+from ..instance import Instance, render_instances
 from ..limits import Limits
 from ..limits.faults import Fault, trip
 from ..mappings.schema_mapping import SchemaMapping
@@ -337,9 +337,12 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
                 take_core=request["take_core"],
                 limits=limits,
             )
+            canonical, *candidates = render_instances(
+                (result.canonical, *result.candidates)
+            )
             response = {
-                "candidates": [str(c) for c in result.candidates],
-                "canonical": str(result.canonical),
+                "candidates": candidates,
+                "canonical": canonical,
                 "exhausted": _exhausted_tag(result.exhausted),
                 "meta": {
                     "branches": len(result.candidates),

@@ -7,16 +7,22 @@ index) has its window on the trailing rows.  Over each round view,
 ``match_atoms_delta`` must yield exactly the bindings ``match_atoms``
 yields over the same view that use a row inside a window, in the same
 order, with and without an inequality guard.
+
+Forks are copy-on-write, so a pool of indexes forked from one another
+shares lists until one of them writes: after any interleaving of adds,
+forks and rotations, each index must read exactly like a fresh index
+that replayed its own history.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.facts import Fact
 from repro.logic.delta import TriggerIndex, match_atoms_delta
 from repro.logic.guards import Inequality
 from repro.logic.matching import match_atoms
 
-from .strategies import facts, instances
+from .strategies import CONSTANTS, NULLS, facts, instances
 from .test_matching_index_properties import JOINS, PATTERNS
 
 RELATIONS = {"P": 2, "Q": 1}
@@ -114,3 +120,74 @@ def test_windows_on_forked_children(base, disjuncts):
         assert parent.begin_round() == {}
         assert_delta_subset(child, delta)
         parent = child
+
+
+#: Steps on a pool of indexes: (kind, which index, the fact an add adds).
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(("add", "add", "fork", "round")),
+        st.integers(min_value=0, max_value=7),
+        facts(RELATIONS),
+    ),
+    max_size=30,
+)
+
+
+#: Every fact ``facts(RELATIONS)`` can draw.
+EVERY_FACT = [Fact("Q", (v,)) for v in CONSTANTS + NULLS] + [
+    Fact("P", (v, w)) for v in CONSTANTS + NULLS for w in CONSTANTS + NULLS
+]
+
+
+def replay(base, history):
+    """A fresh index run through *history* (a fact adds it, ``None``
+    rotates), with what each step returned."""
+    index = TriggerIndex(base)
+    returned = [
+        index.begin_round() if step is None else index.add(step) for step in history
+    ]
+    return index, returned
+
+
+def assert_reads_alike(got: TriggerIndex, want: TriggerIndex) -> None:
+    """Rows, buckets, round views and membership agree."""
+    assert len(got) == len(want)
+    assert list(got.facts()) == list(want.facts())
+    got_view, want_view = got.round_view(), want.round_view()
+    for relation, arity in RELATIONS.items():
+        assert list(got.tuples(relation)) == list(want.tuples(relation))
+        assert list(got_view.tuples(relation)) == list(want_view.tuples(relation))
+        numbers = range(len(want.tuples(relation)) + 1)
+        for position in range(arity):
+            for value in CONSTANTS + NULLS:
+                key = (relation, position, value)
+                assert list(got.tuples_at(*key)) == list(want.tuples_at(*key))
+                got_rows, want_rows = got_view.tuples_at(*key), want_view.tuples_at(*key)
+                for number in numbers:
+                    assert [list(part) for part in got_rows.split(number)] == [
+                        list(part) for part in want_rows.split(number)
+                    ]
+    for f in EVERY_FACT:
+        assert (f in got) == (f in want)
+
+
+@given(instances(RELATIONS, max_size=6), steps)
+@settings(max_examples=100, deadline=None)
+def test_forks_read_like_fresh_indexes(base, script):
+    pool, histories, returned = [TriggerIndex(base)], [[]], [[]]
+    for kind, which, f in script:
+        i = which % len(pool)
+        if kind == "fork":
+            pool.append(pool[i].fork())
+            histories.append(list(histories[i]))
+            returned.append(list(returned[i]))
+        elif kind == "round":
+            histories[i].append(None)
+            returned[i].append(pool[i].begin_round())
+        else:
+            histories[i].append(f)
+            returned[i].append(pool[i].add(f))
+    for index, history, seen in zip(pool, histories, returned):
+        fresh, replayed = replay(base, history)
+        assert seen == replayed
+        assert_reads_alike(index, fresh)

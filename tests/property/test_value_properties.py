@@ -4,16 +4,18 @@
 ``Fact`` is the tuple ``(relation, values)`` (DESIGN.md D13).  Equality
 and hashing follow kind and payload, pickling and copying keep the
 type, and ``str``/``repr`` print what the frozen dataclasses they
-replaced printed.
+replaced printed.  Lists of instances print as ``str`` printed each
+instance before :func:`~repro.instance.render_instances` printed them.
 """
 
 import copy
 import pickle
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.facts import Fact
+from repro.instance import Instance, render_instances
 from repro.logic.atoms import Atom
 from repro.terms import Const, Null, Var
 
@@ -117,3 +119,28 @@ def test_fact_str_and_repr_unchanged(f):
     assert repr(f) == f"Fact(relation={f.relation!r}, values={f.values!r})"
     assert str(f) == f"{f.relation}({', '.join(str(v) for v in f.values)})"
     assert f.arity == len(f.values)
+
+
+@st.composite
+def instance_lists(draw):
+    """Instances over one pool of facts, so they share facts."""
+    pool = draw(st.lists(facts(), max_size=8))
+    subsets = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
+    return draw(st.lists(subsets.map(Instance), max_size=5))
+
+
+def printed_before(instance):
+    """``Instance.__str__`` before the renderer: each fact, sorted."""
+    if instance.is_empty():
+        return "{}"
+    ordered = sorted(instance.facts, key=Fact.sort_key)
+    return "{" + ", ".join(str(f) for f in ordered) + "}"
+
+
+@given(instance_lists())
+@example([Instance()])
+@example([Instance([Fact("P", (Const(3),))]), Instance([Fact("P", (Const("3"),))])])
+def test_render_instances_prints_as_before(instances):
+    expected = [printed_before(i) for i in instances]
+    assert render_instances(instances) == expected
+    assert [str(i) for i in instances] == expected

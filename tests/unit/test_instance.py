@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.instance import Fact, Instance, InstanceBuilder, fact
+from repro.instance import Fact, Instance, InstanceBuilder, fact, render_instances
 from repro.schema import Schema
 from repro.store import MemoryStore, StoreError
 from repro.terms import Const, Null, Var
@@ -131,6 +131,80 @@ class TestInstanceProtocol:
 
     def test_str_empty(self):
         assert str(Instance()) == "{}"
+
+
+class TestRenderInstances:
+    """Printing a list of instances costs its distinct facts."""
+
+    #: Candidates of ``T(x, y) -> EXISTS z . T(y, z) | Q(x)`` over
+    #: ``T(a, b)``: chains of nulls, each sharing the shorter ones' facts.
+    CHAINS = [
+        Instance(
+            [fact("T", "a", "b"), fact("T", "b", "D0")]
+            + [fact("T", f"D{i}", f"D{i + 1}") for i in range(length)]
+            + [fact("Q", f"D{length}")]
+        )
+        for length in range(12)
+    ]
+
+    @staticmethod
+    def _reverse_result():
+        from repro.engine.results import ReverseResult
+
+        return ReverseResult(
+            candidates=tuple(TestRenderInstances.CHAINS),
+            canonical=TestRenderInstances.CHAINS[0],
+        )
+
+    def _render_directly(self, capsys):
+        return render_instances(self.CHAINS)
+
+    def _execute_op(self, capsys):
+        from repro.service.ops import execute_op, validate_request
+
+        result = self._reverse_result()
+
+        class Engine:
+            def reverse(self, *args, **kwargs):
+                return result
+
+        request = validate_request(
+            "reverse",
+            {"mapping": "T(x, y) -> EXISTS z . T(y, z) | Q(x)", "instance": "T(a, b)"},
+        )
+        response = execute_op(Engine(), request)
+        assert response["canonical"] == response["candidates"][0]
+        return response["candidates"]
+
+    def _print_candidates(self, capsys):
+        from repro.cli import _print_candidates
+
+        _print_candidates(self._reverse_result())
+        return [line.split("] ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+
+    @pytest.mark.parametrize(
+        "entry", ["_render_directly", "_execute_op", "_print_candidates"]
+    )
+    def test_prints_each_distinct_fact_once(self, entry, monkeypatch, capsys):
+        expected = [str(i) for i in self.CHAINS]
+        printed = []
+        text = Fact.__str__
+
+        def counted(f):
+            printed.append(f)
+            return text(f)
+
+        monkeypatch.setattr(Fact, "__str__", counted)
+        assert getattr(self, entry)(capsys) == expected
+        distinct = set().union(*(i.facts for i in self.CHAINS))
+        assert sorted(printed, key=Fact.sort_key) == sorted(distinct, key=Fact.sort_key)
+
+    def test_one_instance_prints_as_str(self):
+        inst = Instance.parse("Q(X), P(b, 3), P(a, c)")
+        assert render_instances([inst, Instance()]) == [str(inst), "{}"]
+        assert str(inst) == "{P(a, c), P(b, 3), Q(_X)}"
+        assert repr(inst) == "Instance({P(a, c), P(b, 3), Q(_X)})"
+        assert render_instances([]) == []
 
 
 class TestInstanceInspection:

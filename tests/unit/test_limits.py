@@ -31,6 +31,7 @@ from repro import (
     parse_dependencies,
     parse_dependency,
 )
+from repro.chase import disjunctive
 from repro.chase.disjunctive import Branches, reverse_disjunctive_chase
 from repro.homs.quotient import enumerate_quotients
 from repro.homs.search import find_homomorphism
@@ -439,13 +440,14 @@ class TestReverseDeadlineOvershoot:
     @pytest.mark.parametrize("deadline", [0.1, 0.3, 0.5])
     def test_prints_only_branches_that_tie_in_size(self, deadline, monkeypatch):
         printed = Counter()
-        text = Instance.__str__
+        render = disjunctive.render_instances
 
-        def counted(instance):
-            printed[instance] += 1
-            return text(instance)
+        def counted(instances):
+            instances = list(instances)
+            printed.update(instances)
+            return render(instances)
 
-        monkeypatch.setattr(Instance, "__str__", counted)
+        monkeypatch.setattr(disjunctive, "render_instances", counted)
         started = time.perf_counter()
         branches = reverse_disjunctive_chase(
             Instance.parse("T(a, b)"),

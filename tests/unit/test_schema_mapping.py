@@ -117,15 +117,6 @@ class TestChaseWrappers:
         res = m.exchange(Instance.parse("P(a), P(b)")).to_chase_result()
         assert res.steps == 2
 
-    def test_chase_result_alias_warns(self):
-        m = SchemaMapping.from_text("P(x) -> Q(x)")
-        source = Instance.parse("P(a), P(b)")
-        expected = m.exchange(source).to_chase_result()
-        with pytest.warns(DeprecationWarning, match="to_chase_result"):
-            assert m.chase_result(source) == expected
-        with pytest.warns(DeprecationWarning, match="to_chase_result"):
-            assert ExchangeEngine().chase_result(m, source).instance == expected.instance
-
     def test_chase_output_is_solution(self):
         m = SchemaMapping.from_text("P(x, y) -> EXISTS z . Q(x, z) & Q(z, y)")
         inst = Instance.parse("P(a, b), P(b, c)")

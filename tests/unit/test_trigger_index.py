@@ -162,6 +162,33 @@ class TestFork:
         assert delta == {"P": range(1, 2)}
         assert _window_rows(child, delta) == {"P": [fact("P", "b", "c").values]}
 
+    def test_fork_shares_what_neither_side_writes(self):
+        """Copy-on-write: a fork shares every relation until written.
+
+        A write copies the written relation's rows, and of its buckets
+        only those it appends to; the other side never sees it.
+        """
+        parent = TriggerIndex(Instance.parse("P(a, b), P(b, c), Q(a)"))
+        parent.begin_round()
+        child = parent.fork()
+        for relation in ("P", "Q"):
+            assert child.tuples(relation) is parent.tuples(relation)
+        a, b = Const("a"), Const("b")
+        rows = list(parent.tuples("P"))
+        bucket = list(parent.tuples_at("P", 0, b))
+        child.add(fact("P", "b", "d"))
+        assert list(parent.tuples("P")) == rows
+        assert list(parent.tuples_at("P", 0, b)) == bucket
+        assert list(parent.round_view().tuples_at("P", 0, b)) == bucket
+        assert fact("P", "b", "d") not in parent and fact("P", "b", "d") in child
+        assert child.tuples_at("P", 0, a) is parent.tuples_at("P", 0, a)
+        assert child.tuples("Q") is parent.tuples("Q")
+        parent.add(fact("Q", "z"))
+        assert fact("Q", "z") not in child
+        assert list(child.tuples("Q")) == [(a,)]
+        assert child.begin_round() == {"P": range(2, 3)}
+        assert parent.begin_round() == {"Q": range(1, 2)}
+
 
 class TestMatchAtomsDelta:
     PREMISE = (atom("P", "x", "y"), atom("E", "y", "z"))
