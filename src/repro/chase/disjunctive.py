@@ -41,8 +41,18 @@ tagged with the :class:`~repro.limits.Exhausted` diagnosis.
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from ..errors import BudgetExhausted, ChaseNonTermination
 from ..homs.quotient import enumerate_quotients
@@ -62,7 +72,7 @@ from ..logic.guards import Inequality
 from ..logic.matching import match_atoms
 from ..obs.observer import ChaseObserver, chase_observer
 from ..obs.tracer import Tracer, current_tracer, maybe_span
-from ..terms import Const, NullFactory
+from ..terms import Const, Null
 from .standard import _witness_plan, _witnessed, resolve_evaluation
 
 
@@ -168,9 +178,12 @@ def disjunctive_chase(
     ]
     plans = [_witness_plan(dtgd) for dtgd in dtgds]
     finished = Branches()
-    # Frontier entries: (instance, rounds, branch id, delta state).
+    # Frontier entries: (instance, rounds, branch id, delta state, low).
     # Delta state is (TriggerIndex, per-dtgd agendas) under semi-naive
     # evaluation, None under naive (agendas are then rebuilt per pop).
+    # ``low`` is the parent world's lowest free null number: a world
+    # holds its parent's nulls, so its own lowest free number is no
+    # lower, and the pop advances it past the names the world holds.
     if evaluation == "delta":
         premise_relations = [
             frozenset(a.relation for a in dtgd.premise) for dtgd in dtgds
@@ -184,14 +197,14 @@ def disjunctive_chase(
         )
     else:
         root_state = None
-    frontier: List[tuple] = [(instance, 0, branch_root, root_state)]
+    frontier: List[tuple] = [(instance, 0, branch_root, root_state, 0)]
     seen: Set[Instance] = set()
     if observer is not None:
         observer.branch("opened", branch_root)
 
     def stop(exhausted: Exhausted, pending: List[tuple]) -> Branches:
         """Partial mode: unfinished worlds become results, tagged closed."""
-        for inst, _rounds, br, _state in pending:
+        for inst, _rounds, br, _state, _low in pending:
             if inst not in seen:
                 seen.add(inst)
                 finished.append(inst)
@@ -224,7 +237,7 @@ def disjunctive_chase(
                         )
                     budget.raise_exhausted()
                 return stop(exhausted, frontier)
-            current, rounds, branch, state = frontier.pop()
+            current, rounds, branch, state, low = frontier.pop()
             if guard_rounds is not None and rounds > guard_rounds:
                 exhausted = budget.mark(
                     "rounds", "disjunctive_chase", guard_rounds, rounds
@@ -274,12 +287,16 @@ def disjunctive_chase(
             dtgd = dtgds[dtgd_index]
             if observer is not None:
                 observer.branch("forked", branch)
-            factory = NullFactory.avoiding(current.nulls, prefix=null_prefix)
+            held = current.nulls
+            while Null(f"{null_prefix}{low}") in held:
+                low += 1
+            # Siblings draw from one stream, so their nulls differ.
+            minted = _fresh_nulls(null_prefix, low, held)
             last = len(dtgd.disjuncts) - 1
             for disjunct_index, disjunct in enumerate(dtgd.disjuncts):
                 full = dict(binding)
                 for var in existentials[dtgd_index][disjunct_index]:
-                    full[var] = factory.fresh()
+                    full[var] = next(minted)
                 if index is None:
                     accumulator = InstanceBuilder(current)
                 elif disjunct_index == last:
@@ -356,7 +373,9 @@ def disjunctive_chase(
                                 _merge_agendas(base, fresh_entries)
                             )
                         child_state = (accumulator, child_agendas)
-                    frontier.append((child, rounds + 1, child_branch, child_state))
+                    frontier.append(
+                        (child, rounds + 1, child_branch, child_state, low)
+                    )
                 elif observer is not None:
                     observer.branch("closed", child_branch, "duplicate", len(child))
             if observer is not None:
@@ -371,6 +390,24 @@ def disjunctive_chase(
                     branch=branch,
                 )
     return finished
+
+
+def _fresh_nulls(
+    prefix: str, start: int, held: FrozenSet[Null]
+) -> Iterator[Null]:
+    """Nulls ``<prefix><k>`` for ``k = start, start + 1, ...`` not in *held*.
+
+    A pop mints upward from its world's lowest free number and looks
+    each name up in the world's null set, so minting costs the names
+    it tries.  A pass over every null of the world at each pop would
+    make a branch's minting quadratic in its depth.  The names are
+    those :meth:`repro.terms.NullFactory.avoiding` would give, since
+    every number below *start* is held.
+    """
+    for k in itertools.count(start):
+        null = Null(f"{prefix}{k}")
+        if null not in held:
+            yield null
 
 
 def _sorted_matches(dtgd: DisjunctiveTgd, source) -> List[tuple]:

@@ -22,8 +22,8 @@ Endpoints
     writes), service request counters merged in.
 
 ``GET /healthz``
-    Pool and cache health as JSON; 200 while serving, 503 once a drain
-    has begun (load balancers read this).
+    Pool, cache and parse-memo health as JSON; 200 while serving, 503
+    once a drain has begun (load balancers read this).
 
 Admission control and status codes
 ----------------------------------
@@ -80,6 +80,7 @@ from .ops import (
     SERVICE_OPS,
     ServiceRequestError,
     error_payload,
+    parse_memo_stats,
     request_key,
     validate_request,
 )
@@ -332,7 +333,12 @@ class ExchangeService:
             return self.metrics.to_openmetrics()
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
-        """``GET /healthz``: pool + cache health, 503 while draining."""
+        """``GET /healthz``: pool, cache and parse-memo health.
+
+        503 while draining.  ``parse`` is this server process's
+        :func:`repro.service.ops.parse_text` memo: its hits, misses and
+        kept texts (pool workers keep their own).
+        """
         pool = self.pool.stats()
         body = {
             "status": "draining" if pool["draining"] else "ok",
@@ -346,6 +352,7 @@ class ExchangeService:
                     else None
                 ),
             },
+            "parse": parse_memo_stats(),
         }
         return (503 if pool["draining"] else 200), body
 

@@ -9,6 +9,10 @@ the service's operation semantics:
   up front so malformed input fails fast with a 400 instead of
   occupying a pool worker, and the content digests computed here become
   the request's cache identity;
+* :func:`parse_text` parses a mapping or query text once per process:
+  a client applies one mapping to many instances, so the server and
+  each pool worker keep the parsed texts they have seen (instances are
+  parsed on every request);
 * :func:`request_key` turns a normalized request into the
   content-addressed key the response caches use.  Limits are
   deliberately excluded — a request that *completes* under a budget
@@ -28,16 +32,18 @@ pool supervisor kill and respawn it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
 from contextlib import ExitStack
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..errors import ParseError, ReproError
 from ..instance import Instance, render_instances
 from ..limits import Limits
 from ..limits.faults import Fault, trip
+from ..logic.queries import ConjunctiveQuery
 from ..mappings.schema_mapping import SchemaMapping
 from ..obs.context import TraceContext, context_scope
 from ..obs.tracer import Tracer, tracing
@@ -51,6 +57,14 @@ _LIMIT_FIELDS = (
     "deadline", "max_rounds", "max_facts", "max_nulls", "max_branches"
 )
 
+#: Distinct mapping and query texts :func:`parse_text` keeps per
+#: process; a serve-mix run uses 25.
+PARSE_MEMO_ENTRIES = 256
+#: Longest text, in characters, :func:`parse_text` keeps.  A longer one
+#: is parsed on every request and never held: a request body may be
+#: 16 MiB (``_Handler.MAX_BODY``), and a serve-mix text is at most 108.
+PARSE_MEMO_MAX_CHARS = 4096
+
 
 class ServiceRequestError(ReproError):
     """A request body failed validation (the HTTP layer's 400)."""
@@ -63,18 +77,52 @@ def _require_text(body: Dict[str, Any], field: str) -> str:
     return value
 
 
-def _parse_mapping(body: Dict[str, Any], field: str) -> SchemaMapping:
-    text = _require_text(body, field)
-    try:
-        return SchemaMapping.from_text(text)
-    except ParseError as error:
-        raise ServiceRequestError(f"cannot parse {field!r}: {error}")
+def _parse(kind: str, text: str) -> Union[SchemaMapping, ConjunctiveQuery]:
+    if kind == "query":
+        return parse_query(text)
+    return SchemaMapping.from_text(text)
 
 
-def _parse_instance(body: Dict[str, Any], field: str) -> Instance:
+# functools.lru_cache, not engine.cache.LRUCache: WorkerPool._respawn
+# forks a worker from a manager thread while handler threads parse, and
+# LRUCache holds a threading.Lock.  A fork taken while a handler held
+# it would leave the child's copy locked for good, and the respawned
+# worker would hang at its first parse.  The C lru_cache takes no
+# Python lock.  A call that raises (a ParseError) is never kept.
+_parse_memo = functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)(_parse)
+
+
+def parse_text(
+    kind: str, text: str
+) -> Union[SchemaMapping, ConjunctiveQuery]:
+    """*text* parsed as a ``"mapping"`` or a ``"query"``, once per process.
+
+    The server (:func:`validate_request`) and every pool worker
+    (:func:`execute_op`) parse through here, so each process parses and
+    digests a distinct text once.  The memo is bounded: it keeps at most
+    :data:`PARSE_MEMO_ENTRIES` texts, each at most
+    :data:`PARSE_MEMO_MAX_CHARS` long.  Both results are immutable (a
+    mapping caches only its own digest), so requests can share them.
+    Raises :class:`repro.errors.ParseError` for malformed text.
+    """
+    if len(text) > PARSE_MEMO_MAX_CHARS:
+        return _parse(kind, text)
+    return _parse_memo(kind, text)
+
+
+def parse_memo_stats() -> Dict[str, int]:
+    """This process's :func:`parse_text` hits, misses and kept texts."""
+    info = _parse_memo.cache_info()
+    return {"hits": info.hits, "misses": info.misses, "size": info.currsize}
+
+
+def _parse_field(body: Dict[str, Any], field: str, kind: str) -> Any:
+    """The *field* text parsed as a mapping, query or instance."""
     text = _require_text(body, field)
     try:
-        return Instance.parse(text)
+        if kind == "instance":
+            return Instance.parse(text)
+        return parse_text(kind, text)
     except ParseError as error:
         raise ServiceRequestError(f"cannot parse {field!r}: {error}")
 
@@ -159,9 +207,11 @@ def validate_request(
     """Parse one request body into a normalized, picklable request dict.
 
     Raises :class:`ServiceRequestError` on any malformed field; on
-    success the returned dict carries the raw texts (workers re-parse —
-    cheap against a warm interpreter), the server-computed content
-    digests, and the normalized options.
+    success the returned dict carries the raw texts, the
+    server-computed content digests, and the normalized options.  A
+    worker parses the texts again in its own process: a mapping or
+    query text through :func:`parse_text`, so once per worker, and an
+    instance text on every request.
     """
     if op not in SERVICE_OPS:
         raise ServiceRequestError(
@@ -169,16 +219,16 @@ def validate_request(
         )
     if not isinstance(body, dict):
         raise ServiceRequestError("request body must be a JSON object")
-    mapping = _parse_mapping(body, "mapping")
+    mapping = _parse_field(body, "mapping", "mapping")
     request: Dict[str, Any] = {
         "op": op,
-        "mapping": _require_text(body, "mapping"),
+        "mapping": body["mapping"],
         "mapping_digest": mapping.digest(),
         "limits": _parse_limits(body),
         "fault": _parse_fault(body, allow_faults),
     }
     if op in ("chase", "reverse", "answer"):
-        instance = _parse_instance(body, "instance")
+        instance = _parse_field(body, "instance", "instance")
         request["instance"] = body["instance"]
         request["instance_digest"] = instance.digest()
     if op == "chase":
@@ -193,7 +243,7 @@ def validate_request(
         request["take_core"] = bool(body.get("take_core", True))
     elif op == "audit":
         if body.get("reverse") is not None:
-            reverse = _parse_mapping(body, "reverse")
+            reverse = _parse_field(body, "reverse", "mapping")
             request["reverse"] = body["reverse"]
             request["reverse_digest"] = reverse.digest()
         else:
@@ -201,18 +251,14 @@ def validate_request(
             request["reverse_digest"] = ""
     elif op == "answer":
         if body.get("recovery") is not None:
-            recovery = _parse_mapping(body, "recovery")
+            recovery = _parse_field(body, "recovery", "mapping")
             request["recovery"] = body["recovery"]
             request["recovery_digest"] = recovery.digest()
         else:
             request["recovery"] = None
             request["recovery_digest"] = ""
-        query_text = _require_text(body, "query")
-        try:
-            parse_query(query_text)
-        except ParseError as error:
-            raise ServiceRequestError(f"cannot parse 'query': {error}")
-        request["query"] = query_text
+        _parse_field(body, "query", "query")
+        request["query"] = body["query"]
         request["max_nulls"] = _positive_int(body, "max_nulls", 8)
     return request
 
@@ -276,7 +322,10 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
     """Run one normalized request on *engine*; a JSON-able response dict.
 
     Runs inside a pool worker (but is deliberately runnable anywhere —
-    tests call it on an in-process engine).  The response's ``meta``
+    tests call it on an in-process engine).  The mapping, reverse,
+    recovery and query texts are parsed through :func:`parse_text`, so
+    a worker parses each distinct text once; the instance text is
+    parsed on every call.  The response's ``meta``
     carries wall time and work counters for the parent's telemetry;
     ``exhausted`` tags budget-truncated partial results, which the
     caller must not cache.
@@ -296,7 +345,7 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
     fault = request.get("fault")
     if fault is not None:
         trip(Fault(kind=fault["kind"], item=0, seconds=fault["seconds"]))
-    mapping = SchemaMapping.from_text(request["mapping"])
+    mapping = parse_text("mapping", request["mapping"])
     limits = _limits_from_request(request)
     started = time.perf_counter()
     trace = request.get("trace")
@@ -351,7 +400,7 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
             }
         elif op == "audit":
             reverse = (
-                SchemaMapping.from_text(request["reverse"])
+                parse_text("mapping", request["reverse"])
                 if request.get("reverse")
                 else None
             )
@@ -365,7 +414,7 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
             }
         else:  # answer
             if request.get("recovery"):
-                recovery = SchemaMapping.from_text(request["recovery"])
+                recovery = parse_text("mapping", request["recovery"])
             else:
                 from ..inverses.quasi_inverse import (
                     maximum_extended_recovery_for_full_tgds,
@@ -375,7 +424,7 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
             answers = engine.answer(
                 mapping,
                 recovery,
-                parse_query(request["query"]),
+                parse_text("query", request["query"]),
                 Instance.parse(request["instance"]),
                 max_nulls=request["max_nulls"],
             )
@@ -423,6 +472,8 @@ __all__ = [
     "ServiceRequestError",
     "error_payload",
     "execute_op",
+    "parse_memo_stats",
+    "parse_text",
     "request_key",
     "validate_request",
 ]

@@ -17,7 +17,7 @@ from repro.chase.standard import (
 from repro.engine import ExchangeEngine
 from repro.homs.quotient import count_quotients
 from repro.homs.search import is_hom_equivalent, is_homomorphic
-from repro.instance import Instance
+from repro.instance import Instance, render_instances
 from repro.limits import Limits
 from repro.logic.atoms import atom
 from repro.mappings.schema_mapping import SchemaMapping
@@ -167,6 +167,69 @@ class TestDisjunctiveChase:
             disjunctive_chase(
                 inst, deps, limits=Limits(max_branches=100, on_exhausted="raise")
             )
+
+    @pytest.mark.parametrize("evaluation", ["delta", "naive"])
+    def test_deep_chase_mints_without_collecting_null_names(
+        self, evaluation, monkeypatch
+    ):
+        # Collecting every null name of the world at each pop
+        # (NullFactory.avoiding) made a branch's minting quadratic in
+        # its depth; a pop looks names up in the world's null set.
+        from repro.terms import NullFactory
+
+        calls = []
+        avoiding = NullFactory.avoiding.__func__
+
+        def counting(cls, values, prefix="N"):
+            calls.append(prefix)
+            return avoiding(cls, values, prefix)
+
+        monkeypatch.setattr(NullFactory, "avoiding", classmethod(counting))
+        deps = [parse_dependency("T(x, y) -> EXISTS z . T(y, z) | Q(x)")]
+        branches = disjunctive_chase(
+            Instance.parse("T(a, b)"),
+            deps,
+            limits=Limits(max_branches=60, max_rounds=120, on_exhausted="partial"),
+            evaluation=evaluation,
+        )
+        assert len(branches) == 61
+        assert max(len(branch.nulls) for branch in branches) >= 30
+        assert calls == []
+
+    @pytest.mark.parametrize("evaluation", ["delta", "naive"])
+    def test_minting_skips_the_names_a_world_holds(self, evaluation):
+        # The input holds _D0 and _D2: a pop mints the lowest free names
+        # upward, and siblings draw from one stream.
+        deps = [parse_dependency("T(x, y) -> EXISTS z . T(y, z) | Q(x)")]
+        branches = disjunctive_chase(
+            Instance.parse("T(a, D0), T(D0, D2)"),
+            deps,
+            limits=Limits(max_branches=4, max_rounds=8, on_exhausted="partial"),
+            evaluation=evaluation,
+        )
+        assert render_instances(branches) == [
+            "{Q(_D0), T(a, _D0), T(_D0, _D2)}",
+            "{Q(_D2), T(a, _D0), T(_D0, _D2), T(_D2, _D1)}",
+            "{Q(_D1), T(a, _D0), T(_D0, _D2), T(_D1, _D3), T(_D2, _D1)}",
+            "{T(a, _D0), T(_D0, _D2), T(_D1, _D3), T(_D2, _D1), T(_D3, _D4),"
+            " T(_D4, _D5)}",
+            "{Q(_D3), T(a, _D0), T(_D0, _D2), T(_D1, _D3), T(_D2, _D1),"
+            " T(_D3, _D4)}",
+        ]
+        deps = [
+            parse_dependency(
+                "R(x) -> (EXISTS z . P(x, z)) | (EXISTS u, v . S(x, u, v))"
+            )
+        ]
+        branches = disjunctive_chase(
+            Instance.parse("R(D1), R(D3)"), deps, evaluation=evaluation
+        )
+        assert render_instances(branches) == [
+            "{R(_D1), R(_D3), S(_D1, _D2, _D4), S(_D3, _D5, _D6)}",
+            "{P(_D3, _D0), R(_D1), R(_D3), S(_D1, _D2, _D4)}",
+            "{P(_D1, _D0), R(_D1), R(_D3), S(_D3, _D4, _D5)}",
+            "{P(_D1, _D0), P(_D3, _D2), R(_D1), R(_D3)}",
+        ]
 
 
 class TestMinimizeBranches:

@@ -377,3 +377,46 @@ def test_cli_parse_instances_loads_selected_backend(tmp_path):
     ]
     assert loaded[0] == Instance.parse("P(a, b), Q(c)")
     assert loaded[1] == Instance.parse("R(x, 1)")
+
+
+class TestParserReuse:
+    ARGS = (
+        "chase", "--mapping", "P(x) -> Q(x)", "--instance", "P(a)",
+        "--no-registry",
+    )
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        import repro.cli as cli
+
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                code, out, _ = run_cli(capsys, *self.ARGS)
+                assert code == 0 and "Q(a)" in out
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_metrics_env_is_read_per_command(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_METRICS_OUT", raising=False)
+        # The shared parser now exists, built without the variable.
+        assert run_cli(capsys, *self.ARGS)[0] == 0
+        path = tmp_path / "env.prom"
+        monkeypatch.setenv("REPRO_METRICS_OUT", str(path))
+        code, _, err = run_cli(capsys, *self.ARGS)
+        assert code == 0 and path.read_text().endswith("# EOF\n")
+        assert f"metrics: -> {path}" in err
+        path.unlink()
+        monkeypatch.delenv("REPRO_METRICS_OUT")
+        assert run_cli(capsys, *self.ARGS)[0] == 0
+        assert not path.exists()

@@ -12,10 +12,15 @@ import urllib.request
 import pytest
 
 from repro.engine.cache import LRUCache
+from repro.service import ops
 from repro.service.http import ExchangeService, ServiceServer, _Handler
 from repro.service.ops import (
+    PARSE_MEMO_ENTRIES,
+    PARSE_MEMO_MAX_CHARS,
     ServiceRequestError,
     execute_op,
+    parse_memo_stats,
+    parse_text,
     request_key,
     validate_request,
 )
@@ -149,6 +154,126 @@ class TestValidation:
         restricted = validate_request("chase", _body())
         oblivious = validate_request("chase", _body(variant="oblivious"))
         assert request_key(restricted) != request_key(oblivious)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Clear the parse memo; count mapping and query parses by text."""
+    import repro.mappings.schema_mapping as schema_mapping
+
+    ops._parse_memo.cache_clear()
+    counts = {}
+    dependencies = schema_mapping.parse_dependencies
+
+    def count_dependencies(text, *args, **kwargs):
+        counts[text] = counts.get(text, 0) + 1
+        return dependencies(text, *args, **kwargs)
+
+    query = ops.parse_query
+
+    def count_query(text):
+        counts[text] = counts.get(text, 0) + 1
+        return query(text)
+
+    monkeypatch.setattr(schema_mapping, "parse_dependencies", count_dependencies)
+    monkeypatch.setattr(ops, "parse_query", count_query)
+    yield counts
+    ops._parse_memo.cache_clear()
+
+
+class TestParseMemo:
+    def test_texts_are_parsed_once_per_process(self, parses):
+        from repro.engine import ExchangeEngine
+
+        engine = ExchangeEngine()
+        bodies = [
+            ("chase", _body()),
+            ("reverse", {"mapping": "Q(x) -> P(x)", "instance": "Q(a)"}),
+            ("audit", {"mapping": MAPPING, "reverse": "Q(x) -> P(x)"}),
+            (
+                "answer",
+                _body(recovery="Q(x) -> P(x)", query="q(x) :- P(x)"),
+            ),
+        ]
+        for _ in range(3):
+            for op, body in bodies:
+                execute_op(engine, validate_request(op, body))
+        assert parses == {
+            MAPPING: 1,
+            "Q(x) -> P(x)": 1,
+            "q(x) :- P(x)": 1,
+        }
+        stats = parse_memo_stats()
+        assert stats["misses"] == 3 and stats["size"] == 3
+        assert stats["hits"] > 0
+
+    def test_long_text_is_parsed_every_time_and_never_kept(self, parses):
+        text = "\n".join(
+            f"P{i}(x) -> Q{i}(x)" for i in range(PARSE_MEMO_MAX_CHARS // 10)
+        )
+        assert len(text) > PARSE_MEMO_MAX_CHARS
+        for _ in range(3):
+            validate_request("audit", {"mapping": text})
+        assert parses == {text: 3}
+        assert parse_memo_stats()["size"] == 0
+
+    def test_memo_holds_at_most_its_entry_limit(self, parses):
+        for i in range(PARSE_MEMO_ENTRIES + 8):
+            parse_text("query", f"q(x) :- P{i}(x)")
+        assert parse_memo_stats()["size"] == PARSE_MEMO_ENTRIES
+
+    def test_malformed_mapping_is_rejected_on_every_repeat(self, parses):
+        for _ in range(3):
+            with pytest.raises(ServiceRequestError, match="cannot parse"):
+                validate_request("chase", _body(mapping="P(x) -> Q("))
+        assert parses == {"P(x) -> Q(": 3}
+        assert parse_memo_stats()["size"] == 0
+
+    def test_whitespace_variants_share_a_request_key(self, parses):
+        spaced = "  P(x)   ->\tQ(x)  \n"
+        plain = validate_request("chase", _body())
+        padded = validate_request("chase", _body(mapping=spaced))
+        assert padded["mapping"] == spaced
+        assert request_key(plain) == request_key(padded)
+        assert parse_memo_stats()["size"] == 2
+
+    def test_handler_threads_share_the_memo(self, parses):
+        import sys
+
+        texts = [f"P{i}(x) -> Q{i}(x)" for i in range(40)]
+        digests = {text: parse_text("mapping", text).digest() for text in texts}
+        wrong = []
+
+        def work():
+            for _ in range(20):
+                for text in texts:
+                    if parse_text("mapping", text).digest() != digests[text]:
+                        wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        stats = parse_memo_stats()
+        assert stats["hits"] + stats["misses"] == 40 + 8 * 20 * 40
+        assert stats["misses"] == 40 and stats["size"] == 40
+
+    def test_health_reports_the_server_memo(self, tmp_path, parses):
+        service = _service(tmp_path, response_cache_size=0)
+        for _ in range(3):
+            assert service.handle("chase", _body())[0] == 200
+        _, health = service.health()
+        assert health["parse"]["misses"] == 1
+        assert health["parse"]["size"] == 1
+        assert health["parse"]["hits"] >= 2
 
 
 class TestHandle:
