@@ -127,18 +127,31 @@ def _witness_plan(dtgd: DisjunctiveTgd) -> List[tuple]:
     return plan
 
 
-def _witnessed(plan: List[tuple], binding: Dict[Var, Value], source) -> bool:
+def _witnessed(
+    plan: List[tuple],
+    binding: Dict[Var, Value],
+    source,
+    conclusion: Optional[List[Fact]] = None,
+) -> bool:
     """Is some disjunct of *plan* already witnessed under *binding*?
 
     *source* holds facts (``fact in source``) and is a
     :class:`~repro.logic.matching.MatchSource`: the chase's live
     :class:`~repro.logic.delta.TriggerIndex`, or the naive disjunctive
-    chase's frozen world.
+    chase's frozen world.  A disjunct with no existential variable is
+    instantiated and each of its facts looked up; when it is not
+    witnessed and *conclusion* is a list, its facts are appended there,
+    so the standard chase fires a full tgd with the facts built here
+    (:func:`_fire`).  Any other disjunct is matched with its frontier
+    seeded.
     """
     for atoms, shared in plan:
         if shared is None:
-            if all(atom.instantiate(binding) in source for atom in atoms):
+            facts = [atom.instantiate(binding) for atom in atoms]
+            if all(map(source.__contains__, facts)):
                 return True
+            if conclusion is not None:
+                conclusion += facts
             continue
         seed = {v: binding[v] for v in shared}
         if next(match_atoms(atoms, source, initial=seed), None) is not None:
@@ -156,21 +169,33 @@ def _fire(
     observer: Optional[ChaseObserver] = None,
     tgd_index: int = -1,
     round_number: int = 0,
+    conclusion: Optional[List[Fact]] = None,
 ) -> None:
     """Add the conclusion facts for one trigger to *index*.
 
     Each fact that is new is also appended to *added*, the chase's
     record of what it fired; *existentials* are the tgd's existential
-    variables in minting order.
+    variables in minting order.  A non-empty *conclusion* is the facts
+    the restricted chase's witness check built for a full tgd
+    (:func:`_witnessed`), so they are built once; otherwise the
+    conclusion is instantiated here, with fresh nulls for the
+    existential variables.
     """
-    full = dict(binding)
-    for var in existentials:
-        full[var] = factory.fresh()
+    full = binding
+    if existentials:
+        full = dict(binding)
+        for var in existentials:
+            full[var] = factory.fresh()
     start = len(added)
-    for atom in tgd.conclusion:
-        f = atom.instantiate(full)
-        if index.add(f):
-            added.append(f)
+    if conclusion:
+        for f in conclusion:
+            if index.add(f):
+                added.append(f)
+    else:
+        for atom in tgd.conclusion:
+            f = atom.instantiate(full)
+            if index.add(f):
+                added.append(f)
     if observer is not None:
         observer.fired(tgd, tgd_index, round_number, binding, full, added[start:])
 
@@ -303,6 +328,7 @@ def chase(
                     bindings = match_atoms(tgd.premise, view, tgd.guards)
                 for binding in bindings:
                     triggers_considered += 1
+                    conclusion = []
                     if variant == "oblivious":
                         key = (tgd_index, tuple(sorted(binding.items())))
                         if key in fired:
@@ -314,8 +340,9 @@ def chase(
                         # witnesses for overlapping triggers (decision D5:
                         # deltas drive premise matching only; satisfaction
                         # must see everything, or a witness fired earlier
-                        # in the same round would be missed).
-                        if _witnessed(plans[tgd_index], binding, index):
+                        # in the same round would be missed).  A full
+                        # tgd fires the facts the check built.
+                        if _witnessed(plans[tgd_index], binding, index, conclusion):
                             continue
                     _fire(
                         tgd,
@@ -327,6 +354,7 @@ def chase(
                         observer,
                         tgd_index,
                         rounds,
+                        conclusion,
                     )
                     steps += 1
                     progressed = True

@@ -39,9 +39,13 @@ reorder firings.  Instead, :func:`match_atoms_delta` has no search of
 its own: it runs ``match_atoms``' loop over the same view with the delta
 windows, which abandons a subtree as soon as no delta fact can appear
 in it and, when exactly one pending atom's relation carries delta
-facts, reads only that atom's new rows (order intact).  Each level
-places the atom ``match_atoms`` places, so the yields are exactly the
-delta subset of the naive enumeration, in naive order.
+facts, reads only that atom's new rows (order intact).  An atom with
+no delta facts placed while that one atom is still pending reads only
+its rows that join the pending atom's new rows, a semi-join that
+filters the candidates without reordering them, built only when the
+new rows are the fewer.  Each level places the atom ``match_atoms``
+places, so the yields are exactly the delta subset of the naive
+enumeration, in naive order.
 
 Rows enter the index in a canonical order — seed facts sorted by
 :meth:`repro.facts.Fact.sort_key`, fired facts in firing order — so
@@ -123,19 +127,27 @@ class _Prefix(Sequence):
         self._stop = stop
         self._numbers = numbers
 
+    def _below(self, number: int) -> int:
+        """How many of the rows are numbered below *number* (one bisect)."""
+        if self._numbers is None:
+            return min(number, self._stop)
+        return bisect_left(self._numbers, number, 0, self._stop)
+
     def split(self, number: int) -> Tuple[Iterator, Iterator]:
         """Iterators over the rows numbered below *number*, and the rest.
 
-        The delta matcher's window cut: one bisect over the numbers.
+        The delta matcher's window cut.
         """
-        stop = self._stop
-        numbers = self._numbers
-        cut = (
-            min(number, stop)
-            if numbers is None
-            else bisect_left(numbers, number, 0, stop)
-        )
-        return islice(self._rows, cut), islice(self._rows, cut, stop)
+        cut = self._below(number)
+        return islice(self._rows, cut), islice(self._rows, cut, self._stop)
+
+    def since(self, number: int) -> Sequence:
+        """A copy of the rows numbered *number* or above.
+
+        The new rows of a window starting at *number*: what the delta
+        matcher's semi-join cut keys its filter on.
+        """
+        return self._rows[self._below(number) : self._stop]
 
     def __len__(self) -> int:
         return self._stop
@@ -432,7 +444,11 @@ def match_atoms_delta(
     exactly the bindings ``match_atoms(atoms, source, guards, initial)``
     would produce whose instantiated premise includes at least one delta
     row — **in the same relative order** (see the module docstring for
-    why that matters and how the pruning stays order-preserving).
+    why that matters and how the pruning stays order-preserving).  The
+    search pays for the triggers it finds: when a premise's only atom
+    with delta rows is placed last, each atom placed before it reads
+    only the rows that join those delta rows (the semi-join cut of
+    :func:`repro.logic.matching._backtrack`).
 
     With an empty delta nothing is yielded; a delta covering the whole
     source makes this equivalent to ``match_atoms``.

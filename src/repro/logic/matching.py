@@ -9,7 +9,11 @@ one backtracking loop, :func:`_backtrack`, which at each step places the
 first pending atom with the fewest candidate facts given the bindings so
 far (most-constrained-first), re-ranking only the atoms that share a
 newly bound variable.  Guards are checked as soon as all their variables
-are bound.
+are bound.  Under a delta, an atom with no new rows that is placed while
+exactly one pending atom can still use a new row reads only the rows
+that join that atom's new rows (the semi-join cut): a filter of its
+candidate sequence, never a reordering, so every delta search yields
+what the naive one yields, in the same order.
 
 The matching contract
 ---------------------
@@ -40,6 +44,8 @@ argument, ``source``.
 from __future__ import annotations
 
 import sys
+from itertools import compress
+from operator import itemgetter
 from typing import (
     Dict,
     Iterator,
@@ -188,7 +194,13 @@ def _backtrack(
     the window's start: the old rows come first, then the new ones, so
     a placed row's age is the side of the cut it came from.  When no
     other pending pattern could use a new row, the frame reads only the
-    new rows.
+    new rows.  A frame whose relation has no new rows, placed before
+    any new row while exactly one pending pattern could use one, keeps
+    only the rows whose values on the unbound variables the two share
+    occur among that pattern's new rows, since every yield below places
+    it on one.  The set of those values is built in one pass, and only
+    when the new rows are fewer than the rows it filters.  Filtering
+    keeps the rows' order, so the yields and their order do not change.
     """
     lookup = getattr(source, "tuples_at", None)
     occurs: Dict[object, List[int]] = {}
@@ -221,8 +233,43 @@ def _backtrack(
                 live_pending -= live[index]
                 rest = None
                 new = False
-                if seen or not live[index]:
+                if seen:
                     candidates = iter(rows[index])
+                elif not live[index]:
+                    candidates = rows[index]
+                    if live_pending == 1 and candidates:
+                        # The semi-join cut: a yield below places the one
+                        # live pending pattern on a new row, so read only
+                        # the rows whose values on the unbound variables
+                        # they share occur among its new rows (the set is
+                        # built only when those are the fewer rows).
+                        other = next(
+                            j
+                            for j, is_live in enumerate(live)
+                            if is_live and counts[j] != _PLACED
+                        )
+                        other_relation, other_terms = patterns[other]
+                        fresh = rows[other].since(delta[other_relation].start)
+                        if len(fresh) < len(candidates):
+                            terms = patterns[index][1]
+                            shared = [
+                                term
+                                for term in set(terms).intersection(other_terms)
+                                if not isinstance(term, Const) and term not in binding
+                            ]
+                            if shared:
+                                theirs = itemgetter(
+                                    *[other_terms.index(v) for v in shared]
+                                )
+                                ours = itemgetter(*[terms.index(v) for v in shared])
+                                keys = set(map(theirs, fresh))
+                                candidates = compress(
+                                    candidates,
+                                    map(keys.__contains__, map(ours, candidates)),
+                                )
+                            elif not fresh:
+                                candidates = ()
+                    candidates = iter(candidates)
                 else:
                     candidates, rest = rows[index].split(delta[relation].start)
                     if not live_pending:

@@ -57,8 +57,9 @@ _LIMIT_FIELDS = (
     "deadline", "max_rounds", "max_facts", "max_nulls", "max_branches"
 )
 
-#: Distinct mapping and query texts :func:`parse_text` keeps per
-#: process; a serve-mix run uses 25.
+#: Entries :func:`parse_text` keeps per process: one per distinct
+#: mapping or query text, and one per derived full-tgd recovery; a
+#: serve-mix run's server uses 25.
 PARSE_MEMO_ENTRIES = 256
 #: Longest text, in characters, :func:`parse_text` keeps.  A longer one
 #: is parsed on every request and never held: a request body may be
@@ -80,6 +81,10 @@ def _require_text(body: Dict[str, Any], field: str) -> str:
 def _parse(kind: str, text: str) -> Union[SchemaMapping, ConjunctiveQuery]:
     if kind == "query":
         return parse_query(text)
+    if kind == "full-recovery":
+        from ..inverses.quasi_inverse import maximum_extended_recovery_for_full_tgds
+
+        return maximum_extended_recovery_for_full_tgds(parse_text("mapping", text))
     return SchemaMapping.from_text(text)
 
 
@@ -99,11 +104,15 @@ def parse_text(
 
     The server (:func:`validate_request`) and every pool worker
     (:func:`execute_op`) parse through here, so each process parses and
-    digests a distinct text once.  The memo is bounded: it keeps at most
-    :data:`PARSE_MEMO_ENTRIES` texts, each at most
-    :data:`PARSE_MEMO_MAX_CHARS` long.  Both results are immutable (a
-    mapping caches only its own digest), so requests can share them.
-    Raises :class:`repro.errors.ParseError` for malformed text.
+    digests a distinct text once.  Kind ``"full-recovery"`` is the
+    maximum extended recovery of the full-tgd mapping *text* specifies
+    (Theorem 5.1), which an ``answer`` request without a ``recovery``
+    uses, so a worker derives it once per mapping text too.  The memo
+    is bounded: it keeps at most :data:`PARSE_MEMO_ENTRIES` entries,
+    each for a text at most :data:`PARSE_MEMO_MAX_CHARS` long.  The
+    results are immutable (a mapping caches only its own digest), so
+    requests can share them.  Raises :class:`repro.errors.ParseError`
+    for malformed text.
     """
     if len(text) > PARSE_MEMO_MAX_CHARS:
         return _parse(kind, text)
@@ -324,7 +333,8 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
     Runs inside a pool worker (but is deliberately runnable anywhere —
     tests call it on an in-process engine).  The mapping, reverse,
     recovery and query texts are parsed through :func:`parse_text`, so
-    a worker parses each distinct text once; the instance text is
+    a worker parses each distinct text once, and derives an ``answer``'s
+    default recovery once per mapping text; the instance text is
     parsed on every call.  The response's ``meta``
     carries wall time and work counters for the parent's telemetry;
     ``exhausted`` tags budget-truncated partial results, which the
@@ -416,11 +426,7 @@ def execute_op(engine, request: Dict[str, Any]) -> Dict[str, Any]:
             if request.get("recovery"):
                 recovery = parse_text("mapping", request["recovery"])
             else:
-                from ..inverses.quasi_inverse import (
-                    maximum_extended_recovery_for_full_tgds,
-                )
-
-                recovery = maximum_extended_recovery_for_full_tgds(mapping)
+                recovery = parse_text("full-recovery", request["mapping"])
             answers = engine.answer(
                 mapping,
                 recovery,

@@ -8,21 +8,30 @@ index) has its window on the trailing rows.  Over each round view,
 yields over the same view that use a row inside a window, in the same
 order, with and without an inequality guard.
 
+When one relation alone has new rows, a pattern with none placed first
+reads only the rows that join them (the semi-join cut): premises with a
+constant, a repeated variable, an inequality guard, a live pattern
+placed last, and two shared variables reach it, and their delta yields
+must still be the naive-filtered enumeration, in order.
+
 Forks are copy-on-write, so a pool of indexes forked from one another
 shares lists until one of them writes: after any interleaving of adds,
 forks and rotations, each index must read exactly like a fresh index
 that replayed its own history.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.facts import Fact
+from repro.instance import Instance
+from repro.logic.atoms import atom
 from repro.logic.delta import TriggerIndex, match_atoms_delta
 from repro.logic.guards import Inequality
 from repro.logic.matching import match_atoms
+from repro.terms import Const
 
-from .strategies import CONSTANTS, NULLS, facts, instances
+from .strategies import CONSTANTS, NULLS, facts, instances, values
 from .test_matching_index_properties import JOINS, PATTERNS
 
 RELATIONS = {"P": 2, "Q": 1}
@@ -37,7 +46,7 @@ def guard_choices(premise):
     return choices
 
 
-def assert_delta_subset(index: TriggerIndex, delta) -> None:
+def assert_delta_subset(index: TriggerIndex, delta, premises=PATTERNS + JOINS) -> None:
     view = index.round_view()
     new_rows = {
         relation: {index.tuples(relation)[number] for number in window}
@@ -50,7 +59,7 @@ def assert_delta_subset(index: TriggerIndex, delta) -> None:
             for a in premise
         )
 
-    for premise in PATTERNS + JOINS:
+    for premise in premises:
         for guards in guard_choices(premise):
             naive = list(match_atoms(premise, view, guards))
             expected = [b for b in naive if touches(b, premise)]
@@ -120,6 +129,71 @@ def test_windows_on_forked_children(base, disjuncts):
         assert parent.begin_round() == {}
         assert_delta_subset(child, delta)
         parent = child
+
+
+#: Premises that reach the semi-join cut when one relation has new rows.
+CUT_RELATIONS = {"P": 2, "Q": 1, "R": 2}
+CUT_PREMISES = [
+    [atom("P", Const("a"), "y"), atom("R", "y", "z")],
+    [atom("P", "x", "y"), atom("R", "y", Const("b"))],
+    [atom("P", "x", "x"), atom("Q", "x")],
+    [atom("P", "x", "y"), atom("Q", "y")],
+    [atom("P", "x", "y"), atom("R", "y", "z"), atom("Q", "z")],
+    [atom("Q", "x"), atom("P", "x", "y"), atom("R", "y", "z")],
+    [atom("P", "x", "y"), atom("R", "x", "y")],
+    [atom("P", "x", "y"), atom("R", "y", "x")],
+]
+_pairs = st.tuples(values(False), values(False))
+_a, _b, _d = Const("a"), Const("b"), Const("d")
+
+
+@given(
+    st.lists(facts(CUT_RELATIONS, allow_nulls=False), min_size=6, max_size=20).map(
+        Instance
+    ),
+    st.sampled_from(sorted(CUT_RELATIONS)),
+    st.lists(
+        st.tuples(st.lists(_pairs, max_size=2), st.lists(_pairs, max_size=1)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(  # R is new: the constants and both two-variable joins are cut
+    Instance.parse("P(a, a), P(a, b), P(b, a), R(b, b), R(c, b), R(d, b)"),
+    "R",
+    [([(_a, _b)], [])],
+)
+@example(  # Q is new: the repeated variable, and Q placed last
+    Instance.parse(
+        "P(a, a), P(b, b), P(c, c), P(d, a), Q(b), Q(c), Q(d), "
+        "R(a, b), R(b, c), R(b, a)"
+    ),
+    "Q",
+    [([(_a, _a)], [(_b, _b)])],
+)
+@example(  # P is new and placed last, after two cut placements
+    Instance.parse("Q(a), Q(b), R(b, c), R(d, a), P(a, b), P(a, c), P(c, d)"),
+    "P",
+    [([(_a, _d)], [])],
+)
+@settings(max_examples=80, deadline=None)
+def test_one_live_relation_keeps_naive_order(base, live, rounds):
+    """Windows that hold one relation reach every cut path, in order.
+
+    Each round adds *live* rows before its rotation and may add one
+    after it, which the view hides until the next rotation.
+    """
+    arity = CUT_RELATIONS[live]
+    index = TriggerIndex(base)
+    index.begin_round()
+    for before, during in rounds:
+        for pair in before:
+            index.add(Fact(live, pair[:arity]))
+        delta = index.begin_round()
+        assert set(delta) <= {live}
+        for pair in during:
+            index.add(Fact(live, pair[:arity]))
+        assert_delta_subset(index, delta, CUT_PREMISES)
 
 
 #: Steps on a pool of indexes: (kind, which index, the fact an add adds).

@@ -120,6 +120,27 @@ class TestStandardChase:
         result = chase(Instance.parse("P(a), P(b)"), deps)
         assert result.steps == 2
 
+    def test_full_trigger_builds_its_conclusion_once(self, monkeypatch):
+        """The facts the witness check looks up are the facts that fire."""
+        from repro.logic.atoms import Atom
+
+        built = []
+        instantiate = Atom.instantiate
+
+        def counting(self, binding):
+            built.append(self)
+            return instantiate(self, binding)
+
+        monkeypatch.setattr(Atom, "instantiate", counting)
+        deps = parse_dependencies("P(x, y) -> Q(y, x) & R(x)")
+        source = Instance.parse("P(a, b), P(c, d), Q(f, e), R(e), P(e, f)")
+        result = chase(source, deps)
+        assert (result.steps, result.rounds) == (2, 2)
+        # Two fired triggers and one witnessed one (P(e, f)), two atoms
+        # each: the firing reuses the facts its check built.
+        assert len(built) == 6
+        assert Instance.parse("Q(b, a), R(a), Q(d, c), R(c)") <= result.instance
+
     def test_canonical_premise_instance(self):
         inst = chase_atoms_canonical([atom("P", "x", "y"), atom("Q", "y")])
         assert len(inst) == 2

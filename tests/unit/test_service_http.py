@@ -207,6 +207,41 @@ class TestParseMemo:
         assert stats["misses"] == 3 and stats["size"] == 3
         assert stats["hits"] > 0
 
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """Count full-tgd recovery derivations."""
+        import repro.inverses.quasi_inverse as quasi_inverse
+
+        derived = []
+        derive = quasi_inverse.maximum_extended_recovery_for_full_tgds
+
+        def counting(mapping):
+            derived.append(mapping)
+            return derive(mapping)
+
+        monkeypatch.setattr(
+            quasi_inverse, "maximum_extended_recovery_for_full_tgds", counting
+        )
+        return derived
+
+    @pytest.mark.parametrize("padding, derives", [(0, 1), (PARSE_MEMO_MAX_CHARS, 3)])
+    def test_answer_derives_its_recovery_once_per_text(
+        self, parses, derivations, padding, derives
+    ):
+        """Without a ``recovery`` field, an ``answer`` derives Theorem
+        5.1's recovery once per mapping text; an over-cap text, every
+        time."""
+        from repro.engine import ExchangeEngine
+
+        engine = ExchangeEngine()
+        body = _body(mapping=MAPPING + " " * padding, query="q(x) :- P(x)")
+        rows = [
+            execute_op(engine, validate_request("answer", body))["rows"]
+            for _ in range(3)
+        ]
+        assert len(derivations) == derives
+        assert rows == [[["a"]]] * 3
+
     def test_long_text_is_parsed_every_time_and_never_kept(self, parses):
         text = "\n".join(
             f"P{i}(x) -> Q{i}(x)" for i in range(PARSE_MEMO_MAX_CHARS // 10)

@@ -3,7 +3,7 @@
 Covers :class:`repro.logic.delta.TriggerIndex` (incremental index
 maintenance, round/live views, delta rotation, branch forks),
 :func:`repro.logic.delta.match_atoms_delta` (order-preserving delta
-enumeration), and the redesigned matching API (the MatchSource
+enumeration, and its semi-join cut), and the redesigned matching API (the MatchSource
 contract, the ``instance=`` shim, guard deferral semantics).
 """
 
@@ -245,6 +245,117 @@ class TestMatchAtomsDelta:
         view = index.round_view()
         got = list(match_atoms_delta(premise, view, delta, (guard,)))
         assert got == [{x: Const("a"), y: Const("b")}]
+
+
+def _tried(monkeypatch, pattern):
+    """Count the rows the search tries against *pattern*'s terms."""
+    import repro.logic.matching as matching
+
+    tried = [0]
+    match_fact = matching._match_fact
+
+    def counting(terms, values, binding):
+        if terms == pattern.terms:
+            tried[0] += 1
+        return match_fact(terms, values, binding)
+
+    monkeypatch.setattr(matching, "_match_fact", counting)
+    return tried
+
+
+def _delta_subset(premise, view, delta, guards=()):
+    """The naive enumeration's bindings that use a window row, in order."""
+    new = {
+        (relation, view.tuples(relation)[number])
+        for relation, window in delta.items()
+        for number in window
+    }
+    return [
+        b
+        for b in match_atoms(premise, view, guards)
+        if any((a.relation, a.instantiate(b).values) in new for a in premise)
+    ]
+
+
+class TestSemiJoinCut:
+    """A pattern with no new rows, placed while exactly one pending
+    pattern can still use one, reads only the rows that join its new
+    rows, and only when those are the fewer (DESIGN.md D5)."""
+
+    PREMISE = (atom("P", "x", "y"), atom("E", "y", "z"))
+
+    def test_chain_closure_tries_one_edge_per_trigger(self, monkeypatch):
+        from repro.chase.standard import chase
+        from repro.workloads.generators import (
+            chain_graph_instance,
+            path_closure_mapping,
+        )
+
+        dependencies = path_closure_mapping().dependencies
+        source = chain_graph_instance(52)
+        naive = chase(source, dependencies, evaluation="naive")
+        closure = next(d for d in dependencies if len(d.premise) == 2)
+        tried = _tried(monkeypatch, closure.premise[1])
+        result = chase(source, dependencies)
+        # Rounds 3-53 place E(y, z) first, once P outgrows E: without
+        # the cut every round read all 52 edges (2,703 in all).
+        assert tried[0] == 1326
+        assert (result.steps, result.triggers_considered, result.rounds) == (
+            1378,
+            1378,
+            53,
+        )
+        assert (naive.steps, naive.rounds) == (result.steps, result.rounds)
+        assert result.instance.digest() == naive.instance.digest()
+
+    def _round(self, old_p, new_p):
+        index = TriggerIndex(Instance.parse("E(b, c), E(z, w)" + old_p))
+        index.begin_round()
+        for text in new_p:
+            index.add(fact("P", *text.split()))
+        return index, index.begin_round()
+
+    def test_cut_when_the_new_rows_are_fewer(self, monkeypatch):
+        index, delta = self._round(", P(o1, q), P(o2, q)", ["a1 b"])
+        view = index.round_view()
+        tried = _tried(monkeypatch, self.PREMISE[1])
+        got = list(match_atoms_delta(self.PREMISE, view, delta))
+        assert tried[0] == 1  # E(z, w) joins no new P row
+        assert got == _delta_subset(self.PREMISE, view, delta) != []
+
+    def test_no_cut_when_the_new_rows_outnumber_the_placed_rows(
+        self, monkeypatch
+    ):
+        index, delta = self._round("", ["a1 b", "a2 b", "a3 b"])
+        view = index.round_view()
+        assert delta == {"P": range(0, 3)}
+        tried = _tried(monkeypatch, self.PREMISE[1])
+        got = list(match_atoms_delta(self.PREMISE, view, delta))
+        assert tried[0] == 2  # both edges: no set over three new rows
+        assert got == _delta_subset(self.PREMISE, view, delta)
+        assert len(got) == 3
+
+    def test_no_new_row_to_join_reads_nothing(self, monkeypatch):
+        """No shared variable, and no new row left to join: no row is read.
+
+        ``Q(a1)`` is placed first without a cut (two new ``P`` rows
+        against one ``Q`` row); it binds ``x``, and ``P(a1, w)`` has
+        three old rows and no new one, so ``E(y, z)`` is placed next
+        and joins nothing.
+        """
+        premise = (atom("Q", "x"), atom("E", "y", "z"), atom("P", "x", "w"))
+        index = TriggerIndex(
+            Instance.parse("Q(a1), E(b, c), E(z, w), P(a1, q1), P(a1, q2), P(a1, q3)")
+        )
+        index.begin_round()
+        index.add(fact("P", "a2", "b"))
+        index.add(fact("P", "a3", "b"))
+        delta = index.begin_round()
+        view = index.round_view()
+        tried = _tried(monkeypatch, premise[1])
+        assert list(match_atoms_delta(premise, view, delta)) == []
+        assert tried[0] == 0  # two without the cut
+        assert _delta_subset(premise, view, delta) == []
 
 
 class TestMatchingApi:
