@@ -44,7 +44,6 @@ except ImportError:  # pragma: no cover - script mode without PYTHONPATH
 
 from repro.chase.standard import chase
 from repro.engine import ExchangeEngine
-from repro.limits import Limits
 from repro.obs.registry import RunRegistry
 from repro.obs.sinks import OpRecord
 from repro.workloads.generators import (
@@ -156,13 +155,12 @@ if pytest is not None:
         """The delta loop's shape in the chain length: once ``P``
         outgrows ``E``, each round places ``E(y, z)`` first and reads
         only the edges that join last round's paths (DESIGN.md D5).
-        A chain of *depth* edges closes in ``depth + 1`` rounds, past
-        the 64-round guard of an unlimited chase, so the run is bounded
-        explicitly."""
+        A chain of *depth* edges closes in ``depth + 1`` rounds; the
+        tgds are full, so no round fallback cuts an unlimited chase of
+        the 64-chain (DESIGN.md D11)."""
         mapping = path_closure_mapping()
         source = chain_graph_instance(depth)
-        limits = Limits(max_rounds=depth + 1, on_exhausted="raise")
-        result = benchmark(chase, source, mapping.dependencies, limits=limits)
+        result = benchmark(chase, source, mapping.dependencies)
         assert result.rounds == depth + 1
         record_metric(
             benchmark, depth=depth, steps=result.steps,

@@ -37,8 +37,9 @@ with an :class:`~repro.limits.Exhausted` diagnosis.  Because the chase
 is deterministic and truncation only drops a suffix of the firing
 sequence, a partial instance is always a sound sub-instance of the full
 chase result.  Limits that bound neither rounds nor time get a 64-round
-fallback, and with no limits at all it raises
-:class:`ChaseNonTermination` (:func:`repro.limits.resolve_guards`).
+fallback unless every tgd is full (no existential variable, so no null
+is minted and a fixpoint is certain), and with no limits at all a cut
+raises :class:`ChaseNonTermination` (:func:`repro.limits.resolve_guards`).
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ def chase(
     composite operations; otherwise the thread's ambient budget
     (:func:`repro.limits.budget_scope`) applies.  Whatever the budget's
     source, one that bounds neither rounds nor time gets a 64-round
-    fallback (:func:`repro.limits.resolve_guards`).
+    fallback (:func:`repro.limits.resolve_guards`) unless every tgd is
+    full: a chase that mints no null always reaches its fixpoint.
 
     With a *tracer* (explicit, or the ambient one from
     :func:`repro.obs.tracing`) every trigger firing and minted null is
@@ -266,8 +268,10 @@ def chase(
     (:func:`repro.obs.observer.chase_observer`); with neither attached
     the loop reads no clock and builds no event.
 
-    With no limits at all, raises :class:`ChaseNonTermination` after 64
-    fixpoint rounds; for source-to-target tgds one round always suffices.
+    With no limits at all, a chase of tgds with existential variables
+    raises :class:`ChaseNonTermination` after 64 fixpoint rounds; full
+    tgds run to their fixpoint, and for source-to-target tgds one round
+    always suffices.
     """
     tgds: List[Tgd] = []
     for dep in dependencies:
@@ -282,7 +286,9 @@ def chase(
     evaluation = resolve_evaluation(evaluation)
     tracer = tracer or current_tracer()
     observer = chase_observer(tracer, profiler)
-    guards = resolve_guards("chase", limits, budget)
+    guards = resolve_guards(
+        "chase", limits, budget, full=all(tgd.is_full() for tgd in tgds)
+    )
     budget = guards.budget
 
     # Each tgd's witness plan and existentials (in minting order), once.

@@ -640,15 +640,17 @@ class ExchangeEngine:
     ) -> List[ItemOutcome]:
         """Run one batch of payloads on the worker pool or the serial loop.
 
-        The batch runs on a transient pool of ``min(workers, items)``
-        worker processes (:func:`run_batch_supervised`) when the host
-        can start them and either the effective limits arm
-        **supervision** — both ``grace`` and ``deadline`` set — or the
-        batch is worth processes: more than one worker for more than one
-        item, a largest instance of at least ``process_threshold``
-        facts, and more than one CPU.  Everything else runs on the
-        serial loop (:func:`run_batch_isolated`); the chase holds the
-        GIL, so threads would not beat it.
+        The batch runs on a leased pool of ``min(workers, items)`` worker
+        processes (:func:`run_batch_supervised`) when the host can start
+        them and either the effective limits arm **supervision** — both
+        ``grace`` and ``deadline`` set — or the batch is worth
+        processes: more than one worker for more than one item, a
+        largest instance of at least ``process_threshold`` facts, and
+        more than one CPU.  Everything else runs on the serial loop
+        (:func:`run_batch_isolated`); the chase holds the GIL, so
+        threads would not beat it.  A lease reuses the workers an
+        earlier clean batch of the same shape parked, and a worker
+        starts every job with no ambient state.
 
         A supervised pool terminates and respawns a worker whose
         heartbeat goes silent past the grace period
@@ -663,6 +665,12 @@ class ExchangeEngine:
         documented retry-with-remaining-deadline path could never run.
         Unsupervised, the pool gets ``grace=None``: it never kills, and
         items stop through the deadlines in their own budgets.
+
+        A batch without limits of its own runs under the thread's
+        ambient budget, if any.  The serial loop shares that budget
+        across its items; a budget cannot cross a process, so on the
+        pool each payload carries the budget's limits, with the
+        deadline it has left, and each item gets its own cut.
         """
         deadline = effective.deadline if effective is not None else None
         grace = effective.grace if deadline is not None else None
@@ -673,6 +681,13 @@ class ExchangeEngine:
         )
         if not pooled or not supervision_available():
             return run_batch_isolated(payloads, fn, retries=retries, deadline=deadline)
+        ambient = current_budget() if effective is None else None
+        if ambient is not None:
+            remaining = ambient.remaining_time()
+            limits = ambient.limits
+            if remaining is not None:
+                limits = limits.replace(deadline=remaining)
+            payloads = [p[:-3] + (limits,) + p[-2:] for p in payloads]
         if grace is not None:
             deadline += (1 + retries) * grace
         return run_batch_supervised(

@@ -10,7 +10,9 @@ two runners (:meth:`repro.engine.ExchangeEngine._run_batch` picks):
 * the **worker pool** (:func:`repro.engine.supervisor.run_batch_supervised`)
   — when supervision is armed, or when a batch of large instances
   (``process_threshold`` facts or more) has more than one item and
-  more than one job on a multi-CPU host.
+  more than one job on a multi-CPU host.  Batches lease their pools,
+  so consecutive batches of one shape run on the same workers; each
+  job names its task function, which pickles by reference.
 
 Batch execution is **fault isolated** on both: one item crashing (a
 worker exception, an injected fault) does not take the whole batch
@@ -21,9 +23,11 @@ unstarted at the batch deadline as deadline-exhausted.
 
 Task functions live at module scope so they pickle by reference.  Every
 payload ends with ``(..., limits, fault, attempt)``: ``limits`` is the
-per-item :class:`repro.limits.Limits` (or ``None`` for legacy
-behavior), ``fault`` the per-item :class:`repro.limits.Fault` from a
-test/CI fault plan (or ``None``), and ``attempt`` the 1-based attempt
+per-item :class:`repro.limits.Limits` (or ``None``: the item runs under
+the ambient budget on the serial loop; a worker has none, so a pooled
+batch ships that budget's limits here), ``fault`` the per-item
+:class:`repro.limits.Fault` from a test/CI fault plan (or ``None``),
+and ``attempt`` the 1-based attempt
 number — the retry loop resubmits the same payload with only the last
 element bumped.  The element *before* the trailing triple is ``ctx``,
 the caller's serialized :class:`repro.obs.context.TraceContext` (a

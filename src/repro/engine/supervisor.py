@@ -1,10 +1,10 @@
 """The worker pool: the only code in the library that starts processes.
 
 :class:`WorkerPool` runs ``fn(payload)`` jobs on N persistent worker
-processes.  Engine batches run on a transient pool
-(:func:`run_batch_supervised`) and ``repro serve`` keeps a persistent
-one (:class:`repro.service.pool.WarmPool`); batches that do not need
-one run on the serial loop (:func:`repro.engine.parallel.run_batch_isolated`).
+processes.  Engine batches lease one (:func:`run_batch_supervised`)
+and ``repro serve`` keeps its own
+(:class:`repro.service.pool.WarmPool`); batches that do not need one
+run on the serial loop (:func:`repro.engine.parallel.run_batch_isolated`).
 
 A pool with a ``grace`` period is **supervised**.  Supervision is the
 escalation path for a worker that neither honors its budget
@@ -58,6 +58,32 @@ partial dump and exit code 130.
 Killed items are never cached (they produce no result) and never
 poison telemetry: the engine records one error ``OpRecord`` per killed
 item and counts kills in ``stats()``.
+
+Batches **lease** their pools from a process-wide idle table that
+holds at most one parked pool per (worker count, supervised or
+cooperative, ``multiprocessing`` context).  Starting a pool, a fresh
+worker's first job and closing the pool cost more than a batch of
+small items computes, so a batch that ends clean (every job resolved,
+no stop) parks its pool instead of closing it: the manager threads
+exit and the workers stay, so an idle lease holds no thread and the
+next batch of that shape forks nothing.  A stopped batch closes its
+pool as before.  Three rules make a reused worker as good as a fresh
+one:
+
+* a leased job carries its task function (pickled by reference), so
+  chase, reverse, traced and untraced batches share one set of
+  workers;
+* a worker starts every job with no ambient tracer, budget, trace
+  context or fault plan, so nothing a batch (or the forking parent)
+  left in it reaches the next job;
+* an idle leased worker exits by itself after :data:`IDLE_LINGER`
+  seconds, saying goodbye first: a job sent as it left was never read,
+  so the manager respawns the slot and resends it.  A lease respawns
+  lingered-out workers before its manager threads start.
+
+A forked child forgets its parent's idle pools without touching them;
+at interpreter exit ``multiprocessing`` terminates the idle workers
+with every other daemonic child.
 """
 
 from __future__ import annotations
@@ -73,14 +99,27 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import Cancelled, WorkerKilled
 from ..limits import Exhausted, Limits
-from ..limits.budget import current_cancel_token, set_cancel_token, CancelToken
+from ..limits.budget import (
+    CancelToken,
+    current_cancel_token,
+    set_budget,
+    set_cancel_token,
+)
+from ..limits.faults import set_fault_plan
+from ..obs.context import set_context
 from ..obs.progress import set_reporter
+from ..obs.tracer import set_tracer
 from .parallel import ItemOutcome, _deadline_exhausted, _rebudgeted, is_transient
 
 #: How often a supervisor wakes to poll pipes, heartbeats, and the
 #: ambient cancel token (seconds).  Kills therefore land within one
 #: tick of their due time — negligible against any realistic grace.
 SUPERVISOR_TICK = 0.05
+
+#: How long an idle worker of a leased pool waits for its next job
+#: before it exits by itself (seconds).  Back-to-back batches never
+#: see it; a process that stops running batches gets its memory back.
+IDLE_LINGER = 2.0
 
 #: Gauge slots in the shared heartbeat cell, in order.
 _GAUGES = ("rounds", "steps", "facts", "nulls", "branches")
@@ -171,40 +210,61 @@ class _FlagToken(CancelToken):
         return super().cancelled
 
 
-def _worker_main(fn, conn, cell: Optional[HeartbeatCell], cancel_flag) -> None:
-    """Entry point of one pool worker process: serve jobs forever.
+#: A worker's last message when it leaves on its linger.
+_GOODBYE = ("goodbye", None)
+
+
+def _worker_main(
+    fn, conn, cell: Optional[HeartbeatCell], cancel_flag, linger: Optional[float]
+) -> None:
+    """Entry point of one pool worker process: serve jobs until told to stop.
 
     Installs the heartbeat cell as this process's ambient progress
     reporter (``None`` on a cooperative pool, which watches no
-    heartbeat), then answers each payload from the parent with exactly
-    one ``(status, value)`` message: ``("ok", fn(payload))`` or
-    ``("error", exception)``, with unpicklable values degraded to a
-    picklable error so the job fails loudly, not silently.  A ``None``
-    message (or a closed pipe) ends the worker.  Runs at module scope
+    heartbeat), then answers each ``(task, payload)`` message from the
+    parent with exactly one ``(status, value)`` message: ``("ok",
+    task(payload))`` — *task* is the job's own function, or the
+    resident *fn* when it is ``None`` — or ``("error", exception)``,
+    with unpicklable values degraded to a picklable error so the job
+    fails loudly, not silently.  Every job starts with no ambient
+    tracer, budget, trace context or fault plan: the payload scopes its
+    own, and a reused worker must not run one batch's job under
+    another's (or under what the forking thread had).  A ``None``
+    message (or a closed pipe) ends the worker, and so do *linger*
+    seconds without a message, after a :data:`_GOODBYE` that tells the
+    parent any job it sent meanwhile went unread.  Runs at module scope
     so it pickles by reference under spawn-based contexts.
     """
     set_reporter(cell)
     while True:
         try:
-            payload = conn.recv()
+            if linger is not None and not conn.poll(linger):
+                conn.send(_GOODBYE)
+                break
+            message = conn.recv()
         except (EOFError, OSError):
             break
-        if payload is None:
+        if message is None:
             break
+        task, payload = message
+        set_tracer(None)
+        set_budget(None)
+        set_context(None)
+        set_fault_plan(None)
         set_cancel_token(_FlagToken(cancel_flag))
         if cell is not None:
             # Gauges restart per job: a kill must not report the last job's.
             cell.heartbeat(rounds=0, steps=0, facts=0, nulls=0, branches=0)
         try:
-            message = ("ok", fn(payload))
+            reply = ("ok", (task or fn)(payload))
         except BaseException as error:  # ship the failure, whatever it is
-            message = ("error", error)
+            reply = ("error", error)
         try:
-            conn.send(message)
+            conn.send(reply)
         except Exception:
             try:
                 conn.send(
-                    ("error", RuntimeError(f"worker result unpicklable: {message[1]!r}"))
+                    ("error", RuntimeError(f"worker result unpicklable: {reply[1]!r}"))
                 )
             except Exception:  # pragma: no cover - parent is gone
                 break
@@ -225,7 +285,9 @@ class Job:
 
     ``deadline`` (seconds from dispatch, or ``None``) is when the job
     gets its cooperative cancel on a supervised pool; ``item`` tags the
-    :class:`~repro.errors.WorkerKilled` a kill produces.  The pool sets
+    :class:`~repro.errors.WorkerKilled` a kill produces; ``fn`` is the
+    task that runs the payload, pickled by reference with it (``None``
+    runs the pool's resident task).  The pool sets
     ``started`` (monotonic time of dispatch to a worker; ``None`` for a
     job that never ran), ``finished`` (for a killed job, the kill
     instant, before the terminate and the respawn), ``killed``, and
@@ -242,9 +304,11 @@ class Job:
         deadline: Optional[float] = None,
         item: int = -1,
         on_done: Optional[Callable[["Job"], None]] = None,
+        fn: Optional[Callable[[Any], Any]] = None,
     ) -> None:
         """A pending job for *payload*."""
         self.payload = payload
+        self.fn = fn
         self.deadline = deadline
         self.item = item
         self.on_done = on_done
@@ -289,6 +353,8 @@ class _Slot:
 
 #: The queue sentinel that tells a slot manager to exit its worker.
 _EXIT = None
+#: The queue sentinel that tells a slot manager to leave its worker be.
+_PARK = object()
 
 
 class WorkerPool:
@@ -297,8 +363,10 @@ class WorkerPool:
     Parameters
     ----------
     fn:
-        Module-level task function, or a picklable callable object
-        (pickles by reference under spawn); it runs in the workers.
+        The workers' resident task: a module-level function, or a
+        picklable callable object (pickles by reference under spawn)
+        that may keep state in the worker across jobs.  ``None`` when
+        every :class:`Job` carries its own ``fn``.
     workers:
         Worker process count (≥ 1), started at construction.
     grace:
@@ -309,18 +377,24 @@ class WorkerPool:
     context:
         A ``multiprocessing`` context; default
         :func:`multiprocessing.get_context`.
+    linger:
+        Seconds an idle worker waits for a job before it exits by
+        itself; ``None`` (the default) waits forever.  The slot's
+        manager respawns a worker that left the next time it has a job.
     """
 
     def __init__(
         self,
-        fn: Callable[[Any], Any],
+        fn: Optional[Callable[[Any], Any]],
         workers: int,
         grace: Optional[float],
         context=None,
+        linger: Optional[float] = None,
     ) -> None:
         """Start the workers and one manager thread per slot."""
         self.fn = fn
         self.grace = grace
+        self.linger = linger
         self.ctx = context if context is not None else multiprocessing.get_context()
         self.kills = 0
         self.respawns = 0
@@ -332,15 +406,8 @@ class WorkerPool:
         self.slots = [_Slot(index=i) for i in range(workers)]
         for slot in self.slots:
             self._spawn(slot)
-        self._managers = [
-            threading.Thread(
-                target=self._manage, args=(slot,), daemon=True,
-                name=f"pool-manager-{slot.index}",
-            )
-            for slot in self.slots
-        ]
-        for manager in self._managers:
-            manager.start()
+        self._managers: List[threading.Thread] = []
+        self._start_managers()
 
     # -- worker lifecycle ------------------------------------------------
 
@@ -353,7 +420,7 @@ class WorkerPool:
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         slot.process = self.ctx.Process(
             target=_worker_main,
-            args=(self.fn, child_conn, slot.cell, slot.cancel_flag),
+            args=(self.fn, child_conn, slot.cell, slot.cancel_flag, self.linger),
             daemon=True,
         )
         slot.process.start()
@@ -361,7 +428,7 @@ class WorkerPool:
         slot.conn = parent_conn
 
     def _respawn(self, slot: _Slot) -> None:
-        """Respawn a slot in place after a kill or a worker crash."""
+        """Respawn a slot in place after a kill, a crash or a linger."""
         slot.conn.close()
         self._spawn(slot)
         with self._lock:
@@ -377,6 +444,43 @@ class WorkerPool:
         if slot.process.is_alive():
             _terminate(slot.process)
         slot.conn.close()
+
+    def _start_managers(self) -> None:
+        self._managers = [
+            threading.Thread(
+                target=self._manage, args=(slot,), daemon=True,
+                name=f"pool-manager-{slot.index}",
+            )
+            for slot in self.slots
+        ]
+        for manager in self._managers:
+            manager.start()
+
+    def _park(self) -> None:
+        """Stop the slot managers and keep the workers.
+
+        For a pool whose every job has resolved and that was never
+        stopped: afterwards it holds no thread, its workers wait for
+        their next job (or leave on their linger), and :meth:`_resume`
+        takes it back into service.
+        """
+        for _ in self._managers:
+            self._queue.put(_PARK)
+        for manager in self._managers:
+            manager.join()
+        self._managers = []
+
+    def _resume(self) -> None:
+        """Take a parked pool back into service.
+
+        Workers that left on their linger respawn here, before any
+        manager thread starts, so they fork from a process that runs no
+        thread of this pool.
+        """
+        for slot in self.slots:
+            if not slot.process.is_alive():
+                self._respawn(slot)
+        self._start_managers()
 
     # -- jobs ------------------------------------------------------------
 
@@ -418,6 +522,9 @@ class WorkerPool:
         if first:
             for _ in self._managers:
                 self._queue.put(_EXIT)
+            if not self._managers:  # parked: nobody else exits the workers
+                for slot in self.slots:
+                    self._exit_worker(slot)
         deadline = None if timeout is None else time.monotonic() + timeout
         for manager in self._managers:
             manager.join(
@@ -431,6 +538,8 @@ class WorkerPool:
         """Manager-thread body: feed and supervise one worker slot."""
         while True:
             job = self._queue.get()
+            if job is _PARK:
+                return
             if job is _EXIT:
                 self._exit_worker(slot)
                 return
@@ -454,22 +563,42 @@ class WorkerPool:
 
     def _run(self, slot: _Slot, job: Job) -> None:
         """Ship *job* to the slot's worker and supervise it to the end."""
-        if not slot.process.is_alive():  # died while idle
-            self._respawn(slot)
         try:
             # Pickle first: an unpicklable payload never reaches the
             # worker, so it fails the job without costing a respawn.
-            message = ForkingPickler.dumps(job.payload)
+            message = ForkingPickler.dumps((job.fn, job.payload))
         except Exception as error:
             self._finish(slot, job, error=error)
             return
-        try:
-            slot.conn.send_bytes(message)
-        except OSError as error:  # the worker is gone: a broken pipe
+        if not slot.process.is_alive():  # died, or lingered out, while idle
             self._respawn(slot)
-            self._finish(slot, job, error=error)
-            return
-        slot.tasks += 1
+        while True:
+            try:
+                slot.conn.send_bytes(message)
+            except OSError as error:  # the worker is gone: a broken pipe
+                if self._said_goodbye(slot):
+                    self._replace(slot)
+                    continue
+                self._respawn(slot)
+                self._finish(slot, job, error=error)
+                return
+            slot.tasks += 1
+            reply = self._await_reply(slot, job)
+            if reply is None:  # the job ended in a kill or a crash
+                return
+            if reply != _GOODBYE:
+                break
+            # The worker left on its linger before it read the job.
+            self._replace(slot)
+        status, value = reply
+        if status == "ok":
+            self._finish(slot, job, value=value)
+        else:
+            self._finish(slot, job, error=value)
+
+    def _await_reply(self, slot: _Slot, job: Job) -> Optional[tuple]:
+        """The worker's reply to *job*, or ``None`` once a kill or the
+        worker's own death has resolved the job."""
         while not slot.conn.poll(SUPERVISOR_TICK):
             now = time.monotonic()
             soft_at = slot.soft_at
@@ -481,9 +610,9 @@ class WorkerPool:
             # signal.
             if now - max(slot.cell.last_beat, soft_at) >= self.grace:
                 self._kill(slot, job, now)
-                return
+                return None
         try:
-            status, value = slot.conn.recv()
+            return slot.conn.recv()
         except (EOFError, OSError):
             # The worker died on its own without replying (a crash, an
             # OOM kill, os._exit): infra-level breakage, transient and
@@ -493,11 +622,20 @@ class WorkerPool:
             self._respawn(slot)
             error = OSError(f"worker pid {pid} exited without a result")
             self._finish(slot, job, error=error, finished=now)
-            return
-        if status == "ok":
-            self._finish(slot, job, value=value)
-        else:
-            self._finish(slot, job, error=value)
+            return None
+
+    @staticmethod
+    def _said_goodbye(slot: _Slot) -> bool:
+        """Did the slot's worker leave on its linger (its pipe holds the goodbye)?"""
+        try:
+            return bool(slot.conn.poll(0)) and slot.conn.recv() == _GOODBYE
+        except (EOFError, OSError):
+            return False
+
+    def _replace(self, slot: _Slot) -> None:
+        """Respawn the slot of a worker that said goodbye and is exiting."""
+        slot.process.join(0.5)
+        self._respawn(slot)
 
     def _kill(self, slot: _Slot, job: Job, now: float) -> None:
         """Terminate a silent worker, respawn the slot, fail the job."""
@@ -544,6 +682,78 @@ def _cancelled_error() -> Cancelled:
     )
 
 
+#: The idle table: at most one parked pool per lease key.
+_idle: Dict[tuple, WorkerPool] = {}
+_idle_lock = threading.Lock()
+
+
+def _lease_key(workers: int, grace: Optional[float], ctx) -> tuple:
+    """Pools that share a key are interchangeable: same worker count,
+    same supervision (a supervised pool's workers heartbeat), same
+    ``multiprocessing`` context."""
+    return (workers, grace is not None, ctx)
+
+
+def _lease(workers: int, grace: Optional[float], context) -> WorkerPool:
+    """The idle pool for this batch's key, resumed, or a new one."""
+    ctx = context if context is not None else multiprocessing.get_context()
+    with _idle_lock:
+        pool = _idle.pop(_lease_key(workers, grace, ctx), None)
+    if pool is None:
+        return WorkerPool(None, workers, grace, ctx, linger=IDLE_LINGER)
+    pool.grace = grace
+    try:
+        pool._resume()
+    except BaseException:
+        pool.close()
+        raise
+    return pool
+
+
+def _give_back(pool: WorkerPool) -> None:
+    """Park a clean pool in the idle table; close it when its key is taken."""
+    pool._park()
+    key = _lease_key(len(pool.slots), pool.grace, pool.ctx)
+    with _idle_lock:
+        if key not in _idle:
+            _idle[key] = pool
+            return
+    pool.close()
+
+
+def _close_idle_pools() -> None:
+    """Close every idle pool of this process and empty the table.
+
+    A lease afterwards starts a new pool.  Nothing needs to call it at
+    exit: pool workers are daemonic, so ``multiprocessing`` terminates
+    them when the interpreter exits.
+    """
+    with _idle_lock:
+        pools = list(_idle.values())
+        _idle.clear()
+    for pool in pools:
+        pool.close()
+
+
+def _forget_idle_pools() -> None:
+    """In a forked child, forget the parent's idle pools without closing them.
+
+    Their workers are the parent's: the child sends nothing down their
+    pipes (dropping the pools only closes the child's copies of the
+    descriptors), and the workers leave the child's ``multiprocessing``
+    child list, whose exit handler would otherwise terminate them.  The
+    lock is replaced, since another thread may have held it at the fork.
+    """
+    global _idle, _idle_lock
+    for pool in _idle.values():
+        for slot in pool.slots:
+            multiprocessing.process._children.discard(slot.process)
+    _idle, _idle_lock = {}, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_idle_pools)
+
+
 def run_batch_supervised(
     payloads: Sequence[tuple],
     fn: Callable[[tuple], Any],
@@ -553,22 +763,26 @@ def run_batch_supervised(
     grace: Optional[float] = 1.0,
     context=None,
 ) -> List[ItemOutcome]:
-    """Run *fn* over *payloads* on a transient worker pool.
+    """Run *fn* over *payloads* on a leased worker pool.
 
     The process counterpart of
     :func:`repro.engine.parallel.run_batch_isolated`: same payload
     contract (``(..., limits, fault, attempt)``), same ordered
     :class:`ItemOutcome` list, same transient-retry and batch-deadline
-    semantics.  The batch starts a :class:`WorkerPool` of
-    ``min(workers, len(payloads))`` workers and closes it before
-    returning, so no worker outlives the batch.  With a *grace* the
-    pool is supervised: a worker silent for more than *grace* seconds
-    past its cooperative deadline is terminated and its slot respawned;
-    the item retries (with its remaining deadline) while attempts
-    remain, then fails as :class:`repro.errors.WorkerKilled`.
-    ``ItemOutcome.kills`` counts the terminations each item needed;
-    ``elapsed`` runs from the item's first dispatch to a worker (0.0
-    for an item that never started).
+    semantics.  The batch leases a :class:`WorkerPool` of
+    ``min(workers, len(payloads))`` workers: the idle one of that size,
+    supervision and context when the table holds one, else a new one.
+    A batch that ends clean — every item resolved and no stop — parks
+    the pool back, so its workers serve the next batch; a stopped or
+    failed batch closes it, so no worker outlives it.  Each job carries
+    *fn*, so batches of different tasks share the workers.  With a
+    *grace* the pool is supervised: a worker silent for more than
+    *grace* seconds past its cooperative deadline is terminated and
+    its slot respawned; the item retries (with its remaining deadline)
+    while attempts remain, then fails as
+    :class:`repro.errors.WorkerKilled`.  ``ItemOutcome.kills`` counts
+    the terminations each item needed; ``elapsed`` runs from the item's
+    first dispatch to a worker (0.0 for an item that never started).
 
     When the batch deadline passes or the ambient cancel token fires,
     running items get the cooperative cancel at once, items not yet
@@ -603,12 +817,13 @@ def run_batch_supervised(
     outcomes = [ItemOutcome(attempts=0) for _ in payloads]
     first_started: Dict[int, float] = {}
     kills = [0] * len(payloads)
-    pool = WorkerPool(fn, min(max(1, workers), len(payloads)), grace, context)
+    pool = _lease(min(max(1, workers), len(payloads)), grace, context)
+    clean = False
 
     def submit(index: int, payload: tuple) -> None:
         limits = payload[-3]  # the per-item cooperative deadline rides here
         item_deadline = limits.deadline if isinstance(limits, Limits) else None
-        pool.submit(Job(payload, item_deadline, item=index, on_done=done.put))
+        pool.submit(Job(payload, item_deadline, item=index, on_done=done.put, fn=fn))
 
     try:
         for index, payload in enumerate(payloads):
@@ -657,9 +872,13 @@ def run_batch_supervised(
                 kills=kills[index],
             )
             unresolved -= 1
+        clean = not stopped
     finally:
-        pool.stop(_cancelled_error())
-        pool.close()
+        if clean:
+            _give_back(pool)
+        else:
+            pool.stop(_cancelled_error())
+            pool.close()
     return outcomes
 
 
@@ -681,6 +900,7 @@ def supervision_available() -> bool:
 
 __all__ = [
     "HeartbeatCell",
+    "IDLE_LINGER",
     "Job",
     "SUPERVISOR_TICK",
     "WorkerPool",

@@ -15,8 +15,10 @@ The *ambient budget* mirrors the ambient tracer pattern but is
 **thread-local**: ``with budget_scope(budget): ...`` makes nested
 library calls on the same thread (e.g. the hom searches inside
 ``minimize_branches``) respect an enclosing deadline without threading
-a parameter through every signature.  Pool workers are unaffected —
-each worker builds its own budget from the ``Limits`` in its payload.
+a parameter through every signature.  Pool workers start every job
+without one — each builds its own budget from the ``Limits`` in its
+payload, which for a batch without limits of its own are the ambient
+budget's, with the deadline it has left.
 
 :func:`resolve_guards` is the one default-guard policy every chase
 kernel calls: it picks the call's budget (shared, fresh from limits,
@@ -318,7 +320,8 @@ def budget_scope(budget):
 #: per branch for the disjunctive chase.  A fallback applies only when
 #: the effective limits set neither that bound nor a deadline, so
 #: unbounded recursion ends in a tagged partial result or a typed
-#: error, never a hang.
+#: error, never a hang.  A chase of full tgds gets no round fallback:
+#: it mints no null, so it always reaches a fixpoint.
 FALLBACK_BOUNDS = {
     "chase": (64, None),
     "sql_chase": (64, None),
@@ -348,7 +351,10 @@ class Guards(NamedTuple):
 
 
 def resolve_guards(
-    kernel: str, limits: Optional[Limits], budget: Optional[Budget]
+    kernel: str,
+    limits: Optional[Limits],
+    budget: Optional[Budget],
+    full: bool = False,
 ) -> Guards:
     """The budget and bounds one call of *kernel* runs under.
 
@@ -357,7 +363,9 @@ def resolve_guards(
     no limits at all, a fresh budget that raises on exhaustion.  Each
     bound is the budget's own ``max_rounds``/``max_branches``, or, when
     that is unset and the budget has no deadline, the kernel's fallback
-    from :data:`FALLBACK_BOUNDS`, whatever the budget's source.
+    from :data:`FALLBACK_BOUNDS`, whatever the budget's source.  A
+    *full* call — a chase of tgds without existential variables — gets
+    no round fallback, since it cannot run forever.
     """
     if budget is None and limits is None:
         budget = current_budget()
@@ -367,6 +375,8 @@ def resolve_guards(
     fallbacks = FALLBACK_BOUNDS[kernel]
     if own.deadline is not None:
         fallbacks = (None, None)
+    elif full:
+        fallbacks = (None, fallbacks[1])
     return Guards(
         budget,
         own.max_rounds if own.max_rounds is not None else fallbacks[0],

@@ -5,9 +5,8 @@ Serving runs on the library's one process supervisor,
 manager thread per slot, a cooperative cancel at the request's
 deadline, a hard kill after ``grace`` seconds of heartbeat silence,
 and a respawn in place — so one wedged request costs one worker
-restart, never the pool.  Supervised engine batches run on a transient
-pool of the same kind; what this module adds is only what a service
-needs on top:
+restart, never the pool.  Supervised engine batches lease pools of the
+same kind; what this module adds is only what a service needs on top:
 
 * **a warm engine per worker** — each worker process builds one
   :class:`repro.engine.ExchangeEngine` (imports done, disk tier

@@ -526,9 +526,9 @@ def sql_chase(
     pass ``limits`` or a shared ``budget``; with neither, the ambient
     budget applies, and with none of the three the chase raises.  Any
     budget that bounds neither rounds nor time gets the 64-round
-    fallback (:func:`repro.limits.resolve_guards`), and exhaustion
-    either raises or returns a tagged partial result per
-    ``Limits.on_exhausted``.
+    fallback (:func:`repro.limits.resolve_guards`) unless every tgd is
+    full, and exhaustion either raises or returns a tagged partial
+    result per ``Limits.on_exhausted``.
 
     With a *profiler* (:class:`repro.obs.ChaseProfiler`, or any
     :class:`repro.obs.observer.ChaseObserver`) each trigger plan's work
@@ -570,7 +570,9 @@ def sql_chase(
         raise SqlPlanError("cannot chase into a frozen store")
     tracer = tracer or current_tracer()
     observer = chase_observer(tracer, profiler)
-    guards = resolve_guards("sql_chase", limits, budget)
+    guards = resolve_guards(
+        "sql_chase", limits, budget, full=all(tgd.is_full() for tgd in tgds)
+    )
     budget = guards.budget
     evaluation = resolve_evaluation(evaluation)
 

@@ -7,7 +7,8 @@ the budget's source; with no limits at all the kernel raises.  The
 matrix runs a non-terminating tgd (tuple and SQL chase) and a
 non-terminating dtgd (disjunctive chase, reverse) through every entry
 point under every source of limits, and asserts one outcome per cell:
-the exhausted resource, or the raised type.
+the exhausted resource, or the raised type.  A chase of full tgds gets
+no round fallback: it mints no null, so it always reaches a fixpoint.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from repro import (
     disjunctive_chase,
 )
 from repro.chase.disjunctive import reverse_disjunctive_chase
+from repro.limits.budget import FALLBACK_BOUNDS
 from repro.store import open_store
 from repro.store.sqlplan import sql_chase
+from repro.workloads.generators import chain_graph_instance, path_closure_mapping
 
 TGD = SchemaMapping.from_text("T(x, y) -> EXISTS z . T(y, z)")
 DTGD = SchemaMapping.from_text("T(x, y) -> EXISTS z . T(y, z) | Q(x)")
@@ -68,6 +71,14 @@ ENTRY_POINTS = {
     "SchemaMapping.reverse": lambda limits, _budget: DTGD.reverse(
         SOURCE, limits=limits
     ),
+}
+
+#: entry point -> the kernel whose fallback bounds it.
+KERNELS = {
+    entry: "chase"
+    if entry in ("chase", "sql_chase", "engine.exchange", "engine.exchange/sql")
+    else "disjunctive_chase"
+    for entry in ENTRY_POINTS
 }
 
 #: Entry points that accept a shared ``budget=``.
@@ -117,3 +128,33 @@ def test_one_guard_policy(entry, source):
     result = _run(entry, source)
     assert result.exhausted is not None
     assert result.exhausted.resource == expected
+    if expected == "rounds":  # the kernel's fallback made the cut
+        assert result.exhausted.limit == FALLBACK_BOUNDS[KERNELS[entry]][0]
+
+
+def test_full_tgds_reach_their_fixpoint_past_the_fallback():
+    # A full tgd set mints no null, so its chase always terminates; the
+    # 64-chain closure needs 65 rounds, and no fallback may cut it on
+    # either kernel, variant or evaluation.
+    mapping, source = path_closure_mapping(), chain_graph_instance(64)
+    results = [
+        ExchangeEngine().exchange(mapping, source),
+        ExchangeEngine(sql_chase=True).exchange(mapping, source),
+    ]
+    for evaluation in ("delta", "naive"):
+        for variant in ("restricted", "oblivious"):
+            results.append(
+                chase(source, mapping.dependencies, variant=variant, evaluation=evaluation)
+            )
+        store = open_store("sqlite", fresh=True)
+        try:
+            store.add_all(source.facts)
+            result = sql_chase(store, mapping.dependencies, evaluation=evaluation)
+            results.append((result.rounds, result.instance.digest()))
+        finally:
+            store.close()
+    outcomes = {
+        r if isinstance(r, tuple) else (r.rounds, r.instance.digest()) for r in results
+    }
+    assert len(outcomes) == 1
+    assert next(iter(outcomes))[0] == 65

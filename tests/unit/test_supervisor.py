@@ -22,11 +22,15 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
+import repro.engine.supervisor as supervisor
 from repro import (
     BatchItemError,
     BudgetExhausted,
@@ -37,6 +41,7 @@ from repro import (
     Limits,
     SchemaMapping,
     WorkerKilled,
+    budget_scope,
     inject_faults,
 )
 from repro.engine.supervisor import (
@@ -46,9 +51,11 @@ from repro.engine.supervisor import (
     supervision_available,
 )
 from repro.limits import Fault, trip
-from repro.limits.budget import CancelToken, cancel_scope
-from repro.limits.faults import HANG_BACKSTOP
+from repro.limits.budget import CancelToken, cancel_scope, current_budget
+from repro.limits.faults import HANG_BACKSTOP, current_fault_plan
 from repro.obs import JsonlSink, RunRegistry, tracing
+from repro.obs.context import context_scope, current_context, mint_context
+from repro.obs.tracer import current_tracer
 from repro.store import open_store
 
 MAPPING = SchemaMapping.from_text("P(x, y, z) -> Q(x, y) & R(y, z)")
@@ -88,6 +95,78 @@ def _sudden_death_task(payload):
     if attempt == 1:
         os._exit(1)
     return value
+
+
+def _pid_task(payload):
+    """Report which worker ran the item."""
+    return os.getpid()
+
+
+def _ambient_probe_task(payload):
+    """Report, per kind of ambient state, whether the job started without it."""
+    return tuple(
+        state is None
+        for state in (
+            current_budget(), current_tracer(), current_fault_plan(), current_context()
+        )
+    )
+
+
+# -- the idle table --------------------------------------------------------
+
+
+def _key(workers, grace):
+    """The idle-table key of a batch on the default context."""
+    return supervisor._lease_key(workers, grace, multiprocessing.get_context())
+
+
+def _parked(workers, grace):
+    """The worker processes of the idle pool under that key ([] if none)."""
+    pool = supervisor._idle.get(_key(workers, grace))
+    return [slot.process for slot in pool.slots] if pool is not None else []
+
+
+def _alive(pid):
+    """Is *pid* a live process?  A zombie counts as gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _script(code):
+    """Run *code* in a fresh interpreter that imports this library; its stdout."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+#: A script prelude: one supervised chase batch, checked against the
+#: serial loop's answers.
+BATCH_PRELUDE = """
+import json, multiprocessing, os, sys
+from repro import ExchangeEngine, Instance, Limits, SchemaMapping
+M = SchemaMapping.from_text("P(x, y, z) -> Q(x, y) & R(y, z)")
+ITEMS = [Instance.parse(f"P(a{i}, b{i}, c{i})") for i in range(4)]
+SERIAL = [r.instance for r in ExchangeEngine().chase_many(M, ITEMS)]
+def batch():
+    results = ExchangeEngine().chase_many(
+        M, ITEMS, jobs=2, limits=Limits(deadline=30, grace=5)
+    )
+    return [r.instance for r in results] == SERIAL
+def workers():
+    return sorted(p.pid for p in multiprocessing.active_children())
+"""
 
 
 class TestHangFaultPlan:
@@ -208,7 +287,9 @@ class TestBatchStop:
 
     One worker, a hung item 0 and two items queued behind it: a stop
     hard-kills the running item and fails the queued ones without ever
-    starting them.  Every batch must leave no worker process behind.
+    starting them.  A stopped batch closes its pool, so it leaves no
+    worker process behind; a clean batch parks its pool in the idle
+    table, so the only worker it leaves is its lease's.
     """
 
     def _hung_first(self):
@@ -217,14 +298,21 @@ class TestBatchStop:
             for i in range(3)
         ]
 
-    def _run(self, payloads, **kw):
+    def _run(self, payloads, stopped, **kw):
         before = set(multiprocessing.active_children())
         outcomes = run_batch_supervised(payloads, _echo_task, workers=1, **kw)
-        assert not set(multiprocessing.active_children()) - before
+        left = set(multiprocessing.active_children()) - before
+        if stopped:
+            assert not left
+            assert _key(1, kw.get("grace")) not in supervisor._idle
+        else:
+            assert left <= set(_parked(1, kw.get("grace")))
         return outcomes
 
     def test_batch_deadline_kills_running_and_fails_queued(self):
-        outcomes = self._run(self._hung_first(), deadline=0.5, grace=0.3)
+        outcomes = self._run(
+            self._hung_first(), stopped=True, deadline=0.5, grace=0.3
+        )
         assert isinstance(outcomes[0].error, WorkerKilled)
         assert outcomes[0].kills == 1
         for outcome in outcomes[1:]:
@@ -243,7 +331,7 @@ class TestBatchStop:
         with cancel_scope(token):
             timer.start()
             try:
-                outcomes = self._run(self._hung_first(), grace=0.3)
+                outcomes = self._run(self._hung_first(), stopped=True, grace=0.3)
             finally:
                 timer.cancel()
         assert all(isinstance(o.error, Cancelled) for o in outcomes)
@@ -251,12 +339,205 @@ class TestBatchStop:
 
     def test_elapsed_runs_from_dispatch_not_submission(self):
         payloads = [(i, None, Fault("slow", i, seconds=0.2), 1) for i in range(3)]
-        outcomes = self._run(payloads, grace=0.3)
+        outcomes = self._run(payloads, stopped=False, grace=0.3)
         assert all(o.ok for o in outcomes)
         # Queued behind one worker, items finish at 0.2 / 0.4 / 0.6 s;
         # each one's own cost is still about 0.2 s.
         for outcome in outcomes:
             assert 0.2 <= outcome.elapsed < 0.4
+
+
+class TestLease:
+    """A clean batch parks its pool in the idle table, and the next
+    batch of the same worker count, supervision and context leases it:
+    no fork, no reap, and jobs bring their own task function."""
+
+    def _batch(self, fn, workers=2, grace=0.5):
+        payloads = [(i, None, None, 1) for i in range(4)]
+        return run_batch_supervised(payloads, fn, workers=workers, grace=grace)
+
+    def test_second_clean_batch_starts_no_process(self):
+        assert [o.value for o in self._batch(_echo_task)] == [0, 2, 4, 6]
+        children = set(multiprocessing.active_children())
+        parked = [p.pid for p in _parked(2, 0.5)]
+        assert len(parked) == 2 and set(parked) <= {p.pid for p in children}
+        # Another task on the same workers: each job carries its function.
+        outcomes = self._batch(_pid_task)
+        assert set(multiprocessing.active_children()) == children
+        assert [p.pid for p in _parked(2, 0.5)] == parked
+        assert {o.value for o in outcomes} <= set(parked)
+
+    def test_pool_that_killed_and_respawned_goes_back_clean(self):
+        payloads = [
+            (i, Limits(deadline=0.3), Fault("hang", 0, seconds=30.0) if i == 0 else None, 1)
+            for i in range(3)
+        ]
+        outcomes = run_batch_supervised(payloads, _echo_task, workers=1, grace=0.3)
+        assert isinstance(outcomes[0].error, WorkerKilled)
+        assert [o.value for o in outcomes[1:]] == [2, 4]
+        (worker,) = _parked(1, 0.3)  # the respawned worker, parked
+        children = set(multiprocessing.active_children())
+        again = run_batch_supervised([(5, None, None, 1)], _pid_task, workers=1, grace=0.3)
+        assert again[0].value == worker.pid
+        assert set(multiprocessing.active_children()) == children
+
+    def test_idle_workers_leave_after_the_linger(self, monkeypatch):
+        supervisor._close_idle_pools()  # the linger is read when a pool starts
+        monkeypatch.setattr(supervisor, "IDLE_LINGER", 0.3)
+        try:
+            self._batch(_echo_task)
+            workers = _parked(2, 0.5)
+            start = time.monotonic()
+            while any(w.is_alive() for w in workers) and time.monotonic() - start < 5:
+                time.sleep(0.02)
+            assert time.monotonic() - start < 0.3 + 2.0
+            assert not any(w.is_alive() for w in workers)
+            # The next lease respawns them.
+            outcomes = self._batch(_pid_task)
+            fresh = {p.pid for p in _parked(2, 0.5)}
+            assert fresh.isdisjoint(w.pid for w in workers)
+            assert {o.value for o in outcomes} <= fresh
+        finally:
+            supervisor._close_idle_pools()
+
+    def test_batches_across_linger_exits_keep_their_answers(self, monkeypatch):
+        # A 3 ms linger and gaps of 0 to 6 ms between batches: workers
+        # keep leaving, some as a batch sends them a job, and every job
+        # still runs once, on a live or a respawned worker.
+        supervisor._close_idle_pools()
+        monkeypatch.setattr(supervisor, "IDLE_LINGER", 0.003)
+        try:
+            for gap in range(60):
+                time.sleep(gap % 4 * 0.002)
+                outcomes = self._batch(_echo_task)
+                assert [(o.value, o.error) for o in outcomes] == [
+                    (0, None), (2, None), (4, None), (6, None)
+                ]
+            assert supervisor._idle[_key(2, 0.5)].respawns > 0
+        finally:
+            supervisor._close_idle_pools()
+
+    def test_send_that_meets_a_goodbye_is_resent(self, monkeypatch):
+        # Workers that left on their linger but still look alive, as one
+        # does while it exits: the send fails on a closed pipe that holds
+        # the goodbye, and the job runs on the respawned worker.
+        supervisor._close_idle_pools()
+        monkeypatch.setattr(supervisor, "IDLE_LINGER", 0.1)
+        try:
+            self._batch(_echo_task)
+            gone = _parked(2, 0.5)
+            for process in gone:
+                process.join(5)
+            with monkeypatch.context() as patch:
+                patch.setattr(type(gone[0]), "is_alive", lambda process: True)
+                outcomes = self._batch(_pid_task)
+            fresh = {p.pid for p in _parked(2, 0.5)}
+            assert fresh.isdisjoint(p.pid for p in gone)
+            assert all(o.ok for o in outcomes)
+            assert {o.value for o in outcomes} <= fresh
+        finally:
+            supervisor._close_idle_pools()
+
+    def test_concurrent_batches_keep_one_idle_pool_per_key(self):
+        serial = [r.instance for r in ExchangeEngine().chase_many(MAPPING, _instances(4))]
+        answers = []
+
+        def run():
+            for _ in range(3):
+                results = ExchangeEngine().chase_many(
+                    MAPPING, _instances(4), jobs=2, limits=Limits(deadline=30, grace=5)
+                )
+                answers.append([r.instance for r in results])
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert answers == [serial] * 6
+        # The pool that found its key taken was closed: every live child
+        # is a parked worker.
+        parked = {
+            slot.process.pid
+            for pool in supervisor._idle.values()
+            for slot in pool.slots
+            if slot.process.is_alive()
+        }
+        assert {p.pid for p in multiprocessing.active_children()} == parked
+
+    def test_forked_child_leaves_the_parents_lease_alone(self):
+        # The child leases nothing of its parent's, runs its own batch,
+        # and exits normally (atexit handlers run); the parent's workers
+        # serve its next batch.
+        out = _script(BATCH_PRELUDE + """
+ok = batch()
+before = workers()
+child = os.fork()
+if child == 0:
+    sys.exit(0 if batch() else 1)
+_, status = os.waitpid(child, 0)
+ok = batch() and ok
+print(json.dumps([ok, os.waitstatus_to_exitcode(status), before == workers()]))
+""")
+        assert json.loads(out) == [True, 0, True]
+
+    def test_interpreter_exit_leaves_no_worker(self):
+        out = _script(BATCH_PRELUDE + """
+assert batch()
+print(json.dumps(workers()))
+""")
+        pids = json.loads(out)
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+
+class TestLeasedJobState:
+    """A worker runs each job under the job's own state only."""
+
+    def test_job_starts_without_the_forking_threads_ambient_state(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        supervisor._close_idle_pools()  # so the lease forks its worker in here
+        try:
+            with budget_scope(Limits(max_rounds=3)), tracing(), context_scope(
+                mint_context()
+            ), inject_faults(FaultPlan.parse("crash@9")):
+                first = run_batch_supervised(
+                    [(None, None, 1)], _ambient_probe_task, workers=1, grace=None
+                )
+                again = run_batch_supervised(
+                    [(None, None, 1)], _ambient_probe_task, workers=1, grace=None
+                )
+            assert first[0].value == again[0].value == (True, True, True, True)
+        finally:
+            supervisor._close_idle_pools()
+
+    def test_pooled_items_each_get_the_ambient_budgets_cut(self, monkeypatch):
+        # Three 10-edge chains under max_rounds=2: a chain chased for two
+        # rounds has 34 facts, one cut before its first round keeps 10.
+        # The serial loop shares the ambient budget, so the first item
+        # spends it; on a pool each item gets its own copy of the limits,
+        # whichever worker runs it and whatever it ran before.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool needs > 1
+        closure = SchemaMapping.from_text("E(x, y) & E(y, z) -> E(x, z)")
+
+        def chain(tag):
+            return Instance.parse(
+                ", ".join(f"E({tag}{i}, {tag}{i + 1})" for i in range(10))
+            )
+
+        engine = ExchangeEngine(process_threshold=1)
+        engine.chase_many(closure, [chain("v"), chain("w")], jobs=2)
+        parked = [p.pid for p in _parked(2, None)]
+        assert len(parked) == 2
+        items = [chain(tag) for tag in "abc"]
+        with budget_scope(Limits(max_rounds=2)):
+            pooled = ExchangeEngine(process_threshold=1).chase_many(
+                closure, items, jobs=2
+            )
+            serial = ExchangeEngine().chase_many(closure, items, jobs=2)
+        assert [p.pid for p in _parked(2, None)] == parked  # a reused lease
+        assert [len(r.instance) for r in pooled] == [34, 34, 34]
+        assert [len(r.instance) for r in serial] == [34, 10, 10]
 
 
 class TestEngineSupervision:
