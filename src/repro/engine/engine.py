@@ -649,8 +649,8 @@ class ExchangeEngine:
         more than one CPU.  Everything else runs on the serial loop
         (:func:`run_batch_isolated`); the chase holds the GIL, so
         threads would not beat it.  A lease reuses the workers an
-        earlier clean batch of the same shape parked, and a worker
-        starts every job with no ambient state.
+        earlier clean batch of the same supervision parked, and a
+        worker starts every job with no ambient state.
 
         A supervised pool terminates and respawns a worker whose
         heartbeat goes silent past the grace period
@@ -668,9 +668,12 @@ class ExchangeEngine:
 
         A batch without limits of its own runs under the thread's
         ambient budget, if any.  The serial loop shares that budget
-        across its items; a budget cannot cross a process, so on the
-        pool each payload carries the budget's limits, with the
-        deadline it has left, and each item gets its own cut.
+        across its items.  A budget cannot cross a process, so on the
+        pool each payload carries the budget's limits and each item
+        counts its own rounds and facts; the deadline the budget has
+        left bounds each item and the batch as a whole, so items not
+        started by the budget's end fail as deadline-exhausted and
+        running ones get the cooperative cancel then.
         """
         deadline = effective.deadline if effective is not None else None
         grace = effective.grace if deadline is not None else None
@@ -683,10 +686,10 @@ class ExchangeEngine:
             return run_batch_isolated(payloads, fn, retries=retries, deadline=deadline)
         ambient = current_budget() if effective is None else None
         if ambient is not None:
-            remaining = ambient.remaining_time()
             limits = ambient.limits
-            if remaining is not None:
-                limits = limits.replace(deadline=remaining)
+            deadline = ambient.remaining_time()
+            if deadline is not None:
+                limits = limits.replace(deadline=deadline)
             payloads = [p[:-3] + (limits,) + p[-2:] for p in payloads]
         if grace is not None:
             deadline += (1 + retries) * grace

@@ -11,8 +11,8 @@ two runners (:meth:`repro.engine.ExchangeEngine._run_batch` picks):
   — when supervision is armed, or when a batch of large instances
   (``process_threshold`` facts or more) has more than one item and
   more than one job on a multi-CPU host.  Batches lease their pools,
-  so consecutive batches of one shape run on the same workers; each
-  job names its task function, which pickles by reference.
+  so consecutive batches run on the same workers; each job names its
+  task function, which pickles by reference.
 
 Batch execution is **fault isolated** on both: one item crashing (a
 worker exception, an injected fault) does not take the whole batch

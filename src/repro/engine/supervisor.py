@@ -60,15 +60,19 @@ poison telemetry: the engine records one error ``OpRecord`` per killed
 item and counts kills in ``stats()``.
 
 Batches **lease** their pools from a process-wide idle table that
-holds at most one parked pool per (worker count, supervised or
-cooperative, ``multiprocessing`` context).  Starting a pool, a fresh
-worker's first job and closing the pool cost more than a batch of
-small items computes, so a batch that ends clean (every job resolved,
-no stop) parks its pool instead of closing it: the manager threads
-exit and the workers stay, so an idle lease holds no thread and the
-next batch of that shape forks nothing.  A stopped batch closes its
-pool as before.  Three rules make a reused worker as good as a fresh
-one:
+holds at most one parked pool per (supervised or cooperative,
+``multiprocessing`` context).  Starting a pool, a fresh worker's first
+job and closing the pool cost more than a batch of small items
+computes, so a batch that ends clean (every job resolved, no stop)
+parks its pool instead of closing it: the manager threads exit and
+the workers stay, so an idle lease holds no thread and the next batch
+forks nothing.  A batch runs managers on the first ``min(workers,
+items)`` slots of its lease only, so it never runs more jobs at once
+than it asked for; a lease with fewer slots grows, and slots a smaller
+batch leaves unmanaged idle until their linger ends.  The workers a
+process keeps are thus at most the largest batch it ran.  A stopped
+batch closes its pool as before.  Three rules make a reused worker as
+good as a fresh one:
 
 * a leased job carries its task function (pickled by reference), so
   chase, reverse, traced and untraced batches share one set of
@@ -445,13 +449,14 @@ class WorkerPool:
             _terminate(slot.process)
         slot.conn.close()
 
-    def _start_managers(self) -> None:
+    def _start_managers(self, count: Optional[int] = None) -> None:
+        """Start one manager thread on each of the first *count* slots (all)."""
         self._managers = [
             threading.Thread(
                 target=self._manage, args=(slot,), daemon=True,
                 name=f"pool-manager-{slot.index}",
             )
-            for slot in self.slots
+            for slot in self.slots[:count]
         ]
         for manager in self._managers:
             manager.start()
@@ -470,17 +475,23 @@ class WorkerPool:
             manager.join()
         self._managers = []
 
-    def _resume(self) -> None:
-        """Take a parked pool back into service.
+    def _resume(self, workers: int) -> None:
+        """Take a parked pool back into service on its first *workers* slots.
 
-        Workers that left on their linger respawn here, before any
-        manager thread starts, so they fork from a process that runs no
-        thread of this pool.
+        The pool grows to *workers* slots if it has fewer; slots past
+        them stay unmanaged, so their workers run no job and leave on
+        their linger.  New workers and those that left on their linger
+        start here, before any manager thread starts, so they fork from
+        a process that runs no thread of this pool.
         """
-        for slot in self.slots:
+        while len(self.slots) < workers:
+            slot = _Slot(index=len(self.slots))
+            self._spawn(slot)
+            self.slots.append(slot)
+        for slot in self.slots[:workers]:
             if not slot.process.is_alive():
                 self._respawn(slot)
-        self._start_managers()
+        self._start_managers(workers)
 
     # -- jobs ------------------------------------------------------------
 
@@ -522,9 +533,9 @@ class WorkerPool:
         if first:
             for _ in self._managers:
                 self._queue.put(_EXIT)
-            if not self._managers:  # parked: nobody else exits the workers
-                for slot in self.slots:
-                    self._exit_worker(slot)
+            # Slots without a manager (all of them, parked) exit here.
+            for slot in self.slots[len(self._managers):]:
+                self._exit_worker(slot)
         deadline = None if timeout is None else time.monotonic() + timeout
         for manager in self._managers:
             manager.join(
@@ -687,23 +698,24 @@ _idle: Dict[tuple, WorkerPool] = {}
 _idle_lock = threading.Lock()
 
 
-def _lease_key(workers: int, grace: Optional[float], ctx) -> tuple:
-    """Pools that share a key are interchangeable: same worker count,
-    same supervision (a supervised pool's workers heartbeat), same
-    ``multiprocessing`` context."""
-    return (workers, grace is not None, ctx)
+def _lease_key(grace: Optional[float], ctx) -> tuple:
+    """Pools that share a key are interchangeable: same supervision (a
+    supervised pool's workers heartbeat) and ``multiprocessing``
+    context.  The worker count is not part of it: a lease grows to the
+    batch's size, and a batch manages only the slots it asked for."""
+    return (grace is not None, ctx)
 
 
 def _lease(workers: int, grace: Optional[float], context) -> WorkerPool:
-    """The idle pool for this batch's key, resumed, or a new one."""
+    """The idle pool for this batch's key, resumed on *workers* slots, or a new one."""
     ctx = context if context is not None else multiprocessing.get_context()
     with _idle_lock:
-        pool = _idle.pop(_lease_key(workers, grace, ctx), None)
+        pool = _idle.pop(_lease_key(grace, ctx), None)
     if pool is None:
         return WorkerPool(None, workers, grace, ctx, linger=IDLE_LINGER)
     pool.grace = grace
     try:
-        pool._resume()
+        pool._resume(workers)
     except BaseException:
         pool.close()
         raise
@@ -713,7 +725,7 @@ def _lease(workers: int, grace: Optional[float], context) -> WorkerPool:
 def _give_back(pool: WorkerPool) -> None:
     """Park a clean pool in the idle table; close it when its key is taken."""
     pool._park()
-    key = _lease_key(len(pool.slots), pool.grace, pool.ctx)
+    key = _lease_key(pool.grace, pool.ctx)
     with _idle_lock:
         if key not in _idle:
             _idle[key] = pool
@@ -769,12 +781,13 @@ def run_batch_supervised(
     :func:`repro.engine.parallel.run_batch_isolated`: same payload
     contract (``(..., limits, fault, attempt)``), same ordered
     :class:`ItemOutcome` list, same transient-retry and batch-deadline
-    semantics.  The batch leases a :class:`WorkerPool` of
-    ``min(workers, len(payloads))`` workers: the idle one of that size,
-    supervision and context when the table holds one, else a new one.
-    A batch that ends clean — every item resolved and no stop — parks
-    the pool back, so its workers serve the next batch; a stopped or
-    failed batch closes it, so no worker outlives it.  Each job carries
+    semantics.  The batch leases a :class:`WorkerPool` and runs its
+    jobs on ``min(workers, len(payloads))`` of its workers: the idle
+    pool of that supervision and context when the table holds one
+    (grown to that size if smaller), else a new one.  A batch that ends
+    clean — every item resolved and no stop — parks the pool back, so
+    its workers serve the next batch; a stopped or failed batch closes
+    it, so no worker outlives it.  Each job carries
     *fn*, so batches of different tasks share the workers.  With a
     *grace* the pool is supervised: a worker silent for more than
     *grace* seconds past its cooperative deadline is terminated and

@@ -18,7 +18,8 @@ library calls on the same thread (e.g. the hom searches inside
 a parameter through every signature.  Pool workers start every job
 without one — each builds its own budget from the ``Limits`` in its
 payload, which for a batch without limits of its own are the ambient
-budget's, with the deadline it has left.
+budget's, with the deadline it has left; that deadline also ends the
+batch, so a pooled batch respects the enclosing deadline too.
 
 :func:`resolve_guards` is the one default-guard policy every chase
 kernel calls: it picks the call's budget (shared, fresh from limits,

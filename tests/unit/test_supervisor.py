@@ -115,15 +115,23 @@ def _ambient_probe_task(payload):
 # -- the idle table --------------------------------------------------------
 
 
-def _key(workers, grace):
+def _key(grace):
     """The idle-table key of a batch on the default context."""
-    return supervisor._lease_key(workers, grace, multiprocessing.get_context())
+    return supervisor._lease_key(grace, multiprocessing.get_context())
 
 
-def _parked(workers, grace):
+def _parked(grace):
     """The worker processes of the idle pool under that key ([] if none)."""
-    pool = supervisor._idle.get(_key(workers, grace))
+    pool = supervisor._idle.get(_key(grace))
     return [slot.process for slot in pool.slots] if pool is not None else []
+
+
+@pytest.fixture
+def empty_idle_table():
+    """Start and end the test with no idle pool, so its leases are its own."""
+    supervisor._close_idle_pools()
+    yield
+    supervisor._close_idle_pools()
 
 
 def _alive(pid):
@@ -159,9 +167,9 @@ from repro import ExchangeEngine, Instance, Limits, SchemaMapping
 M = SchemaMapping.from_text("P(x, y, z) -> Q(x, y) & R(y, z)")
 ITEMS = [Instance.parse(f"P(a{i}, b{i}, c{i})") for i in range(4)]
 SERIAL = [r.instance for r in ExchangeEngine().chase_many(M, ITEMS)]
-def batch():
+def batch(jobs=2):
     results = ExchangeEngine().chase_many(
-        M, ITEMS, jobs=2, limits=Limits(deadline=30, grace=5)
+        M, ITEMS, jobs=jobs, limits=Limits(deadline=30, grace=5)
     )
     return [r.instance for r in results] == SERIAL
 def workers():
@@ -282,6 +290,7 @@ class TestRunBatchSupervised:
             assert pool.close(10.0)
 
 
+@pytest.mark.usefixtures("empty_idle_table")
 class TestBatchStop:
     """How a supervised batch ends early, and what each item reports.
 
@@ -304,9 +313,9 @@ class TestBatchStop:
         left = set(multiprocessing.active_children()) - before
         if stopped:
             assert not left
-            assert _key(1, kw.get("grace")) not in supervisor._idle
+            assert _key(kw.get("grace")) not in supervisor._idle
         else:
-            assert left <= set(_parked(1, kw.get("grace")))
+            assert left <= set(_parked(kw.get("grace")))
         return outcomes
 
     def test_batch_deadline_kills_running_and_fails_queued(self):
@@ -347,10 +356,11 @@ class TestBatchStop:
             assert 0.2 <= outcome.elapsed < 0.4
 
 
+@pytest.mark.usefixtures("empty_idle_table")
 class TestLease:
     """A clean batch parks its pool in the idle table, and the next
-    batch of the same worker count, supervision and context leases it:
-    no fork, no reap, and jobs bring their own task function."""
+    batch of the same supervision and context leases it: no fork, no
+    reap, and jobs bring their own task function."""
 
     def _batch(self, fn, workers=2, grace=0.5):
         payloads = [(i, None, None, 1) for i in range(4)]
@@ -359,12 +369,12 @@ class TestLease:
     def test_second_clean_batch_starts_no_process(self):
         assert [o.value for o in self._batch(_echo_task)] == [0, 2, 4, 6]
         children = set(multiprocessing.active_children())
-        parked = [p.pid for p in _parked(2, 0.5)]
+        parked = [p.pid for p in _parked(0.5)]
         assert len(parked) == 2 and set(parked) <= {p.pid for p in children}
         # Another task on the same workers: each job carries its function.
         outcomes = self._batch(_pid_task)
         assert set(multiprocessing.active_children()) == children
-        assert [p.pid for p in _parked(2, 0.5)] == parked
+        assert [p.pid for p in _parked(0.5)] == parked
         assert {o.value for o in outcomes} <= set(parked)
 
     def test_pool_that_killed_and_respawned_goes_back_clean(self):
@@ -375,68 +385,76 @@ class TestLease:
         outcomes = run_batch_supervised(payloads, _echo_task, workers=1, grace=0.3)
         assert isinstance(outcomes[0].error, WorkerKilled)
         assert [o.value for o in outcomes[1:]] == [2, 4]
-        (worker,) = _parked(1, 0.3)  # the respawned worker, parked
+        (worker,) = _parked(0.3)  # the respawned worker, parked
         children = set(multiprocessing.active_children())
         again = run_batch_supervised([(5, None, None, 1)], _pid_task, workers=1, grace=0.3)
         assert again[0].value == worker.pid
         assert set(multiprocessing.active_children()) == children
 
     def test_idle_workers_leave_after_the_linger(self, monkeypatch):
-        supervisor._close_idle_pools()  # the linger is read when a pool starts
-        monkeypatch.setattr(supervisor, "IDLE_LINGER", 0.3)
-        try:
-            self._batch(_echo_task)
-            workers = _parked(2, 0.5)
-            start = time.monotonic()
-            while any(w.is_alive() for w in workers) and time.monotonic() - start < 5:
-                time.sleep(0.02)
-            assert time.monotonic() - start < 0.3 + 2.0
-            assert not any(w.is_alive() for w in workers)
-            # The next lease respawns them.
-            outcomes = self._batch(_pid_task)
-            fresh = {p.pid for p in _parked(2, 0.5)}
-            assert fresh.isdisjoint(w.pid for w in workers)
-            assert {o.value for o in outcomes} <= fresh
-        finally:
-            supervisor._close_idle_pools()
+        monkeypatch.setattr(supervisor, "IDLE_LINGER", 0.3)  # read as a pool starts
+        self._batch(_echo_task)
+        workers = _parked(0.5)
+        start = time.monotonic()
+        while any(w.is_alive() for w in workers) and time.monotonic() - start < 5:
+            time.sleep(0.02)
+        assert time.monotonic() - start < 0.3 + 2.0
+        assert not any(w.is_alive() for w in workers)
+        # The next lease respawns them.
+        outcomes = self._batch(_pid_task)
+        fresh = {p.pid for p in _parked(0.5)}
+        assert fresh.isdisjoint(w.pid for w in workers)
+        assert {o.value for o in outcomes} <= fresh
 
     def test_batches_across_linger_exits_keep_their_answers(self, monkeypatch):
         # A 3 ms linger and gaps of 0 to 6 ms between batches: workers
         # keep leaving, some as a batch sends them a job, and every job
         # still runs once, on a live or a respawned worker.
-        supervisor._close_idle_pools()
         monkeypatch.setattr(supervisor, "IDLE_LINGER", 0.003)
-        try:
-            for gap in range(60):
-                time.sleep(gap % 4 * 0.002)
-                outcomes = self._batch(_echo_task)
-                assert [(o.value, o.error) for o in outcomes] == [
-                    (0, None), (2, None), (4, None), (6, None)
-                ]
-            assert supervisor._idle[_key(2, 0.5)].respawns > 0
-        finally:
-            supervisor._close_idle_pools()
+        for gap in range(60):
+            time.sleep(gap % 4 * 0.002)
+            outcomes = self._batch(_echo_task)
+            assert [(o.value, o.error) for o in outcomes] == [
+                (0, None), (2, None), (4, None), (6, None)
+            ]
+        assert supervisor._idle[_key(0.5)].respawns > 0
 
     def test_send_that_meets_a_goodbye_is_resent(self, monkeypatch):
         # Workers that left on their linger but still look alive, as one
         # does while it exits: the send fails on a closed pipe that holds
         # the goodbye, and the job runs on the respawned worker.
-        supervisor._close_idle_pools()
         monkeypatch.setattr(supervisor, "IDLE_LINGER", 0.1)
-        try:
-            self._batch(_echo_task)
-            gone = _parked(2, 0.5)
-            for process in gone:
-                process.join(5)
-            with monkeypatch.context() as patch:
-                patch.setattr(type(gone[0]), "is_alive", lambda process: True)
-                outcomes = self._batch(_pid_task)
-            fresh = {p.pid for p in _parked(2, 0.5)}
-            assert fresh.isdisjoint(p.pid for p in gone)
-            assert all(o.ok for o in outcomes)
-            assert {o.value for o in outcomes} <= fresh
-        finally:
-            supervisor._close_idle_pools()
+        self._batch(_echo_task)
+        gone = _parked(0.5)
+        for process in gone:
+            process.join(5)
+        with monkeypatch.context() as patch:
+            patch.setattr(type(gone[0]), "is_alive", lambda process: True)
+            outcomes = self._batch(_pid_task)
+        fresh = {p.pid for p in _parked(0.5)}
+        assert fresh.isdisjoint(p.pid for p in gone)
+        assert all(o.ok for o in outcomes)
+        assert {o.value for o in outcomes} <= fresh
+
+    def test_batches_of_mixed_sizes_keep_at_most_jobs_workers(self):
+        # One caller at jobs=3, batches of 1 to 6 unique items: each runs
+        # on min(3, items) workers of the one lease, which grows to the
+        # largest batch and leaves the rest idle for a smaller one.
+        before = set(multiprocessing.active_children())
+        limits = Limits(deadline=30, grace=5)
+        started = []
+        for n in (1, 2, 3, 2, 1, 6, 3):
+            items = _instances(n)
+            serial = [r.instance for r in ExchangeEngine().chase_many(MAPPING, items)]
+            results = ExchangeEngine().chase_many(MAPPING, items, jobs=3, limits=limits)
+            assert [r.instance for r in results] == serial
+            started.append({p.pid for p in multiprocessing.active_children()} - {
+                p.pid for p in before
+            })
+            assert len(started[-1]) <= 3
+        # Grown to three by the third batch, the lease forks nothing after.
+        assert [len(pids) for pids in started] == [1, 2, 3, 3, 3, 3, 3]
+        assert all(pids == started[2] for pids in started[2:])
 
     def test_concurrent_batches_keep_one_idle_pool_per_key(self):
         serial = [r.instance for r in ExchangeEngine().chase_many(MAPPING, _instances(4))]
@@ -456,7 +474,7 @@ class TestLease:
             thread.join(60)
         assert answers == [serial] * 6
         # The pool that found its key taken was closed: every live child
-        # is a parked worker.
+        # is a parked worker, and there are at most jobs of them.
         parked = {
             slot.process.pid
             for pool in supervisor._idle.values()
@@ -464,6 +482,7 @@ class TestLease:
             if slot.process.is_alive()
         }
         assert {p.pid for p in multiprocessing.active_children()} == parked
+        assert len(supervisor._idle) == 1 and len(parked) <= 2
 
     def test_forked_child_leaves_the_parents_lease_alone(self):
         # The child leases nothing of its parent's, runs its own batch,
@@ -490,26 +509,46 @@ print(json.dumps(workers()))
         assert len(pids) == 2
         assert not any(_alive(pid) for pid in pids)
 
+    def test_consecutive_batches_never_fork_from_a_threaded_process(self):
+        # CPython 3.12 warns (a DeprecationWarning) when a process forks
+        # while it runs more than one thread.  A pool forks its workers
+        # before it starts its manager threads, and an idle lease holds
+        # no thread, so batches at jobs 2, 2, 3, 2, 1 fork 2 workers,
+        # then one more, and raise no warning; none outlives the script.
+        out = _script(BATCH_PRELUDE + """
+import warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always", DeprecationWarning)
+    report = [[batch(jobs), workers()] for jobs in (2, 2, 3, 2, 1)]
+print(json.dumps([report, [str(w.message) for w in caught]]))
+""")
+        report, caught = json.loads(out)
+        assert caught == []
+        assert all(ok for ok, _ in report)
+        pids = [pids for _, pids in report]
+        assert [len(batch) for batch in pids] == [2, 2, 3, 3, 3]
+        assert pids[1] == pids[0] and set(pids[0]) < set(pids[2])
+        assert pids[4] == pids[3] == pids[2]
+        assert not any(_alive(pid) for pid in pids[-1])
 
+
+@pytest.mark.usefixtures("empty_idle_table")
 class TestLeasedJobState:
     """A worker runs each job under the job's own state only."""
 
     def test_job_starts_without_the_forking_threads_ambient_state(self, monkeypatch):
+        # The table starts empty, so the lease forks its worker in here.
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        supervisor._close_idle_pools()  # so the lease forks its worker in here
-        try:
-            with budget_scope(Limits(max_rounds=3)), tracing(), context_scope(
-                mint_context()
-            ), inject_faults(FaultPlan.parse("crash@9")):
-                first = run_batch_supervised(
-                    [(None, None, 1)], _ambient_probe_task, workers=1, grace=None
-                )
-                again = run_batch_supervised(
-                    [(None, None, 1)], _ambient_probe_task, workers=1, grace=None
-                )
-            assert first[0].value == again[0].value == (True, True, True, True)
-        finally:
-            supervisor._close_idle_pools()
+        with budget_scope(Limits(max_rounds=3)), tracing(), context_scope(
+            mint_context()
+        ), inject_faults(FaultPlan.parse("crash@9")):
+            first = run_batch_supervised(
+                [(None, None, 1)], _ambient_probe_task, workers=1, grace=None
+            )
+            again = run_batch_supervised(
+                [(None, None, 1)], _ambient_probe_task, workers=1, grace=None
+            )
+        assert first[0].value == again[0].value == (True, True, True, True)
 
     def test_pooled_items_each_get_the_ambient_budgets_cut(self, monkeypatch):
         # Three 10-edge chains under max_rounds=2: a chain chased for two
@@ -527,7 +566,7 @@ class TestLeasedJobState:
 
         engine = ExchangeEngine(process_threshold=1)
         engine.chase_many(closure, [chain("v"), chain("w")], jobs=2)
-        parked = [p.pid for p in _parked(2, None)]
+        parked = [p.pid for p in _parked(None)]
         assert len(parked) == 2
         items = [chain(tag) for tag in "abc"]
         with budget_scope(Limits(max_rounds=2)):
@@ -535,9 +574,34 @@ class TestLeasedJobState:
                 closure, items, jobs=2
             )
             serial = ExchangeEngine().chase_many(closure, items, jobs=2)
-        assert [p.pid for p in _parked(2, None)] == parked  # a reused lease
+        assert [p.pid for p in _parked(None)] == parked  # a reused lease
         assert [len(r.instance) for r in pooled] == [34, 34, 34]
         assert [len(r.instance) for r in serial] == [34, 10, 10]
+
+    def test_pooled_batch_ends_with_the_ambient_deadline(self, monkeypatch):
+        # Six chases that never terminate, two at a time, under a 0.5 s
+        # ambient deadline.  The deadline is an instant: it ends the
+        # running items and the batch, and the items still queued then
+        # fail as deadline-exhausted, as under a batch's own deadline
+        # (the batch notices within a tick, so a worker may start one
+        # more item first, which the stop cancels).  Restarting the
+        # deadline per item would take three rounds of 0.5 s.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool needs > 1
+        items = [Instance.parse(f"A(a{i})") for i in range(6)]
+        engine = ExchangeEngine(process_threshold=1, on_error="skip")
+        start = time.monotonic()
+        with budget_scope(Limits(deadline=0.5)):
+            results = engine.chase_many(RECURSIVE, items, jobs=2)
+        assert time.monotonic() - start < 0.5 + 0.9
+        errors = [r.error for r in results if isinstance(r, BatchItemError)]
+        assert 2 <= len(errors) <= 4
+        for error in errors:
+            assert isinstance(error, BudgetExhausted)
+            assert error.diagnosis.resource == "deadline"
+            assert error.diagnosis.where == "engine.batch"
+        for result in results:
+            if not isinstance(result, BatchItemError):
+                assert result.exhausted.resource in ("deadline", "cancelled")
 
 
 class TestEngineSupervision:
